@@ -9,11 +9,9 @@ nearest-neighbor identification as the device count grows from 100 to
 Run:  python3 demos/project_to_population.py
 """
 
-import numpy as np
-
 from sensorprint.dataset import generate_synthetic
 from sensorprint.distances import pairwise_distances, rank_families
-from sensorprint.features import featurize_sample
+from sensorprint.features import featurize_dataset
 from sensorprint.metric import train_ldml
 from sensorprint.simulate import sweep
 
@@ -25,15 +23,11 @@ RUNS = 2_000
 def main() -> None:
     print(f"generating {DEVICES} devices x {SAMPLES} sessions (seed 0) ...")
     ds = generate_synthetic(DEVICES, SAMPLES, seed=0)
-    feats = [featurize_sample(s) for s in ds.samples]
+    table = featurize_dataset(ds)
     print("learning the metric ...")
-    model = train_ldml(feats, seed=0)
+    model = train_ldml(table.X, table.device_ids, seed=0)
 
-    by_dev: dict[str, list[np.ndarray]] = {}
-    for fv in feats:
-        by_dev.setdefault(fv.device_id, []).append(fv.values)
-    intra, inter = pairwise_distances(
-        {d: np.array(v) for d, v in by_dev.items()}, model=model)
+    intra, inter = pairwise_distances(table.by_device(), model=model)
     print(f"distance populations: {intra.n} same-device, {inter.n} cross-device")
 
     fits = {}

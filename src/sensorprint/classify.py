@@ -86,11 +86,12 @@ def evaluate(predictions, truth) -> EvalReport:
     )
 
 
-def knn_predict(train_X, train_y, query, k: int = 1) -> str:
+def knn_predict(train_X, train_y, query, k: int = 1):
     """Majority label of the k nearest training vectors (Euclidean).
 
     Equal distances keep input order; vote ties go to the label with the
-    smallest summed distance, then lexicographically.
+    smallest summed distance, then lexicographically. Accepts one query
+    vector or a matrix of them.
     """
     X = np.asarray(train_X, dtype=float)
     y = np.asarray(train_y)
@@ -101,19 +102,17 @@ def knn_predict(train_X, train_y, query, k: int = 1) -> str:
     if k > len(X):
         raise ValueError(f"k={k} exceeds training size {len(X)}")
     q = np.asarray(query, dtype=float)
-    dist = np.sqrt(np.sum((X - q) ** 2, axis=1))
-    nearest = np.argsort(dist, kind="stable")[:k]
-    labels = y[nearest]
-    dists = dist[nearest]
-    candidates = {}
-    for lab, d in zip(labels, dists):
-        cnt, tot = candidates.get(lab, (0, 0.0))
-        candidates[lab] = (cnt + 1, tot + d)
-    best_count = max(cnt for cnt, _ in candidates.values())
-    tied = [lab for lab, (cnt, _) in candidates.items() if cnt == best_count]
-    if len(tied) == 1:
-        return tied[0]
-    return min(tied, key=lambda lab: (candidates[lab][1], lab))
+    single = q.ndim == 1
+    Q = np.atleast_2d(q)
+    out = []
+    step = max(1, (1 << 22) // X.size)  # queries per block: <= 4M floats of differences
+    for start in range(0, len(Q), step):
+        dist = np.sqrt(np.sum((X - Q[start:start + step, None, :]) ** 2, axis=2))
+        for row, nearest in zip(dist, np.argsort(dist, axis=1, kind="stable")[:, :k]):
+            labs, inv = np.unique(y[nearest], return_inverse=True)
+            votes, sums = np.bincount(inv), np.bincount(inv, weights=row[nearest])
+            out.append(labs[np.lexsort((labs, sums, -votes))[0]])
+    return out[0] if single else np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -308,32 +307,29 @@ def run_protocol(
     standardization and the optional learned metric are fit on each repeat's
     training half only.
     """
-    from .features import featurize_sample
+    from .features import featurize_dataset
 
     if classifier not in ("knn", "rf"):
         raise ValueError("classifier must be 'knn' or 'rf'")
-    by_dev = dataset.by_device()
-    eligible = [d for d, ss in by_dev.items() if len(ss) >= train_per_device + 1]
-    if not eligible:
-        raise ValueError("no eligible devices")
+    return _protocol_on_table(
+        featurize_dataset(dataset, fs_target), classifier, train_per_device, repeats, seed, k,
+        use_ldml, ldml_iterations, ldml_step, d_prime, n_trees)
 
-    rows = []
-    labels = []
-    dev_slices: dict[str, list[int]] = {}
-    for dev in eligible:
-        for s in by_dev[dev]:
-            dev_slices.setdefault(dev, []).append(len(rows))
-            rows.append(featurize_sample(s, fs_target).values)
-            labels.append(dev)
-    X = np.asarray(rows)
-    y = np.asarray(labels)
+
+def _protocol_on_table(table, classifier, train_per_device, repeats, seed, k=1, use_ldml=False,
+                       ldml_iterations=200, ldml_step=1e-3, d_prime=None, n_trees=100):
+    """run_protocol on an already featurized dataset (a FeatureTable)."""
+    table = table.eligible(train_per_device + 1)
+    dev_rows = table.device_rows()
+    if not dev_rows:
+        raise ValueError("no eligible devices")
+    X, y = table.X, table.device_ids
 
     reports = []
     for r in range(repeats):
         rng = np.random.default_rng([seed, r])
         train_idx, test_idx = [], []
-        for dev in eligible:
-            idxs = np.asarray(dev_slices[dev])
+        for idxs in dev_rows.values():
             perm = rng.permutation(len(idxs))
             train_idx.extend(idxs[perm[:train_per_device]])
             test_idx.extend(idxs[perm[train_per_device:]])
@@ -352,7 +348,7 @@ def run_protocol(
             Ztr = (X[train_idx] - means) / stds
             Zte = (X[test_idx] - means) / stds
         if classifier == "knn":
-            preds = np.array([knn_predict(Ztr, y[train_idx], q, k=k) for q in Zte])
+            preds = knn_predict(Ztr, y[train_idx], Zte, k=k)
         else:
             forest = rf_train(Ztr, y[train_idx], n_trees=n_trees, seed=seed * 100003 + r)
             preds = rf_predict(forest, Zte)
@@ -363,7 +359,7 @@ def run_protocol(
         classifier=classifier + ("+ldml" if use_ldml else ""),
         train_per_device=train_per_device,
         repeats=repeats,
-        n_devices=len(eligible),
+        n_devices=len(dev_rows),
         avg_f_mean=float(np.mean(avg_fs)),
         avg_f_ci=_confidence_interval(avg_fs),
         accuracy_mean=float(np.mean([rep.accuracy for rep in reports])),

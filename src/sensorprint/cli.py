@@ -28,6 +28,10 @@ _THREAD_VARS = (
 
 
 class _Parser(argparse.ArgumentParser):
+    # no abbreviated flags: an abbreviation would not count as explicit in _apply_config
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     # usage problems exit 1 (argparse defaults to 2, which we reserve for I/O)
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -94,43 +98,27 @@ def cmd_ingest(args) -> int:
 
 def cmd_featurize(args) -> int:
     from .dataset import load_dataset
-    from .features import featurize_sample, write_features_csv
+    from .features import featurize_dataset, write_features_csv
 
     _check_distinct(args.input, args.out)
-    ds = load_dataset(args.input)
-    vectors = [featurize_sample(s, args.fs_target) for s in ds.samples]
-    write_features_csv(vectors, args.out)
-    log.info("featurize: %d vector(s) at %.1f Hz -> %s", len(vectors), args.fs_target, args.out)
+    table = featurize_dataset(load_dataset(args.input), args.fs_target)
+    write_features_csv(table, args.out)
+    log.info("featurize: %d vector(s) at %.1f Hz -> %s", len(table.X), args.fs_target, args.out)
     return 0
 
 
-def _group_features(path):
-    import numpy as np
-
-    from .features import load_features_csv
-
-    vectors = load_features_csv(path)
-    if not vectors:
-        raise ValueError("feature file is empty")
-    X = np.array([fv.values for fv in vectors])
-    labels = [fv.device_id for fv in vectors]
-    by_dev: dict = {}
-    for fv in vectors:
-        by_dev.setdefault(fv.device_id, []).append(fv.values)
-    return X, labels, {d: np.array(vs) for d, vs in by_dev.items()}
-
-
 def cmd_train_metric(args) -> int:
+    from .features import load_features_csv
     from .metric import save_metric_model, train_ldml
 
-    X, labels, _ = _group_features(args.features)
+    table = load_features_csv(args.features)
     model = train_ldml(
-        X, labels, d_prime=args.d_prime, iterations=args.iterations,
+        table.X, table.device_ids, d_prime=args.d_prime, iterations=args.iterations,
         step=args.step, seed=args.seed,
     )
     save_metric_model(model, args.out)
     log.info("train-metric: %d vector(s), %d iteration(s) -> %s",
-             len(labels), args.iterations, args.out)
+             len(table.X), args.iterations, args.out)
     return 0
 
 
@@ -153,19 +141,7 @@ def cmd_classify(args) -> int:
     _write_json({
         "command": "classify",
         "config": _config_echo(args),
-        "result": {
-            "accuracy": rep.accuracy,
-            "avg_precision": rep.avg_precision,
-            "avg_recall": rep.avg_recall,
-            "avg_f": rep.avg_f,
-            "n_test": rep.n_test,
-            "n_devices": res.n_devices,
-            "per_class": {
-                label: {"tp": s.tp, "fp": s.fp, "fn": s.fn, "precision": s.precision,
-                        "recall": s.recall, "f_score": s.f_score}
-                for label, s in rep.per_class.items()
-            },
-        },
+        "result": {**rep.to_dict(), "n_devices": res.n_devices},
     }, args.out)
     log.info("classify: accuracy %.4f, AvgF %.4f -> %s", rep.accuracy, rep.avg_f, args.out)
     return 0
@@ -192,9 +168,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_distfit(args) -> int:
     from .distances import ks_statistic, pairwise_distances, rank_families, save_fitted
+    from .features import load_features_csv
     from .metric import load_metric_model
 
-    _, _, by_dev = _group_features(args.features)
+    by_dev = load_features_csv(args.features).by_device()
     model = load_metric_model(args.metric_model) if args.metric_model else None
     intra_pop, inter_pop = pairwise_distances(by_dev, model)
     report = {"command": "distfit", "config": _config_echo(args)}
@@ -221,8 +198,6 @@ def cmd_simulate(args) -> int:
     from .distances import load_fitted
     from .simulate import sweep, write_sweep_csv
 
-    if args.k < 1 or args.k % 2 != 1:
-        raise ValueError("k must be odd and >= 1")
     kind_a, intra = load_fitted(args.intra)
     kind_b, inter = load_fitted(args.inter)
     if kind_a != "intra" or kind_b != "inter":
@@ -294,8 +269,7 @@ def _add_protocol_flags(p) -> None:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="sensorprint", allow_abbrev=False,
-                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="sensorprint", description=__doc__.splitlines()[0])
     parser.add_argument("--config", default=None,
                         help="JSON file of flag defaults; explicit flags win (path)")
     parser.add_argument("--threads", type=int, default=None,
@@ -413,7 +387,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(args, argv) -> None:
+def _flags(parser, command) -> dict[str, str]:
+    """Destination -> flag, for the top-level options and those of ``command``
+    (--help aside): the only keys a config file may set."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.option_strings[-1] for p in (parser, sub.choices[command])
+            for a in p._actions if a.option_strings and a.dest != "help"}
+
+
+def _apply_config(args, argv, flags) -> None:
     """Let a JSON config file fill in flags the user did not pass explicitly."""
     if not args.config:
         return
@@ -421,14 +403,12 @@ def _apply_config(args, argv) -> None:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError("config file must hold a JSON object")
-    known = vars(args)
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if dest not in known:
+        if dest not in flags:
             raise ValueError(f"unknown config key {key!r}")
-        flag = "--" + dest.replace("_", "-")
-        explicit = any(a == flag or a.startswith(flag + "=") for a in argv)
-        if not explicit:
+        flag = flags[dest]
+        if not any(a == flag or a.startswith(flag + "=") for a in argv):
             setattr(args, dest, value)
 
 
@@ -451,24 +431,19 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        _apply_config(args, argv)
-        missing = [n for n in getattr(args, "_required", ()) if getattr(args, n) is None]
+        flags = _flags(parser, args.command)
+        _apply_config(args, argv, flags)
+        missing = [flags[n] for n in args._required if getattr(args, n) is None]
         if missing:
-            flags = ", ".join(
-                "--in" if n == "input" else "--" + n.replace("_", "-") for n in missing
-            )
             print(f"{parser.prog} {args.command}: error: missing required "
-                  f"arguments: {flags}", file=sys.stderr)
+                  f"arguments: {', '.join(missing)}", file=sys.stderr)
             return 1
         log.info("command %s, config: %s", args.command, json.dumps(_config_echo(args), sort_keys=True))
         return args.func(args)
-    except FileNotFoundError as e:
+    except OSError as e:  # includes FileNotFoundError
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ValueError, RuntimeError) as e:  # RuntimeError: train_ldml diverged
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -216,13 +216,10 @@ def privacy_impact(
     protected_ds = apply_countermeasure(
         dataset, scheme, obfuscation=obfuscation, quantization=quantization
     )
-    base = run_protocol(
-        dataset, classifier=classifier, train_per_device=train_per_device,
-        repeats=repeats, seed=seed, **protocol_kwargs,
-    )
-    prot = run_protocol(
-        protected_ds, classifier=classifier, train_per_device=train_per_device,
-        repeats=repeats, seed=seed, **protocol_kwargs,
+    base, prot = (
+        run_protocol(ds, classifier=classifier, train_per_device=train_per_device,
+                     repeats=repeats, seed=seed, **protocol_kwargs)
+        for ds in (dataset, protected_ds)
     )
     drop = 0.0 if base.avg_f_mean == 0 else (base.avg_f_mean - prot.avg_f_mean) / base.avg_f_mean
     return PrivacyReport(

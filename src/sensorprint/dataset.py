@@ -113,22 +113,12 @@ class Dataset:
         self.samples.append(sample)
 
     @property
-    def device_ids(self) -> list[str]:
-        return list(self.index.keys())
-
-    @property
     def n_devices(self) -> int:
         return len(self.index)
 
     @property
     def n_samples(self) -> int:
         return len(self.samples)
-
-    def by_device(self) -> dict[str, list[RawSample]]:
-        out: dict[str, list[RawSample]] = {d: [] for d in self.index}
-        for s in self.samples:
-            out[s.device_id].append(s)
-        return out
 
     def underpopulated_devices(self, min_samples: int = 2) -> list[str]:
         """Devices with fewer than min_samples samples (loadable but flagged)."""

@@ -483,13 +483,18 @@ def save_fitted(dist: FittedDistribution, population_kind: str, path) -> None:
 
 
 def load_fitted(path) -> tuple[str, FittedDistribution]:
+    """Read a save_fitted file; a missing or ill-typed key is a ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
-    dist = FittedDistribution(
-        family=payload["family"],
-        params={k: float(v) for k, v in payload["params"].items()},
-        log_likelihood=float(payload["loglik"]),
-        aic=float(payload["aic"]),
-        n=int(payload["n"]),
-    )
-    return payload["class"], dist
+    try:
+        dist = FittedDistribution(
+            family=payload["family"],
+            params={k: float(v) for k, v in payload["params"].items()},
+            log_likelihood=float(payload["loglik"]),
+            aic=float(payload["aic"]),
+            n=int(payload["n"]),
+        )
+        kind = payload["class"]
+    except (KeyError, TypeError, AttributeError) as e:
+        raise ValueError(f"malformed distribution fit: {e!r}") from None
+    return kind, dist

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import RawSample
+from .dataset import Dataset, RawSample
 from .preprocess import DEFAULT_FS, STREAM_KEYS, StreamSet, build_streams
 
 TEMPORAL_NAMES = (
@@ -54,6 +54,44 @@ class FeatureVector:
             raise ValueError(f"feature vector must have length {N_TOTAL}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("feature vector contains non-finite values")
+
+
+@dataclass
+class FeatureTable:
+    """Feature vectors of a dataset: row i of ``X`` is the capture
+    (``device_ids[i]``, ``sample_ids[i]``), rows in dataset order."""
+
+    X: np.ndarray
+    device_ids: np.ndarray
+    sample_ids: np.ndarray
+
+    def __post_init__(self):
+        self.X = np.asarray(self.X, dtype=float)
+        self.device_ids = np.asarray(self.device_ids, dtype=str)
+        self.sample_ids = np.asarray(self.sample_ids, dtype=str)
+        if self.X.ndim != 2 or self.X.shape[1] != N_TOTAL:
+            raise ValueError(f"feature table must have {N_TOTAL} columns")
+        if not len(self.X) == len(self.device_ids) == len(self.sample_ids):
+            raise ValueError("feature rows and ids must align")
+        if not np.all(np.isfinite(self.X)):
+            raise ValueError("feature table contains non-finite values")
+
+    def device_rows(self) -> dict[str, np.ndarray]:
+        """Device -> its row indices; devices in first-seen order, rows ascending."""
+        rows: dict[str, list[int]] = {}
+        for i, dev in enumerate(self.device_ids.tolist()):
+            rows.setdefault(dev, []).append(i)
+        return {dev: np.array(idx) for dev, idx in rows.items()}
+
+    def by_device(self) -> dict[str, np.ndarray]:
+        """Device -> its feature matrix, in ``device_rows`` order."""
+        return {dev: self.X[idx] for dev, idx in self.device_rows().items()}
+
+    def eligible(self, min_samples: int) -> "FeatureTable":
+        """The rows of devices with at least ``min_samples`` captures."""
+        keep = [dev for dev, idx in self.device_rows().items() if len(idx) >= min_samples]
+        mask = np.isin(self.device_ids, keep)
+        return FeatureTable(self.X[mask], self.device_ids[mask], self.sample_ids[mask])
 
 
 def temporal_features(series) -> np.ndarray:
@@ -192,25 +230,35 @@ def featurize_sample(sample: RawSample, fs_target: float = DEFAULT_FS) -> Featur
     return featurize(build_streams(sample, fs_target), sample.device_id, sample.sample_id)
 
 
-def write_features_csv(vectors: list[FeatureVector], path) -> None:
-    header = ["device_id", "sample_id"] + [f"f{i:03d}" for i in range(N_TOTAL)]
+def featurize_dataset(dataset: Dataset, fs_target: float = DEFAULT_FS) -> FeatureTable:
+    """One feature row per sample, in dataset order: the one extraction path
+    every consumer of features reads from."""
+    samples = dataset.samples
+    X = np.empty((len(samples), N_TOTAL))
+    for i, s in enumerate(samples):
+        X[i] = featurize_sample(s, fs_target).values
+    return FeatureTable(X, [s.device_id for s in samples], [s.sample_id for s in samples])
+
+
+_CSV_HEADER = ["device_id", "sample_id"] + [f"f{i:03d}" for i in range(N_TOTAL)]
+
+
+def write_features_csv(table: FeatureTable, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        for v in vectors:
-            w.writerow([v.device_id, v.sample_id] + [repr(float(x)) for x in v.values])
+        w.writerow(_CSV_HEADER)
+        for dev, sid, values in zip(table.device_ids, table.sample_ids, table.X):
+            w.writerow([dev, sid] + [repr(float(x)) for x in values])
 
 
-def load_features_csv(path) -> list[FeatureVector]:
-    expected = ["device_id", "sample_id"] + [f"f{i:03d}" for i in range(N_TOTAL)]
+def load_features_csv(path) -> FeatureTable:
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r, None)
-        if header != expected:
+        if next(r, None) != _CSV_HEADER:
             raise ValueError("bad feature-matrix header")
-        out = []
-        for row in r:
-            if len(row) != len(expected):
-                raise ValueError(f"row for {row[:2]} has {len(row)} fields")
-            out.append(FeatureVector(row[0], row[1], np.array([float(x) for x in row[2:]])))
-    return out
+        rows = list(r)
+    for row in rows:
+        if len(row) != len(_CSV_HEADER):
+            raise ValueError(f"row for {row[:2]} has {len(row)} fields")
+    X = np.array([[float(x) for x in row[2:]] for row in rows]).reshape(len(rows), N_TOTAL)
+    return FeatureTable(X, [row[0] for row in rows], [row[1] for row in rows])

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .features import N_TOTAL, FeatureVector
-
 MAX_HALVINGS = 60
 
 
@@ -35,6 +33,8 @@ class MetricModel:
         self.means = np.asarray(self.means, dtype=float)
         self.stds = np.asarray(self.stds, dtype=float)
         self.L = np.asarray(self.L, dtype=float)
+        if self.L.ndim != 2:
+            raise ValueError("L must be a 2-d matrix")
         if np.any(self.stds <= 0):
             raise ValueError("stds must be positive")
         if not np.all(np.isfinite(self.L)):
@@ -47,14 +47,9 @@ class MetricModel:
         return self.L.shape[0]
 
 
-def _as_matrix(features, labels=None) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a list of FeatureVectors (labels from device ids) or (X, labels)."""
-    if labels is None:
-        X = np.array([fv.values for fv in features])
-        y = np.array([fv.device_id for fv in features])
-    else:
-        X = np.asarray(features, dtype=float)
-        y = np.asarray(labels)
+def _as_matrix(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(features, dtype=float)
+    y = np.asarray(labels)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("features and labels must align")
     return X, y
@@ -63,10 +58,7 @@ def _as_matrix(features, labels=None) -> tuple[np.ndarray, np.ndarray]:
 def standardize_fit(features) -> tuple[np.ndarray, np.ndarray]:
     """Per-dimension mean and population std; zero stds become 1 so constant
     dimensions pass through frozen instead of dividing by zero."""
-    if isinstance(features, np.ndarray):
-        X = features
-    else:
-        X = np.array([fv.values for fv in features])
+    X = np.asarray(features, dtype=float)
     if len(X) < 2:
         raise ValueError("need >= 2 vectors to standardize")
     means = X.mean(axis=0)
@@ -83,10 +75,8 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def transform(model: MetricModel, v):
     """Map features into the learned space: L @ ((v - means) / stds).
 
-    Accepts a FeatureVector, a (d,) vector, or an (n, d) matrix.
+    Accepts a (d,) vector or an (n, d) matrix.
     """
-    if isinstance(v, FeatureVector):
-        v = v.values
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != model.L.shape[1]:
         raise ValueError(
@@ -127,7 +117,7 @@ def _objective(L, b, D, is_same):
 
 def train_ldml(
     features,
-    labels=None,
+    labels,
     d_prime: int | None = None,
     iterations: int = 200,
     step: float = 1e-3,
@@ -218,23 +208,26 @@ def save_metric_model(model: MetricModel, path) -> None:
 
 
 def load_metric_model(path) -> MetricModel:
+    """Read a save_metric_model file; a missing or ill-typed key is a ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
-    L = np.asarray(payload["L"], dtype=float)
-    if L.shape[0] != payload["d_prime"]:
-        raise ValueError("d_prime does not match L")
-    trained_on = tuple(payload.get("trained_on", (0, 0)))
-    return MetricModel(
-        means=payload["means"],
-        stds=payload["stds"],
-        L=L,
-        bias=float(payload["bias"]),
-        seed=int(payload["seed"]),
-        trained_on=trained_on,
-    )
+    try:
+        model = MetricModel(
+            means=payload["means"],
+            stds=payload["stds"],
+            L=payload["L"],
+            bias=float(payload["bias"]),
+            seed=int(payload["seed"]),
+            trained_on=tuple(payload.get("trained_on", (0, 0))),
+        )
+        if model.d_prime != payload["d_prime"]:
+            raise ValueError("d_prime does not match L")
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed metric model: {e!r}") from None
+    return model
 
 
-def feature_mutual_information(features, labels=None, bins: int = 10) -> np.ndarray:
+def feature_mutual_information(features, labels, bins: int = 10) -> np.ndarray:
     """Plug-in histogram MI (bits) between each feature and the device label.
 
     Each dimension is binned into `bins` equal-width bins over its observed

@@ -207,12 +207,12 @@ def validate_against_empirical(
     space, optionally through the learned metric) and feeds the top-ranked
     family of each into the simulator with D = eligible device count.
     """
-    from .classify import run_protocol
+    from .classify import _protocol_on_table
     from .distances import (
         DEGENERATE, FittedDistribution, pairwise_distances, rank_families,
     )
-    from .features import featurize_sample
-    from .metric import standardize_fit, train_ldml, transform
+    from .features import featurize_dataset
+    from .metric import standardize_fit, train_ldml
 
     def fit_top(values: np.ndarray) -> FittedDistribution:
         if np.ptp(values) <= 1e-9 * max(1.0, float(np.max(np.abs(values)))):
@@ -224,38 +224,33 @@ def validate_against_empirical(
             )
         return rank_families(values)[0]
 
-    emp = run_protocol(
-        dataset, classifier="knn", train_per_device=train_per_device,
-        repeats=repeats, seed=seed, k=k, use_ldml=use_ldml, fs_target=fs_target,
+    table = featurize_dataset(dataset, fs_target)
+    emp = _protocol_on_table(
+        table, "knn", train_per_device, repeats, seed, k=k, use_ldml=use_ldml,
     )
 
-    by_dev = dataset.by_device()
-    eligible = [d for d, ss in by_dev.items() if len(ss) >= train_per_device + 1]
-    vecs_raw = {
-        d: np.array([featurize_sample(s, fs_target).values for s in by_dev[d]])
-        for d in eligible
-    }
-    X_all = np.vstack(list(vecs_raw.values()))
+    vecs = table.eligible(train_per_device + 1).by_device()
+    X_all = np.vstack(list(vecs.values()))
+    model = None
     if use_ldml:
-        y_all = np.concatenate([[d] * len(v) for d, v in vecs_raw.items()])
+        y_all = np.concatenate([[d] * len(v) for d, v in vecs.items()])
         model = train_ldml(X_all, y_all, seed=seed)
-        vecs = {d: transform(model, v) for d, v in vecs_raw.items()}
     else:
         means, stds = standardize_fit(X_all)
-        vecs = {d: (v - means) / stds for d, v in vecs_raw.items()}
-    intra_pop, inter_pop = pairwise_distances(vecs)
+        vecs = {d: (v - means) / stds for d, v in vecs.items()}
+    intra_pop, inter_pop = pairwise_distances(vecs, model)
     intra_fit = fit_top(intra_pop.values)
     inter_fit = fit_top(inter_pop.values)
 
     sim = simulate_knn(SimConfig(
-        k=k, N=train_per_device, D=len(eligible), runs=runs,
+        k=k, N=train_per_device, D=emp.n_devices, runs=runs,
         intra=intra_fit, inter=inter_fit, seed=seed,
     ))
     return ValidationReport(
         empirical_accuracy=emp.accuracy_mean,
         simulated_accuracy=sim.accuracy,
         gap=abs(emp.accuracy_mean - sim.accuracy),
-        n_devices=len(eligible),
+        n_devices=emp.n_devices,
         intra_family=intra_fit.family,
         inter_family=inter_fit.family,
         k=k,

@@ -38,7 +38,7 @@ from sensorprint.distances import (
     rank_families,
     sample_distribution,
 )
-from sensorprint.features import featurize_sample, temporal_features
+from sensorprint.features import featurize_dataset, featurize_sample, temporal_features
 from sensorprint.metric import train_ldml
 from sensorprint.preprocess import interpolate_uniform
 from sensorprint.simulate import SimConfig, simulate_knn, sweep, validate_against_empirical
@@ -61,7 +61,7 @@ def ds50():
 
 @pytest.fixture(scope="module")
 def feats50(ds50):
-    return [featurize_sample(s) for s in ds50.samples]
+    return featurize_dataset(ds50)
 
 
 def test_c01_simulator_exchangeability_oracle():
@@ -105,12 +105,8 @@ def test_c04_population_scale_trend(feats50):
     # fit distance distributions in the learned-metric space, then project
     # identification accuracy out to populations far beyond the dataset
     t0 = time.monotonic()
-    model = train_ldml(feats50, seed=0)
-    by_dev: dict[str, list[np.ndarray]] = {}
-    for fv in feats50:
-        by_dev.setdefault(fv.device_id, []).append(fv.values)
-    intra_pop, inter_pop = pairwise_distances(
-        {d: np.array(v) for d, v in by_dev.items()}, model=model)
+    model = train_ldml(feats50.X, feats50.device_ids, seed=0)
+    intra_pop, inter_pop = pairwise_distances(feats50.by_device(), model=model)
     intra_fit = rank_families(intra_pop.values)[0]
     inter_fit = rank_families(inter_pop.values)[0]
     res = sweep(1, [3], [100, 1_000, 10_000, 100_000], 10_000,
@@ -276,7 +272,7 @@ def test_c09_quantization_unit_suite():
 
 
 def test_c10_feature_invariance_suite(feats50):
-    assert all(fv.values.shape == (100,) for fv in feats50)
+    assert feats50.X.shape == (350, 100)
     rng = np.random.default_rng(10)
     n = 600
     ts = np.cumsum(rng.uniform(0.008, 0.012, size=n))

@@ -125,6 +125,23 @@ def test_knn_vote_tie_lexicographic_fallback():
     assert knn_predict(X, y, [0.0], k=3) == "a"
 
 
+def test_knn_query_matrix_matches_single_queries():
+    # each row of a query matrix gets the label it gets alone, ties included
+    X = np.array([[-1.0], [1.0], [5.0], [0.0], [1.0]])
+    y = np.array(["z", "a", "q", "a", "b"])
+    Q = np.array([[0.0], [0.4], [1.0], [3.0], [5.0]])
+    for k in (1, 3, 5):
+        preds = knn_predict(X, y, Q, k=k)
+        assert preds.shape == (len(Q),)
+        assert list(preds) == [knn_predict(X, y, q, k=k) for q in Q]
+    # a training set big enough that queries go through in blocks of two
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(2048, 1024))
+    y = np.array([f"d{i % 7}" for i in range(len(X))])
+    Q = X[:5] + rng.normal(scale=0.1, size=(5, 1024))
+    assert list(knn_predict(X, y, Q, k=3)) == [knn_predict(X, y, q, k=3) for q in Q]
+
+
 def make_separable(n_per=20, d=4, gap=10.0, seed=0):
     rng = np.random.default_rng(seed)
     Xa = rng.normal(0, 1, size=(n_per, d))

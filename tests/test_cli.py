@@ -76,9 +76,8 @@ def test_help_exits_0_and_names_units(capsys):
 
 
 def test_featurize_round_trip(workdir):
-    vectors = load_features_csv(workdir / "feat.csv")
-    assert len(vectors) == 32
-    assert all(len(fv.values) == N_TOTAL for fv in vectors)
+    table = load_features_csv(workdir / "feat.csv")
+    assert table.X.shape == (32, N_TOTAL)
 
 
 def test_train_metric_artifact_loads(workdir, tmp_path):
@@ -197,10 +196,12 @@ def test_config_file_fills_defaults_but_flags_win(tmp_path):
 
 def test_unknown_config_key_exits_3(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"no_such_flag": 1}))
-    rc = main(["--config", str(cfg), "synth", "--devices", "1",
-               "--out", str(tmp_path / "x.jsonl")])
-    assert rc == 3
+    # internal parser fields and --help are not flags a config may set
+    for key in ("no_such_flag", "func", "help"):
+        cfg.write_text(json.dumps({key: 1}))
+        rc = main(["--config", str(cfg), "synth", "--devices", "1",
+                   "--out", str(tmp_path / "x.jsonl")])
+        assert rc == 3
 
 
 def test_rerun_artifacts_byte_identical(workdir, tmp_path):
@@ -212,3 +213,125 @@ def test_rerun_artifacts_byte_identical(workdir, tmp_path):
     first = out.read_bytes()
     assert main(argv) == 0
     assert out.read_bytes() == first
+
+
+def test_config_input_does_not_override_explicit_in(workdir, tmp_path):
+    # the config names a different input; the explicit --in must be read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(tmp_path / "absent.jsonl")}))
+    out = tmp_path / "o.jsonl"
+    assert main(["--config", str(cfg), "ingest", "--in", str(workdir / "data.jsonl"),
+                 "--out", str(out)]) == 0
+    assert len(load_dataset(out).samples) == 32
+
+
+def test_config_input_equal_to_out_does_not_refuse_explicit_in(workdir, tmp_path):
+    out = tmp_path / "o2.jsonl"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(out)}))
+    assert main(["--config", str(cfg), "ingest", "--in", str(workdir / "data.jsonl"),
+                 "--out", str(out)]) == 0
+
+
+def test_config_fills_missing_in_and_names_flag_when_absent(workdir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(workdir / "data.jsonl")}))
+    assert main(["--config", str(cfg), "ingest", "--out", str(tmp_path / "o.jsonl")]) == 0
+    assert main(["ingest", "--out", str(tmp_path / "o.jsonl")]) == 1
+    assert "missing required arguments: --in" in capsys.readouterr().err
+
+
+def test_abbreviated_flag_is_a_usage_error(tmp_path, capsys):
+    assert main(["synth", "--dev", "2", "--out", str(tmp_path / "x.jsonl")]) == 1
+    capsys.readouterr()
+
+
+def _fit_files(workdir, tmp_path):
+    fi, fe = tmp_path / "intra.json", tmp_path / "inter.json"
+    assert main(["distfit", "--features", str(workdir / "feat.csv"),
+                 "--intra-out", str(fi), "--inter-out", str(fe),
+                 "--out", str(tmp_path / "d.json")]) == 0
+    return fi, fe
+
+
+@pytest.mark.parametrize("damage", ["truncate", "drop_family", "params_list", "not_object"])
+def test_malformed_fit_json_exits_3(workdir, tmp_path, capsys, damage):
+    fi, fe = _fit_files(workdir, tmp_path)
+    text = fi.read_text()
+    payload = json.loads(text)
+    if damage == "truncate":
+        fi.write_text(text[: len(text) // 2])
+    elif damage == "drop_family":
+        del payload["family"]
+        fi.write_text(json.dumps(payload))
+    elif damage == "params_list":
+        payload["params"] = [1.0, 2.0]
+        fi.write_text(json.dumps(payload))
+    else:
+        fi.write_text("[1, 2]")
+    rc = main(["simulate", "--intra", str(fi), "--inter", str(fe),
+               "--device-counts", "10", "--runs", "10", "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncate", "drop_d_prime", "drop_means", "flat_L"])
+def test_malformed_metric_json_exits_3(workdir, tmp_path, capsys, damage):
+    model = tmp_path / "m.json"
+    assert main(["train-metric", "--features", str(workdir / "feat.csv"),
+                 "--iterations", "2", "--out", str(model)]) == 0
+    text = model.read_text()
+    payload = json.loads(text)
+    if damage == "truncate":
+        model.write_text(text[: len(text) // 2])
+    elif damage == "drop_d_prime":
+        del payload["d_prime"]
+        model.write_text(json.dumps(payload))
+    elif damage == "drop_means":
+        del payload["means"]
+        model.write_text(json.dumps(payload))
+    else:
+        payload["L"] = payload["L"][0]
+        model.write_text(json.dumps(payload))
+    rc = main(["distfit", "--features", str(workdir / "feat.csv"),
+               "--metric-model", str(model), "--out", str(tmp_path / "d.json")])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncate", "drop_column", "empty"])
+def test_malformed_features_csv_exits_3(workdir, tmp_path, capsys, damage):
+    text = (workdir / "feat.csv").read_text()
+    bad = tmp_path / "bad.csv"
+    if damage == "truncate":
+        bad.write_text(text[: len(text) // 2])
+    elif damage == "drop_column":
+        bad.write_text("\n".join(",".join(line.split(",")[:-1])
+                                 for line in text.splitlines()) + "\n")
+    else:
+        bad.write_text(text.splitlines()[0] + "\n")
+    rc = main(["train-metric", "--features", str(bad), "--out", str(tmp_path / "m.json")])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_truncated_dataset_jsonl_exits_3(workdir, tmp_path, capsys):
+    text = (workdir / "data.jsonl").read_text()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(text[: len(text) // 2])
+    rc = main(["featurize", "--in", str(bad), "--out", str(tmp_path / "f.csv")])
+    assert rc == 3
+    assert "malformed record" in capsys.readouterr().err
+
+
+def test_diverging_metric_training_exits_3(workdir, tmp_path, monkeypatch, capsys):
+    from sensorprint import metric
+
+    def diverge(*args, **kwargs):
+        raise RuntimeError("non-finite gradient at iteration 0")
+
+    monkeypatch.setattr(metric, "train_ldml", diverge)
+    rc = main(["train-metric", "--features", str(workdir / "feat.csv"),
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 3
+    assert "non-finite gradient" in capsys.readouterr().err

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sensorprint.dataset import RawSample
+from sensorprint.dataset import RawSample, generate_synthetic
 from sensorprint.features import (
     N_TOTAL,
+    FeatureTable,
     FeatureVector,
     feature_names,
     featurize,
+    featurize_dataset,
     featurize_sample,
     load_features_csv,
     spectral_features,
@@ -179,16 +181,92 @@ def test_feature_vector_rejects_bad_shape():
 
 def test_features_csv_round_trip(tmp_path):
     rng = np.random.default_rng(11)
-    vecs = [FeatureVector(f"d{i}", "s0", rng.normal(size=100)) for i in range(3)]
+    table = FeatureTable(rng.normal(size=(3, 100)), ["d0", "d1", "d2"], ["s0"] * 3)
     p = tmp_path / "features.csv"
-    write_features_csv(vecs, p)
+    write_features_csv(table, p)
     header = p.read_text().splitlines()[0]
     assert header.startswith("device_id,sample_id,f000,f001")
     assert header.endswith("f099")
     loaded = load_features_csv(p)
-    assert [v.device_id for v in loaded] == ["d0", "d1", "d2"]
-    for a, b in zip(vecs, loaded):
-        np.testing.assert_array_equal(a.values, b.values)  # repr round-trips exactly
+    assert list(loaded.device_ids) == ["d0", "d1", "d2"]
+    np.testing.assert_array_equal(loaded.X, table.X)  # repr round-trips exactly
+
+
+def test_feature_table_csv_round_trip_keeps_rows_and_ids(tmp_path):
+    ds = generate_synthetic(3, 2, seed=4)
+    table = featurize_dataset(ds)
+    p = tmp_path / "features.csv"
+    write_features_csv(table, p)
+    loaded = load_features_csv(p)
+    np.testing.assert_array_equal(loaded.X, table.X)
+    assert list(loaded.device_ids) == [s.device_id for s in ds.samples]
+    assert list(loaded.sample_ids) == [s.sample_id for s in ds.samples]
+    write_features_csv(loaded, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == p.read_bytes()
+    empty = tmp_path / "empty.csv"
+    write_features_csv(FeatureTable(np.zeros((0, N_TOTAL)), [], []), empty)
+    assert load_features_csv(empty).X.shape == (0, N_TOTAL)
+
+
+def test_featurize_dataset_rows_follow_dataset_order():
+    ds = generate_synthetic(2, 3, seed=5)
+    table = featurize_dataset(ds)
+    assert table.X.shape == (6, N_TOTAL)
+    for row, s in zip(table.X, ds.samples):
+        np.testing.assert_array_equal(row, featurize_sample(s).values)
+
+
+def test_feature_table_by_device_order():
+    # interleaved rows: devices in first-seen order, rows in original order
+    X = np.arange(5 * N_TOTAL, dtype=float).reshape(5, N_TOTAL)
+    table = FeatureTable(X, ["b", "a", "b", "c", "a"], ["s0", "s1", "s2", "s3", "s4"])
+    groups = table.by_device()
+    assert list(groups) == ["b", "a", "c"]
+    np.testing.assert_array_equal(groups["b"], X[[0, 2]])
+    np.testing.assert_array_equal(groups["a"], X[[1, 4]])
+    np.testing.assert_array_equal(groups["c"], X[[3]])
+    two = table.eligible(2)
+    assert list(two.sample_ids) == ["s0", "s1", "s2", "s4"]
+    np.testing.assert_array_equal(two.X, X[[0, 1, 2, 4]])
+    assert len(table.eligible(3).X) == 0
+
+
+def test_feature_table_rejects_bad_shape():
+    with pytest.raises(ValueError, match="columns"):
+        FeatureTable(np.zeros((2, 99)), ["d", "d"], ["s0", "s1"])
+    with pytest.raises(ValueError, match="finite"):
+        FeatureTable(np.full((1, N_TOTAL), np.nan), ["d"], ["s0"])
+    with pytest.raises(ValueError, match="align"):
+        FeatureTable(np.zeros((2, N_TOTAL)), ["d"], ["s0", "s1"])
+
+
+@pytest.mark.parametrize("consumer", ["run_protocol", "validate_against_empirical",
+                                      "privacy_impact"])
+def test_each_consumer_featurizes_each_sample_once(monkeypatch, consumer):
+    from sensorprint import features
+    from sensorprint.classify import run_protocol
+    from sensorprint.countermeasures import privacy_impact
+    from sensorprint.simulate import validate_against_empirical
+
+    ds = generate_synthetic(4, 4, seed=1)
+    calls = []
+    real = features.featurize_sample
+
+    def counting(sample, *args, **kwargs):
+        calls.append(sample.sample_id)
+        return real(sample, *args, **kwargs)
+
+    monkeypatch.setattr(features, "featurize_sample", counting)
+    if consumer == "run_protocol":
+        run_protocol(ds, repeats=2)
+        expected = len(ds.samples)
+    elif consumer == "validate_against_empirical":
+        validate_against_empirical(ds, repeats=1, runs=20)
+        expected = len(ds.samples)
+    else:
+        privacy_impact(ds, "obfuscate", classifier="knn", repeats=1)
+        expected = 2 * len(ds.samples)  # the raw and the protected dataset
+    assert len(calls) == expected
 
 
 def test_features_csv_rejects_bad_header(tmp_path):
@@ -199,8 +277,6 @@ def test_features_csv_rejects_bad_header(tmp_path):
 
 
 def test_build_streams_featurize_pipeline():
-    from sensorprint.dataset import generate_synthetic
-
     ds = generate_synthetic(2, 2, seed=3)
     for s in ds.samples:
         fv = featurize(build_streams(s), s.device_id, s.sample_id)
