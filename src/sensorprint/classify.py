@@ -121,81 +121,90 @@ def knn_predict(train_X, train_y, query, k: int = 1):
 
 @dataclass
 class RandomForest:
-    trees: list
+    """All trees of a forest in one set of flat node arrays.
+
+    Node i is a leaf voting ``classes[label[i]]`` when ``label[i] >= 0``;
+    otherwise it sends a query to ``left[i]`` when
+    ``query[feature[i]] <= threshold[i]`` and to ``right[i]`` if not. A
+    leaf's children are itself. Tree t starts at node ``roots[t]``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray
+    roots: np.ndarray
     n_features: int
     classes: np.ndarray
     seed: int
 
 
-def _gini_from_counts(counts: np.ndarray, n) -> np.ndarray:
-    p = counts / np.asarray(n, dtype=float).reshape(-1, 1)
-    return 1.0 - np.sum(p * p, axis=1)
+def _best_cut(X, presorted, member, onehot, y_idx, idx, feats):
+    """Best (feature, threshold) for the node holding rows ``idx``, or None.
 
-
-def _best_split(X, y_idx, n_classes, feats):
-    """Best (feature, threshold, decrease) over the candidate features.
-
-    Thresholds are midpoints between consecutive distinct sorted values.
-    First candidate wins ties, so the result is deterministic for a given
-    feature draw order.
+    Every candidate feature is scored in one pass. Each one's node rows come
+    in value order from filtering its presorted column by node membership;
+    equal values keep row order, as a stable sort of the node would. Cuts
+    fall only between distinct consecutive values, at their midpoint. The
+    Gini decrease at every cut is one flat array in (feature, cut) order,
+    so argmax keeps the first drawn feature, then the first cut, on ties.
     """
-    n = len(y_idx)
-    total = np.bincount(y_idx, minlength=n_classes).astype(float)
-    parent = 1.0 - np.sum((total / n) ** 2)
-    best = None
-    for f in feats:
-        v = X[:, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ys = y_idx[order]
-        cuts = np.nonzero(np.diff(vs) > 0)[0]  # left part = sorted[:cut+1]
-        if len(cuts) == 0:
-            continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), ys] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left = cum[cuts]
-        nl = (cuts + 1).astype(float)
-        nr = n - nl
-        gl = _gini_from_counts(left, nl)
-        gr = _gini_from_counts(total - left, nr)
-        decrease = parent - (nl * gl + nr * gr) / n
-        i = int(np.argmax(decrease))
-        if best is None or decrease[i] > best[2]:
-            thr = 0.5 * (vs[cuts[i]] + vs[cuts[i] + 1])
-            best = (f, thr, float(decrease[i]))
-    return best
+    n, m = len(idx), len(feats)
+    member[idx] = True
+    rows = presorted[feats]
+    rows = rows[member[rows]].reshape(m, n)
+    member[idx] = False
+    vs = X[rows, feats[:, None]]
+    fi, cut = np.nonzero(vs[:, 1:] > vs[:, :-1])  # left part = sorted[:cut + 1]
+    if len(cut) == 0:  # all candidate features constant here
+        return None
+    cum = np.cumsum(onehot[y_idx[rows]], axis=1)
+    left, total = cum[fi, cut], cum[0, -1]
+    parent = 1.0 - ((total / n) ** 2).sum()
+    nl = (cut + 1).astype(float)
+    nr = n - nl
+    pl = left / nl.reshape(-1, 1)
+    pr = (total - left) / nr.reshape(-1, 1)
+    gl = 1.0 - (pl * pl).sum(axis=1)
+    gr = 1.0 - (pr * pr).sum(axis=1)
+    decrease = parent - (nl * gl + nr * gr) / n
+    w = int(decrease.argmax())
+    f, c = fi[w], cut[w]
+    return int(feats[f]), float(0.5 * (vs[f, c] + vs[f, c + 1]))
 
 
-def _majority(y_idx, classes) -> str:
-    counts = np.bincount(y_idx, minlength=len(classes))
-    return classes[int(np.argmax(counts))]  # argmax takes first max: lexicographic
+def _grow_tree(X, y_idx, n_classes, max_feats, rng, nodes) -> None:
+    """Append one tree to ``nodes``, rows of [feature, threshold, left, right, label].
 
-
-def _grow_tree(X, y_idx, classes, max_feats, rng):
-    root = {}
-    stack = [(np.arange(len(y_idx)), root)]
+    Nodes are numbered as they are made and expanded depth first, right
+    child first, so each node's feature draw comes off ``rng`` in a fixed
+    order. Leaves take the majority label, the smallest class index on ties.
+    """
+    n, d = X.shape
+    presorted = np.argsort(X, axis=0, kind="stable").T.copy()  # (d, n): rows in value order
+    member = np.zeros(n, dtype=bool)
+    onehot = np.eye(n_classes)
+    stack = [(np.arange(n), len(nodes))]
+    nodes.append([0, 0.0, 0, 0, -1])
     while stack:
         idx, node = stack.pop()
         sub_y = y_idx[idx]
-        if len(idx) < 2 or np.all(sub_y == sub_y[0]):
-            node["label"] = _majority(sub_y, classes)
+        split = None
+        if len(idx) >= 2 and not np.all(sub_y == sub_y[0]):
+            feats = rng.choice(d, size=max_feats, replace=False)
+            split = _best_cut(X, presorted, member, onehot, y_idx, idx, feats)
+        if split is None:
+            majority = int(np.argmax(np.bincount(sub_y, minlength=n_classes)))
+            nodes[node][2:] = [node, node, majority]
             continue
-        feats = rng.choice(X.shape[1], size=max_feats, replace=False)
-        split = _best_split(X[idx], sub_y, len(classes), feats)
-        if split is None:  # all candidate features constant here
-            node["label"] = _majority(sub_y, classes)
-            continue
-        f, thr, _ = split
+        f, thr = split
         mask = X[idx, f] <= thr
-        left, right = {}, {}
-        node["feature"] = int(f)
-        node["threshold"] = float(thr)
-        node["left"] = left
-        node["right"] = right
-        stack.append((idx[mask], left))
-        stack.append((idx[~mask], right))
-    return root
+        kids = len(nodes), len(nodes) + 1
+        nodes[node][:4] = [f, thr, *kids]
+        nodes += [[0, 0.0, 0, 0, -1], [0, 0.0, 0, 0, -1]]
+        stack.append((idx[mask], kids[0]))
+        stack.append((idx[~mask], kids[1]))
 
 
 def rf_train(train_X, train_y, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -> RandomForest:
@@ -203,35 +212,37 @@ def rf_train(train_X, train_y, n_trees: int = 100, seed: int = 0, bootstrap: boo
 
     Per-tree RNG streams are keyed (seed, tree index) so training order and
     thread count cannot change the result. ``bootstrap=False`` is a test hook
-    that trains every tree on the full sample.
+    that trains every tree on the full sample. Each tree is grown from one
+    stable argsort of its resample's columns. The forest is flat: one array
+    each of feature, threshold, left child, right child and leaf label over
+    the nodes of all trees, tree by tree, plus each tree's root index (see
+    ``RandomForest``).
     """
     X = np.asarray(train_X, dtype=float)
-    y = np.asarray(train_y)
-    classes = np.array(sorted(set(y)))
+    classes, y_idx = np.unique(np.asarray(train_y), return_inverse=True)
     if len(classes) < 2:
         raise ValueError("need >= 2 classes")
-    class_index = {c: i for i, c in enumerate(classes)}
-    y_idx = np.array([class_index[c] for c in y])
+    if n_trees < 1:
+        raise ValueError("n_trees must be >= 1")
     n, d = X.shape
     max_feats = int(np.ceil(np.sqrt(d)))
-    trees = []
+    nodes, roots = [], []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(_grow_tree(X[idx], y_idx[idx], classes, max_feats, rng))
-    return RandomForest(trees=trees, n_features=d, classes=classes, seed=seed)
-
-
-def _tree_predict(node, q) -> str:
-    while "label" not in node:
-        node = node["left"] if q[node["feature"]] <= node["threshold"] else node["right"]
-    return node["label"]
+        roots.append(len(nodes))
+        _grow_tree(X[idx], y_idx[idx], len(classes), max_feats, rng, nodes)
+    feature, threshold, left, right, label = (np.array(col) for col in zip(*nodes))
+    return RandomForest(feature=feature, threshold=threshold, left=left, right=right,
+                        label=label, roots=np.array(roots, dtype=np.intp), n_features=d,
+                        classes=classes, seed=seed)
 
 
 def rf_predict(model: RandomForest, query):
     """Majority vote across trees; ties break lexicographically.
 
-    Accepts one query vector or a matrix of them.
+    Accepts one query vector or a matrix of them. All queries descend all
+    trees together, one level per step.
     """
     q = np.asarray(query, dtype=float)
     single = q.ndim == 1
@@ -239,15 +250,16 @@ def rf_predict(model: RandomForest, query):
         q = q[None, :]
     if q.shape[1] != model.n_features:
         raise ValueError(f"dimension mismatch: model expects {model.n_features}")
-    out = []
-    for row in q:
-        votes: dict[str, int] = {}
-        for tree in model.trees:
-            lab = _tree_predict(tree, row)
-            votes[lab] = votes.get(lab, 0) + 1
-        best = max(votes.values())
-        out.append(min(lab for lab, v in votes.items() if v == best))
-    return out[0] if single else np.array(out)
+    node = np.repeat(model.roots[None, :], len(q), axis=0)
+    rows = np.arange(len(q))[:, None]
+    while np.any(model.label[node] < 0):
+        go_left = q[rows, model.feature[node]] <= model.threshold[node]
+        node = np.where(go_left, model.left[node], model.right[node])
+    n_classes = len(model.classes)
+    votes = np.bincount((rows * n_classes + model.label[node]).ravel(),
+                        minlength=len(q) * n_classes).reshape(len(q), n_classes)
+    out = model.classes[np.argmax(votes, axis=1)]  # first max: classes are sorted
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

@@ -419,20 +419,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:  # --help exits 0; usage errors exit 1 via _Parser.error
         return int(e.code or 0)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 1
-        for var in _THREAD_VARS:  # must precede the first numpy import
-            os.environ[var] = str(args.threads)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         flags = _flags(parser, args.command)
-        _apply_config(args, argv, flags)
+        _apply_config(args, argv, flags)  # first: a config may set threads and verbose
+        if args.threads is not None:
+            if type(args.threads) is not int or args.threads < 1:
+                print("error: --threads must be an integer >= 1", file=sys.stderr)
+                return 1
+            for var in _THREAD_VARS:  # must precede the first numpy import
+                os.environ[var] = str(args.threads)
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=logging.DEBUG if args.verbose else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         missing = [flags[n] for n in args._required if getattr(args, n) is None]
         if missing:
             print(f"{parser.prog} {args.command}: error: missing required "

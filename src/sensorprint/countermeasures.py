@@ -10,7 +10,6 @@ identification pipeline on the same data.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,32 +81,36 @@ def obfuscate(sample: RawSample, cfg: ObfuscationConfig) -> RawSample:
     )
 
 
-def to_polar(accel) -> tuple[float, float, float]:
+def to_polar(accel):
     """Cartesian acceleration to (radius, inclination, azimuth).
 
     Inclination theta is measured from the +z axis, in [0, pi]; azimuth psi
     is the two-argument arctangent of (ay, ax), in (-pi, pi]. The zero
-    vector and the poles (ax = ay = 0) return angle 0 by convention.
+    vector and the poles (ax = ay = 0) return angle 0 by convention. One
+    reading gives three floats; an (n, 3) array gives three length-n arrays.
     """
-    ax, ay, az = (float(v) for v in accel)
-    r = math.sqrt(ax * ax + ay * ay + az * az)
-    if r == 0.0:
-        return 0.0, 0.0, 0.0
-    theta = math.acos(min(1.0, max(-1.0, az / r)))
-    if ax == 0.0 and ay == 0.0:
-        psi = 0.0
-    else:
-        psi = math.atan2(ay, ax)
-        if psi == -math.pi:  # contract wants the half-open interval
-            psi = math.pi
+    a = np.asarray(accel, dtype=float)
+    ax, ay, az = np.atleast_2d(a).T
+    r = np.sqrt(ax * ax + ay * ay + az * az)
+    with np.errstate(invalid="ignore", divide="ignore"):  # r == 0 is replaced below
+        theta = np.arccos(np.clip(az / r, -1.0, 1.0))
+    psi = np.arctan2(ay, ax)
+    psi[psi == -np.pi] = np.pi  # contract wants the half-open interval
+    zero = r == 0.0
+    theta[zero] = 0.0
+    psi[zero | ((ax == 0.0) & (ay == 0.0))] = 0.0
+    if a.ndim == 1:
+        return float(r[0]), float(theta[0]), float(psi[0])
     return r, theta, psi
 
 
-def from_polar(r: float, theta: float, psi: float) -> np.ndarray:
-    if r < 0:
+def from_polar(r, theta, psi) -> np.ndarray:
+    """(radius, inclination, azimuth) to Cartesian; arrays give an (n, 3) array."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
         raise ValueError("radius must be >= 0")
-    s = math.sin(theta)
-    return np.array([r * s * math.cos(psi), r * s * math.sin(psi), r * math.cos(theta)])
+    s = np.sin(theta)
+    return np.stack([r * s * np.cos(psi), r * s * np.sin(psi), r * np.cos(theta)], axis=-1)
 
 
 def quantize_value(val: float, bin_size: float) -> float:
@@ -135,14 +138,11 @@ def quantize_sample(sample: RawSample, cfg: QuantizationConfig) -> RawSample:
     converted to deg/s, snapped to ``angle_bin``, and converted back.
     Timestamps are untouched.
     """
-    accel_q = np.empty_like(sample.accel)
-    for i in range(len(accel_q)):
-        r, theta, psi = to_polar(sample.accel[i])
-        r_q = quantize_value(r, cfg.magnitude_bin)
-        theta_q = quantize_value(math.degrees(theta), cfg.angle_bin)
-        theta_q = min(180.0, max(0.0, theta_q))  # rounding may overshoot the pole
-        psi_q = quantize_value(math.degrees(psi), cfg.angle_bin)
-        accel_q[i] = from_polar(r_q, math.radians(theta_q), math.radians(psi_q))
+    r, theta, psi = to_polar(sample.accel)
+    # rounding may overshoot the pole
+    theta_q = np.clip(quantize_value(np.degrees(theta), cfg.angle_bin), 0.0, 180.0)
+    psi_q = quantize_value(np.degrees(psi), cfg.angle_bin)
+    accel_q = from_polar(quantize_value(r, cfg.magnitude_bin), np.radians(theta_q), np.radians(psi_q))
     gyro_q = np.radians(quantize_value(np.degrees(sample.gyro), cfg.angle_bin))
     return RawSample(
         device_id=sample.device_id,

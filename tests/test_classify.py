@@ -1,6 +1,8 @@
 """Classifier and evaluation tests: hand-counted confusions, vote rules,
 forest behavior, and the repeated-split protocol."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,12 @@ def test_rf_rejects_single_class():
         rf_train(X, np.array(["a"] * 5))
 
 
+def test_rf_rejects_zero_trees():
+    X, y = make_separable(seed=7)
+    with pytest.raises(ValueError, match="n_trees"):
+        rf_train(X, y, n_trees=0)
+
+
 def test_rf_rejects_dimension_mismatch():
     X, y = make_separable(seed=7)
     forest = rf_train(X, y, n_trees=5, seed=0)
@@ -193,6 +201,92 @@ def test_rf_generalizes_on_wide_margin():
     forest = rf_train(X, y, n_trees=50, seed=9)
     Xq, yq = make_separable(n_per=15, gap=12.0, seed=10)
     assert np.mean(rf_predict(forest, Xq) == yq) >= 0.95
+
+
+def test_rf_predict_matrix_equals_single_rows():
+    X, y = make_separable(n_per=25, d=6, gap=1.5, seed=11)
+    y = np.array([f"c{i % 5}" for i in range(len(X))])  # five classes, many vote splits
+    forest = rf_train(X, y, n_trees=25, seed=12)
+    Q = np.random.default_rng(13).normal(size=(40, 6)) * 2
+    assert list(rf_predict(forest, Q)) == [rf_predict(forest, q) for q in Q]
+
+
+def test_rf_equal_gini_decrease_first_drawn_feature_wins():
+    # column 1 is twice column 0: every cut scores the same on both, so the
+    # root splits on whichever feature the root's draw lists first
+    x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    X = np.column_stack([x, 2 * x])
+    y = np.array(["a", "a", "b", "a", "b", "b"])
+    firsts = set()
+    for seed in range(8):
+        forest = rf_train(X, y, n_trees=1, seed=seed, bootstrap=False)
+        first = int(np.random.default_rng([seed, 0]).choice(2, size=2, replace=False)[0])
+        firsts.add(first)
+        root = forest.roots[0]
+        assert forest.feature[root] == first
+        assert forest.threshold[root] == (1.5 if first == 0 else 3.0)
+    assert firsts == {0, 1}  # both orders were exercised
+
+
+def test_rf_equal_gini_decrease_first_cut_wins():
+    # cutting after 0 or after 2 gives the same decrease; the first cut wins
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    forest = rf_train(X, np.array(["a", "b", "b", "a"]), n_trees=1, seed=0, bootstrap=False)
+    assert forest.threshold[forest.roots[0]] == 0.5
+
+
+def _preorder(forest, node, out):
+    """Tree as text, node then left then right: 'feature:threshold' or leaf label."""
+    if forest.label[node] >= 0:
+        out.append(str(forest.classes[forest.label[node]]))
+        return
+    out.append(f"{forest.feature[node]}:{float(forest.threshold[node]).hex()}")
+    _preorder(forest, forest.left[node], out)
+    _preorder(forest, forest.right[node], out)
+
+
+def test_rf_forest_pinned():
+    # every split (feature and threshold bits) and leaf of ten trees on an
+    # identify-sized problem: 60 rows, 100 features, 20 classes, recorded
+    # from the earlier per-feature, dict-tree implementation. Any change to
+    # the draw order, tie rule or Gini arithmetic moves this digest.
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(20, 100)).repeat(3, axis=0) + rng.normal(size=(60, 100))
+    y = np.array([f"d{i:02d}" for i in range(20)]).repeat(3)
+    forest = rf_train(X, y, n_trees=10, seed=0)
+    out = []
+    for root in forest.roots:
+        _preorder(forest, root, out)
+    assert len(out) == 428
+    assert hashlib.sha256(" ".join(out).encode()).hexdigest() == (
+        "f0c7d60a68f0bf74b6cacc5f3c99a55854d944dc4c17dbdcf093aa3ed115156a")
+
+
+def test_rf_thresholds_never_fall_between_duplicate_values():
+    # few distinct values, so every bootstrap resample holds many duplicates:
+    # each split must send equal values the same way and sit at the midpoint
+    # of the two distinct values around it
+    rng = np.random.default_rng(14)
+    X = rng.integers(0, 4, size=(40, 5)).astype(float)
+    y = np.array([f"c{v}" for v in rng.integers(0, 4, size=40)])
+    seed, n_trees = 15, 20
+    forest = rf_train(X, y, n_trees=n_trees, seed=seed)
+    splits = 0
+    for t in range(n_trees):
+        boot = X[np.random.default_rng([seed, t]).integers(0, len(X), size=len(X))]
+        stack = [(forest.roots[t], boot)]
+        while stack:
+            node, rows = stack.pop()
+            if forest.label[node] >= 0:
+                continue
+            v = rows[:, forest.feature[node]]
+            thr = forest.threshold[node]
+            below, above = v[v <= thr], v[v > thr]
+            assert len(below) and len(above)
+            assert thr == 0.5 * (below.max() + above.min())
+            splits += 1
+            stack += [(forest.left[node], rows[v <= thr]), (forest.right[node], rows[v > thr])]
+    assert splits > n_trees
 
 
 def quiet_dataset(n_dev=5, n_per=5, seed=0):
@@ -239,6 +333,19 @@ def test_protocol_rf_runs():
     res = run_protocol(ds, classifier="rf", train_per_device=2, repeats=2, seed=0, n_trees=20)
     assert res.avg_f_mean > 0.9
     assert res.classifier == "rf"
+
+
+def test_protocol_rf_pinned():
+    # exact scores of the forest protocol; a tree change need not move them,
+    # test_rf_forest_pinned checks the trees themselves
+    res = run_protocol(generate_synthetic(12, 5, seed=0), classifier="rf",
+                       train_per_device=3, repeats=2, seed=0, n_trees=30)
+    assert res.to_dict() == {
+        "classifier": "rf", "train_per_device": 3, "repeats": 2, "n_devices": 12,
+        "avg_f_mean": 0.9826139088729017,
+        "avg_f_ci": [0.7617026754502001, 1.2035251422956033],
+        "accuracy_mean": 0.9791666666666667,
+    }
 
 
 def test_protocol_ldml_runs():

@@ -2,6 +2,8 @@
 and byte-level determinism of rerun artifacts."""
 
 import json
+import logging
+import os
 
 import numpy as np
 import pytest
@@ -335,3 +337,47 @@ def test_diverging_metric_training_exits_3(workdir, tmp_path, monkeypatch, capsy
                "--out", str(tmp_path / "m.json")])
     assert rc == 3
     assert "non-finite gradient" in capsys.readouterr().err
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+@pytest.fixture
+def thread_env(monkeypatch):
+    """Unset the thread caps; monkeypatch puts the old values back afterwards."""
+    for var in _THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    return os.environ
+
+
+def _synth_with_config(tmp_path, config, *flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"devices": 1, "samples": 1, **config}))
+    return main(["--config", str(cfg), *flags, "synth", "--out", str(tmp_path / "o.jsonl")])
+
+
+def test_config_threads_sets_thread_caps(tmp_path, thread_env):
+    assert _synth_with_config(tmp_path, {"threads": 2}) == 0
+    assert all(thread_env[var] == "2" for var in _THREAD_VARS)
+
+
+def test_explicit_threads_beats_config_threads(tmp_path, thread_env):
+    assert _synth_with_config(tmp_path, {"threads": 2}, "--threads", "1") == 0
+    assert all(thread_env[var] == "1" for var in _THREAD_VARS)
+
+
+def test_config_threads_below_one_is_a_usage_error(tmp_path, thread_env, capsys):
+    for bad in (0, -3, "2", 1.5):
+        assert _synth_with_config(tmp_path, {"threads": bad}) == 1
+        assert "--threads must be" in capsys.readouterr().err
+    assert not any(var in thread_env for var in _THREAD_VARS)
+    assert main(["--threads", "0", "synth", "--out", str(tmp_path / "o.jsonl")]) == 1
+
+
+def test_config_verbose_sets_debug_level(tmp_path, monkeypatch):
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    assert _synth_with_config(tmp_path, {"verbose": True}) == 0
+    assert _synth_with_config(tmp_path, {}) == 0
+    assert _synth_with_config(tmp_path, {"verbose": False}, "--verbose") == 0
+    assert levels == [logging.DEBUG, logging.INFO, logging.DEBUG]

@@ -195,6 +195,39 @@ def test_quantize_sample_gyro_bins_in_degrees():
     assert q.gyro[0, 2] == pytest.approx(-math.radians(6.0))
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_quantize_sample_equals_per_reading_composition():
+    # the session-at-once path must give exactly the bits of snapping each
+    # reading on its own through to_polar -> quantize_value -> from_polar
+    special = [
+        [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0],  # zero vector
+        [0.0, 0.0, 9.81], [0.0, 0.0, -9.81], [-0.0, 0.0, 3.0],  # poles
+        [-1.0, -0.0, 0.0], [-2.5, -0.0, 4.0], [-1.0, 0.0, -1.0],  # psi = -pi -> pi
+        [1e-9, 0.0, -9.81], [-1e-7, 2e-8, -9.81], [0.05, -0.02, -9.8],  # theta near 180
+        [1e-200, 0.0, 0.0], [3.0, 3.0, 0.0], [-3.0, 3.0, 3.0], [0.1, 0.0, 9.81],
+    ]
+    accel = np.vstack([special, np.random.default_rng(16).normal(0, 5, size=(300, 3))])
+    s = RawSample("d", "s0", np.arange(len(accel)) * 0.01, accel, np.zeros_like(accel))
+    cfg = QuantizationConfig(angle_bin=7.0, magnitude_bin=0.5)  # 180 snaps to 182: clamped
+    q = quantize_sample(s, cfg)
+    for v, got in zip(accel, q.accel):
+        r, theta, psi = to_polar(v)
+        theta_q = min(180.0, max(0.0, quantize_value(math.degrees(theta), cfg.angle_bin)))
+        psi_q = quantize_value(math.degrees(psi), cfg.angle_bin)
+        want = from_polar(quantize_value(r, cfg.magnitude_bin),
+                          math.radians(theta_q), math.radians(psi_q))
+        assert _bits(got) == _bits(want), v
+    # and the polar maps themselves agree between one reading and many
+    r, theta, psi = to_polar(accel)
+    assert _bits(np.array([to_polar(v) for v in accel])) == _bits(np.column_stack([r, theta, psi]))
+    assert _bits(from_polar(r, theta, psi)) == _bits([from_polar(*to_polar(v)) for v in accel])
+    assert to_polar([-1.0, -0.0, 0.0])[2] == math.pi
+    assert to_polar([0.0, 0.0, -9.81]) == (9.81, math.pi, 0.0)
+
+
 def test_quantize_sample_idempotent():
     ds = generate_synthetic(4, 2, seed=7)
     cfg = QuantizationConfig()
