@@ -387,15 +387,60 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _flags(parser, command) -> dict[str, str]:
-    """Destination -> flag, for the top-level options and those of ``command``
-    (--help aside): the only keys a config file may set."""
+class _ConfigUsageError(Exception):
+    """A config value its flag would refuse on the command line (exit 1)."""
+
+
+def _actions(parser, command) -> dict[str, argparse.Action]:
+    """Destination -> its option, for the top-level options and those of
+    ``command`` (--help aside): the only keys a config file may set."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a.option_strings[-1] for p in (parser, sub.choices[command])
+    return {a.dest: a for p in (parser, sub.choices[command])
             for a in p._actions if a.option_strings and a.dest != "help"}
 
 
-def _apply_config(args, argv, flags) -> None:
+# flag type -> (what a config value must be, the JSON types that are that)
+_CONFIG_KINDS = {int: ("an integer", (int,)), float: ("a number", (int, float)),
+                 None: ("a string", (str,))}
+
+
+def _config_value(key: str, action: argparse.Action, value):
+    """``value`` as the flag would hold it had it been given on the command
+    line: the JSON type must fit the flag's type (so a float is refused for
+    an integer flag, as ``--samples 2.5`` is), numbers are converted with that
+    type, and choices are checked. ``null`` leaves a flag whose default is
+    None unset, as when it is not given."""
+    flag = action.option_strings[-1]
+
+    def refuse(expected):
+        return _ConfigUsageError(
+            f"config key {key!r}: {flag} must be {expected}, got {json.dumps(value)}")
+
+    if value is None and action.default is None:
+        return None
+    if action.nargs == 0:  # an on/off flag such as --verbose
+        if not isinstance(value, bool):
+            raise refuse("true or false")
+        return value
+    what, kinds = _CONFIG_KINDS[action.type]
+    items = [value]
+    if action.nargs is not None:
+        count = "one or more" if action.nargs == "+" else action.nargs
+        what = f"a list of {count} values, each {what}"
+        if not isinstance(value, list) or not value or (
+                action.nargs != "+" and len(value) != action.nargs):
+            raise refuse(what)
+        items = value
+    if any(isinstance(v, bool) or not isinstance(v, kinds) for v in items):
+        raise refuse(what)
+    if action.type is not None:
+        items = [action.type(v) for v in items]
+    if action.choices is not None and any(v not in action.choices for v in items):
+        raise refuse("one of " + ", ".join(map(json.dumps, action.choices)))
+    return items if action.nargs is not None else items[0]
+
+
+def _apply_config(args, argv, actions) -> None:
     """Let a JSON config file fill in flags the user did not pass explicitly."""
     if not args.config:
         return
@@ -405,9 +450,10 @@ def _apply_config(args, argv, flags) -> None:
         raise ValueError("config file must hold a JSON object")
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if dest not in flags:
+        if dest not in actions:
             raise ValueError(f"unknown config key {key!r}")
-        flag = flags[dest]
+        value = _config_value(key, actions[dest], value)
+        flag = actions[dest].option_strings[-1]
         if not any(a == flag or a.startswith(flag + "=") for a in argv):
             setattr(args, dest, value)
 
@@ -420,10 +466,10 @@ def main(argv=None) -> int:
     except SystemExit as e:  # --help exits 0; usage errors exit 1 via _Parser.error
         return int(e.code or 0)
     try:
-        flags = _flags(parser, args.command)
-        _apply_config(args, argv, flags)  # first: a config may set threads and verbose
+        actions = _actions(parser, args.command)
+        _apply_config(args, argv, actions)  # first: a config may set threads and verbose
         if args.threads is not None:
-            if type(args.threads) is not int or args.threads < 1:
+            if args.threads < 1:
                 print("error: --threads must be an integer >= 1", file=sys.stderr)
                 return 1
             for var in _THREAD_VARS:  # must precede the first numpy import
@@ -433,13 +479,17 @@ def main(argv=None) -> int:
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        missing = [flags[n] for n in args._required if getattr(args, n) is None]
+        missing = [actions[n].option_strings[-1] for n in args._required
+                   if getattr(args, n) is None]
         if missing:
             print(f"{parser.prog} {args.command}: error: missing required "
                   f"arguments: {', '.join(missing)}", file=sys.stderr)
             return 1
         log.info("command %s, config: %s", args.command, json.dumps(_config_echo(args), sort_keys=True))
         return args.func(args)
+    except _ConfigUsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except OSError as e:  # includes FileNotFoundError
         print(f"error: {e}", file=sys.stderr)
         return 2

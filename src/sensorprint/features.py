@@ -6,6 +6,20 @@ taper window (the bursts are short and quasi-stationary) and with the DC bin
 dropped. Constant or silent streams would make several definitions blow up,
 so: skewness/kurtosis are 0 when the variance is 0, and all 15 spectral
 features are 0 when the spectrum carries no energy.
+
+One batched kernel computes the features of every row of an (m, n) stream
+matrix; the per-series functions pass it one row, ``featurize`` one
+capture's four rows, and ``featurize_dataset`` blocks of captures whose
+streams have equal length. The degenerate rules above are per-row masks
+applied after the arithmetic, which runs under ``np.errstate`` so no warning
+escapes. Each row's features are bit for bit those of the row alone, because
+row sums and means of a C-contiguous matrix reduce exactly as a 1-d array
+does. Two operations would break that and are avoided: numpy's array power
+(``spread ** 3`` over a vector) can differ by 1 ulp from the scalar power
+the moments use, so those go through ``_scalar_pow``; and a boolean column
+index (``p[:, freqs > fs / 8]``) yields a copy whose row sums differ from
+the 1-d sums, so brightness sums a contiguous slice. A norm is the row's
+BLAS dot product with itself, as ``np.linalg.norm`` computes it in 1-d.
 """
 
 from __future__ import annotations
@@ -34,6 +48,10 @@ N_TOTAL = N_FEATURES * len(STREAM_KEYS)  # 100 per capture
 
 ROLLOFF_FRACTION = 0.85
 N_SUBFRAMES = 8
+
+# captures featurized together by featurize_dataset: a block of 16 holds 64
+# streams, so each (64, n) temporary of the kernel stays near 0.25 MB
+BLOCK_CAPTURES = 16
 
 
 def feature_names() -> list[str]:
@@ -94,6 +112,56 @@ class FeatureTable:
         return FeatureTable(self.X[mask], self.device_ids[mask], self.sample_ids[mask])
 
 
+def _scalar_pow(a: np.ndarray, e: int) -> np.ndarray:
+    """``a ** e`` as one numpy-scalar power per element, which calls the C
+    library's ``pow``; numpy's array power may differ from it by 1 ulp."""
+    return np.array([v**e for v in a])
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row: the square root of the row's BLAS dot
+    product with itself, which is how the norm of a 1-d array is computed."""
+    return np.sqrt(np.matmul(A[:, None, :], A[:, :, None])[:, 0, 0])
+
+
+def _check_rows(X) -> np.ndarray:
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.shape[1] < 8:
+        raise ValueError(f"series too short ({X.shape[1]} < 8)")
+    return X
+
+
+def _temporal_rows(X) -> np.ndarray:
+    """``temporal_features`` of every row of an (m, n) matrix, as (m, 10)."""
+    X = _check_rows(X)
+    n = X.shape[1]
+    mu = np.mean(X, axis=1)
+    dev = X - mu[:, None]
+    std = np.sqrt(np.mean(dev * dev, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        skew = np.mean(dev**3, axis=1) / _scalar_pow(std, 3)
+        kurt = np.mean(dev**4, axis=1) / _scalar_pow(std, 4) - 3.0
+    out = np.column_stack([
+        mu,
+        std,
+        np.mean(np.abs(dev), axis=1),
+        skew,
+        kurt,
+        np.sqrt(np.mean(X * X, axis=1)),
+        np.min(X, axis=1),
+        np.max(X, axis=1),
+        np.count_nonzero(dev[:, :-1] * dev[:, 1:] < 0, axis=1) / (n - 1),
+        np.count_nonzero(dev >= 0, axis=1) / n,
+    ])
+    # constant series up to rounding: shape stats and sign-based rates take
+    # their degenerate-convention values
+    const = std <= np.abs(mu) * 1e-12
+    out[const, 1:5] = 0.0
+    out[const, 8] = 0.0
+    out[const, 9] = 1.0
+    return out
+
+
 def temporal_features(series) -> np.ndarray:
     """10 time-domain features, in TEMPORAL_NAMES order.
 
@@ -101,41 +169,81 @@ def temporal_features(series) -> np.ndarray:
     over the n-1 adjacent pairs; the non-negative fraction is also taken on
     the mean-removed series, so both are shift-invariant.
     """
-    x = np.asarray(series, dtype=float)
-    n = len(x)
-    if n < 8:
-        raise ValueError(f"series too short ({n} < 8)")
-    mu = np.mean(x)
-    dev = x - mu
-    var = np.mean(dev * dev)
-    std = np.sqrt(var)
-    if std <= abs(mu) * 1e-12:
-        # constant series up to rounding: shape stats and sign-based rates
-        # take their degenerate-convention values
-        return np.array([
-            mu, 0.0, 0.0, 0.0, 0.0,
-            np.sqrt(np.mean(x * x)), np.min(x), np.max(x), 0.0, 1.0,
-        ])
-    skew = np.mean(dev**3) / std**3
-    kurt = np.mean(dev**4) / std**4 - 3.0
-    zcr = np.count_nonzero(dev[:-1] * dev[1:] < 0) / (n - 1)
-    return np.array([
-        mu,
-        std,
-        np.mean(np.abs(dev)),
-        skew,
-        kurt,
-        np.sqrt(np.mean(x * x)),
-        np.min(x),
-        np.max(x),
-        zcr,
-        np.count_nonzero(dev >= 0) / n,
-    ])
+    return _temporal_rows(np.asarray(series, dtype=float)[None])[0]
 
 
 def _half_spectrum(x: np.ndarray) -> np.ndarray:
-    """One-sided magnitude spectrum, DC bin dropped."""
-    return np.abs(np.fft.rfft(x))[1:]
+    """One-sided magnitude spectrum of each row, DC bin dropped."""
+    return np.abs(np.fft.rfft(x))[:, 1:]
+
+
+def _spectral_rows(X, fs: float) -> np.ndarray:
+    """``spectral_features`` of every row of an (m, n) matrix, as (m, 15)."""
+    X = _check_rows(X)
+    if fs <= 0:
+        raise ValueError("fs must be positive")
+    n = X.shape[1]
+    mu = np.mean(X, axis=1)
+    x = X - mu[:, None]
+    full_rms = np.sqrt(np.mean(x * x, axis=1))
+    m = _half_spectrum(x)
+    m_sum = np.sum(m, axis=1)
+    # constant up to rounding, or no spectral energy: all 15 features are 0
+    silent = (full_rms <= np.abs(mu) * 1e-12) | (m_sum == 0)
+    k = m.shape[1]
+    freqs = np.arange(1, k + 1) * (fs / n)
+    p = m * m
+    p_sum = np.sum(p, axis=1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centroid = np.sum(freqs * m, axis=1) / m_sum
+        d = freqs - centroid[:, None]
+        spread = np.sqrt(np.sum(d * d * m, axis=1) / m_sum)
+        spec_skew = np.sum(d**3 * m, axis=1) / (m_sum * _scalar_pow(spread, 3))
+        spec_kurt = np.sum(d**4 * m, axis=1) / (m_sum * _scalar_pow(spread, 4)) - 3.0
+
+        pn = p / p_sum[:, None]
+        nz = pn > 0
+        plogp = pn * np.log2(pn)
+        entropy = -np.sum(plogp, axis=1)
+        for i in np.flatnonzero(~silent & ~nz.all(axis=1)):
+            entropy[i] = -np.sum(plogp[i][nz[i]])  # zero bins carry no entropy
+        entropy /= np.log2(k)
+        flatness = np.where(np.all(p > 0, axis=1),
+                            np.exp(np.mean(np.log(p), axis=1)) / np.mean(p, axis=1), 0.0)
+        crest = np.max(m, axis=1) / np.mean(m, axis=1)
+        below = np.cumsum(p, axis=1) < (ROLLOFF_FRACTION * p_sum)[:, None]
+        rolloff = freqs[np.count_nonzero(below, axis=1)]
+        bright_from = np.count_nonzero(freqs <= fs / 8.0)
+        brightness = np.sum(p[:, bright_from:], axis=1) / p_sum
+        spec_rms = np.sqrt(np.mean(p, axis=1))
+
+        pos_min = np.min(np.where(m > 0, m, np.inf), axis=1)
+        log_m = np.log(np.where(m > 0, m, pos_min[:, None]))
+        smoothness = np.mean(np.abs(np.diff(log_m, 2, axis=1)), axis=1)
+        irregularity_k = np.sum(
+            np.abs(m[:, 1:-1] - (m[:, :-2] + m[:, 1:-1] + m[:, 2:]) / 3.0), axis=1)
+        irregularity_j = np.sum(np.diff(m, axis=1) ** 2, axis=1) / p_sum
+
+        h = n // 2
+        m1 = _half_spectrum(x[:, :h])
+        m2 = _half_spectrum(x[:, -h:])
+        n1 = _row_norms(m1)
+        n2 = _row_norms(m2)
+        u1 = m1 / np.where(n1 > 0, n1, 1.0)[:, None]
+        u2 = m2 / np.where(n2 > 0, n2, 1.0)[:, None]
+        flux = _row_norms(u1 - u2)
+
+    frames = np.array_split(x, N_SUBFRAMES, axis=1)
+    low = sum(np.sqrt(np.mean(f * f, axis=1)) < full_rms for f in frames)
+    out = np.column_stack([
+        centroid, spread, spec_skew, spec_kurt, entropy,
+        flatness, crest, rolloff, brightness, spec_rms,
+        smoothness, irregularity_k, irregularity_j, flux, low / N_SUBFRAMES,
+    ])
+    out[spread == 0, 2:4] = 0.0
+    out[silent] = 0.0
+    return out
 
 
 def spectral_features(series, fs: float) -> np.ndarray:
@@ -150,79 +258,18 @@ def spectral_features(series, fs: float) -> np.ndarray:
     log-magnitude smoothness, zero bins are clamped to the smallest positive
     magnitude present so the log stays finite.
     """
-    x = np.asarray(series, dtype=float)
-    n = len(x)
-    if n < 8:
-        raise ValueError(f"series too short ({n} < 8)")
-    if fs <= 0:
-        raise ValueError("fs must be positive")
-    mu = np.mean(x)
-    x = x - mu
-    if np.sqrt(np.mean(x * x)) <= abs(mu) * 1e-12:
-        return np.zeros(len(SPECTRAL_NAMES))  # constant up to rounding
-    m = _half_spectrum(x)
-    m_sum = np.sum(m)
-    if m_sum == 0:
-        return np.zeros(len(SPECTRAL_NAMES))
-    k = len(m)
-    freqs = np.arange(1, k + 1) * (fs / n)
-    p = m * m
-    p_sum = np.sum(p)
+    return _spectral_rows(np.asarray(series, dtype=float)[None], fs)[0]
 
-    centroid = np.sum(freqs * m) / m_sum
-    d = freqs - centroid
-    spread = np.sqrt(np.sum(d * d * m) / m_sum)
-    if spread > 0:
-        spec_skew = np.sum(d**3 * m) / (m_sum * spread**3)
-        spec_kurt = np.sum(d**4 * m) / (m_sum * spread**4) - 3.0
-    else:
-        spec_skew = 0.0
-        spec_kurt = 0.0
 
-    pn = p / p_sum
-    nz = pn > 0
-    entropy = -np.sum(pn[nz] * np.log2(pn[nz])) / np.log2(k)
-    flatness = (
-        np.exp(np.mean(np.log(p))) / np.mean(p) if np.all(p > 0) else 0.0
-    )
-    crest = np.max(m) / np.mean(m)
-    rolloff = freqs[np.searchsorted(np.cumsum(p), ROLLOFF_FRACTION * p_sum)]
-    brightness = np.sum(p[freqs > fs / 8.0]) / p_sum
-    spec_rms = np.sqrt(np.mean(p))
-
-    log_m = np.log(np.where(m > 0, m, np.min(m[m > 0])))
-    smoothness = np.mean(np.abs(np.diff(log_m, 2)))
-    irregularity_k = np.sum(np.abs(m[1:-1] - (m[:-2] + m[1:-1] + m[2:]) / 3.0))
-    irregularity_j = np.sum(np.diff(m) ** 2) / p_sum
-
-    h = n // 2
-    m1 = _half_spectrum(x[:h])
-    m2 = _half_spectrum(x[-h:])
-    n1 = np.linalg.norm(m1)
-    n2 = np.linalg.norm(m2)
-    u1 = m1 / n1 if n1 > 0 else m1
-    u2 = m2 / n2 if n2 > 0 else m2
-    flux = np.linalg.norm(u1 - u2)
-
-    full_rms = np.sqrt(np.mean(x * x))
-    frames = np.array_split(x, N_SUBFRAMES)
-    low_energy = np.mean([np.sqrt(np.mean(f * f)) < full_rms for f in frames])
-
-    return np.array([
-        centroid, spread, spec_skew, spec_kurt, entropy,
-        flatness, crest, rolloff, brightness, spec_rms,
-        smoothness, irregularity_k, irregularity_j, flux, low_energy,
-    ])
+def _stream_features(S, fs: float) -> np.ndarray:
+    """The 25 features of every row of an (m, n) stream matrix, as (m, 25)."""
+    return np.hstack([_temporal_rows(S), _spectral_rows(S, fs)])
 
 
 def featurize(streams: StreamSet, device_id: str = "", sample_id: str = "") -> FeatureVector:
     """Concatenate the 25 per-stream features in stream-major order."""
-    blocks = []
-    for key in STREAM_KEYS:
-        s = streams.streams[key]
-        blocks.append(temporal_features(s))
-        blocks.append(spectral_features(s, streams.fs))
-    return FeatureVector(device_id, sample_id, np.concatenate(blocks))
+    S = np.stack([streams.streams[key] for key in STREAM_KEYS])
+    return FeatureVector(device_id, sample_id, _stream_features(S, streams.fs).ravel())
 
 
 def featurize_sample(sample: RawSample, fs_target: float = DEFAULT_FS) -> FeatureVector:
@@ -232,11 +279,29 @@ def featurize_sample(sample: RawSample, fs_target: float = DEFAULT_FS) -> Featur
 
 def featurize_dataset(dataset: Dataset, fs_target: float = DEFAULT_FS) -> FeatureTable:
     """One feature row per sample, in dataset order: the one extraction path
-    every consumer of features reads from."""
+    every consumer of features reads from.
+
+    Captures are resampled one at a time and featurized in blocks of up to
+    BLOCK_CAPTURES captures of equal stream length, so memory stays bounded
+    by the block size and the number of distinct lengths.
+    """
     samples = dataset.samples
     X = np.empty((len(samples), N_TOTAL))
+    pending: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+
+    def flush(length: int) -> None:
+        idx, rows = pending.pop(length)
+        X[idx] = _stream_features(np.stack(rows), fs_target).reshape(len(idx), N_TOTAL)
+
     for i, s in enumerate(samples):
-        X[i] = featurize_sample(s, fs_target).values
+        ss = build_streams(s, fs_target)
+        idx, rows = pending.setdefault(ss.length, ([], []))
+        idx.append(i)
+        rows.extend(ss.streams[key] for key in STREAM_KEYS)
+        if len(idx) == BLOCK_CAPTURES:
+            flush(ss.length)
+    for length in list(pending):
+        flush(length)
     return FeatureTable(X, [s.device_id for s in samples], [s.sample_id for s in samples])
 
 

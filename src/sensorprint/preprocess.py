@@ -56,15 +56,20 @@ def magnitude(accel) -> np.ndarray:
 
 
 def interpolate_uniform(timestamps, values, fs_target: float) -> np.ndarray:
-    """Resample a scalar series to a uniform rate with a natural cubic spline.
+    """Resample a series to a uniform rate with a natural cubic spline.
 
-    The output grid is t0, t0 + 1/fs, ... up to (and not past) the last input
-    timestamp. The spline passes through every input knot.
+    ``values`` is one series of shape (n,) or c series as the columns of an
+    (n, c) matrix; the result has the same layout, one row per grid point.
+    One spline fit over all columns gives each column bit for bit what a
+    separate fit of that column gives. The output grid is t0, t0 + 1/fs, ...
+    up to (and not past) the last input timestamp. The spline passes through
+    every input knot.
     """
     t = np.asarray(timestamps, dtype=float)
     v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != v.shape:
-        raise ValueError("timestamps and values must be 1-d and equal length")
+    if t.ndim != 1 or v.ndim not in (1, 2) or v.shape[0] != t.shape[0]:
+        raise ValueError(
+            "timestamps must be 1-d and values (n,) or (n, c) with one row per timestamp")
     if len(t) < 4:
         raise ValueError(f"need >= 4 points for cubic interpolation, got {len(t)}")
     if np.any(np.diff(t) <= 0):
@@ -81,18 +86,12 @@ def interpolate_uniform(timestamps, values, fs_target: float) -> np.ndarray:
 def build_streams(sample: RawSample, fs_target: float = DEFAULT_FS) -> StreamSet:
     """Resample one capture into its four canonical streams.
 
+    One spline is fitted over the four source columns (|a| and the three gyro
+    axes); each stream is a C-contiguous row of the transposed result.
     Interpolating the magnitude can undershoot zero between knots, so the
     resampled A_MAG is clamped at 0.
     """
-    t = sample.timestamps
-    a_mag = interpolate_uniform(t, magnitude(sample.accel), fs_target)
-    np.maximum(a_mag, 0.0, out=a_mag)
-    return StreamSet(
-        fs=fs_target,
-        streams={
-            "A_MAG": a_mag,
-            "GYRO_X": interpolate_uniform(t, sample.gyro[:, 0], fs_target),
-            "GYRO_Y": interpolate_uniform(t, sample.gyro[:, 1], fs_target),
-            "GYRO_Z": interpolate_uniform(t, sample.gyro[:, 2], fs_target),
-        },
-    )
+    columns = np.column_stack([magnitude(sample.accel), sample.gyro])
+    rows = interpolate_uniform(sample.timestamps, columns, fs_target).T.copy()
+    np.maximum(rows[0], 0.0, out=rows[0])
+    return StreamSet(fs=fs_target, streams=dict(zip(STREAM_KEYS, rows)))

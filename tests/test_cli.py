@@ -206,6 +206,58 @@ def test_unknown_config_key_exits_3(tmp_path):
         assert rc == 3
 
 
+def test_config_string_for_int_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"devices": "3"}))
+    out = tmp_path / "o.jsonl"
+    assert main(["--config", str(cfg), "synth", "--out", str(out)]) == 1
+    assert "error: config key 'devices': --devices must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_float_for_int_flag_is_a_usage_error(tmp_path, capsys):
+    # like --samples 2.5 on the command line, not silently truncated to 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 2.5, "devices": 2}))
+    out = tmp_path / "o.jsonl"
+    assert main(["--config", str(cfg), "synth", "--out", str(out)]) == 1
+    assert "error: config key 'samples': --samples must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("countermeasure", {"scheme": "blur"}),
+    ("countermeasure", {"offset_range": [1.0]}),
+    ("countermeasure", {"gain-range": [0.5, "1"]}),
+    ("simulate", {"device_counts": []}),
+    ("featurize", {"fs_target": True}),
+    ("featurize", {"out": 5}),
+    ("synth", {"verbose": 1}),
+])
+def test_config_value_the_flag_would_refuse_exits_1(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), command]) == 1
+    assert f"error: config key {next(iter(config))!r}:" in capsys.readouterr().err
+
+
+def test_config_numbers_convert_like_flags(workdir, tmp_path):
+    # an integer for a float flag reads as that float, as on the command line,
+    # so the reports match apart from their own path; null leaves a flag
+    # whose default is None unset
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fs_target": 100, "repeats": 2, "d_prime": None}))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["--config", str(cfg), "evaluate", "--in", str(workdir / "data.jsonl"),
+                 "--out", str(a)]) == 0
+    assert main(["evaluate", "--in", str(workdir / "data.jsonl"), "--fs-target", "100",
+                 "--repeats", "2", "--out", str(b)]) == 0
+    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
+    assert ra["config"].pop("out") == str(a) and rb["config"].pop("out") == str(b)
+    assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+    assert "100.0" in json.dumps(ra["config"]["fs_target"])
+
+
 def test_rerun_artifacts_byte_identical(workdir, tmp_path):
     # identical invocation twice: the artifact must not change by a byte
     out = tmp_path / "rerun.json"

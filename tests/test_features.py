@@ -1,10 +1,15 @@
 """Feature extraction tests: hand-derived vectors, analytic signals, properties."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from sensorprint.dataset import RawSample, generate_synthetic
+from sensorprint import features
+from sensorprint.countermeasures import QuantizationConfig, apply_countermeasure, quantize_sample
+from sensorprint.dataset import Dataset, RawSample, generate_synthetic
 from sensorprint.features import (
     N_TOTAL,
     FeatureTable,
@@ -216,6 +221,81 @@ def test_featurize_dataset_rows_follow_dataset_order():
         np.testing.assert_array_equal(row, featurize_sample(s).values)
 
 
+def test_featurize_dataset_pinned():
+    # sha256 of the feature matrix bytes, recorded from the per-capture,
+    # per-stream implementation; any change of summation order, power or
+    # norm arithmetic in the kernel moves these digests
+    ds = generate_synthetic(12, 5, seed=0)
+    expected = {
+        None: "c9017824289bd211b225137898258ac91f410f7a165ba7173cd05404a9ea6196",
+        "quantize": "75897e20c04afb74e278da5654f8e63adb9648378dd02c436e50b8481c58f275",
+        "obfuscate": "d7e09131449671a6725e83b6895e15fc0a23e1d93020e3f4369f2cc49eb88f8c",
+    }
+    for scheme, digest in expected.items():
+        data = ds if scheme is None else apply_countermeasure(ds, scheme)
+        X = featurize_dataset(data).X
+        assert hashlib.sha256(X.tobytes()).hexdigest() == digest, scheme
+
+
+def _mixed_length_dataset() -> Dataset:
+    """Synthetic captures interleaved with truncated ones (several resampled
+    lengths), a constant-accel zero-gyro capture and a quantized capture."""
+    out = Dataset()
+    for i, s in enumerate(generate_synthetic(10, 5, seed=7).samples):
+        if i % 4 == 1:
+            k = (120, 200)[(i // 4) % 2]
+            s = RawSample(s.device_id, s.sample_id, s.timestamps[:k], s.accel[:k], s.gyro[:k])
+        elif i == 10:
+            s = quantize_sample(s, QuantizationConfig())
+        out.add(s)
+        if i == 6:
+            n = 400
+            t = np.arange(n) / 100.0 + np.random.default_rng(0).uniform(0, 0.004, n)
+            out.add(RawSample("flat", "s0", t, np.tile([0.0, 0.0, 9.81], (n, 1)),
+                              np.zeros((n, 3))))
+    return out
+
+
+def test_featurize_dataset_blocks_match_single_captures():
+    ds = _mixed_length_dataset()
+    lengths = [build_streams(s).length for s in ds.samples]
+    # the premise: several length groups, interleaved, one spanning blocks
+    assert len(set(lengths)) >= 4
+    assert max(lengths.count(n) for n in set(lengths)) > features.BLOCK_CAPTURES
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = featurize_dataset(ds)
+        single = [featurize_sample(s) for s in ds.samples]
+    assert list(table.sample_ids) == [s.sample_id for s in ds.samples]
+    assert list(table.device_ids) == [s.device_id for s in ds.samples]
+    for row, fv in zip(table.X, single):
+        assert row.tobytes() == fv.values.tobytes()
+    flat = table.X[list(table.device_ids).index("flat")]
+    assert flat[1] == 0.0  # constant A_MAG: std follows the degenerate rule
+    np.testing.assert_array_equal(flat[25 + 10:50], 0.0)  # silent GYRO_X spectrum
+
+
+def test_featurize_stream_rows_are_independent():
+    # one capture whose streams take different degenerate branches (zero
+    # spectral bins and zero spread, silence, a constant): each 25-block
+    # equals the per-stream functions on that stream alone
+    n = 64
+    rng = np.random.default_rng(12)
+    streams = {
+        "A_MAG": np.full(n, 9.81),
+        "GYRO_X": np.tile([1.0, -1.0], n // 2),
+        "GYRO_Y": np.zeros(n),
+        "GYRO_Z": rng.normal(size=n),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fv = featurize(StreamSet(fs=100.0, streams=streams))
+        for j, key in enumerate(("A_MAG", "GYRO_X", "GYRO_Y", "GYRO_Z")):
+            block = np.concatenate([temporal_features(streams[key]),
+                                    spectral_features(streams[key], 100.0)])
+            assert fv.values[25 * j:25 * (j + 1)].tobytes() == block.tobytes(), key
+
+
 def test_feature_table_by_device_order():
     # interleaved rows: devices in first-seen order, rows in original order
     X = np.arange(5 * N_TOTAL, dtype=float).reshape(5, N_TOTAL)
@@ -243,20 +323,21 @@ def test_feature_table_rejects_bad_shape():
 @pytest.mark.parametrize("consumer", ["run_protocol", "validate_against_empirical",
                                       "privacy_impact"])
 def test_each_consumer_featurizes_each_sample_once(monkeypatch, consumer):
-    from sensorprint import features
     from sensorprint.classify import run_protocol
     from sensorprint.countermeasures import privacy_impact
     from sensorprint.simulate import validate_against_empirical
 
+    # build_streams is the per-capture step of featurize_dataset, which
+    # featurizes the resampled streams in blocks
     ds = generate_synthetic(4, 4, seed=1)
     calls = []
-    real = features.featurize_sample
+    real = features.build_streams
 
     def counting(sample, *args, **kwargs):
         calls.append(sample.sample_id)
         return real(sample, *args, **kwargs)
 
-    monkeypatch.setattr(features, "featurize_sample", counting)
+    monkeypatch.setattr(features, "build_streams", counting)
     if consumer == "run_protocol":
         run_protocol(ds, repeats=2)
         expected = len(ds.samples)

@@ -150,3 +150,46 @@ def test_streamset_rejects_wrong_keys():
     good = np.zeros(100)
     with pytest.raises(ValueError, match="keyed"):
         StreamSet(fs=100.0, streams={"A_MAG": good, "GX": good, "GY": good, "GZ": good})
+
+
+def test_interpolate_matrix_equals_column_calls():
+    # one spline over (n, c) values gives each column bit for bit what a
+    # separate fit of that column gives
+    rng = np.random.default_rng(4)
+    t = np.sort(rng.uniform(0, 5, size=300))
+    V = np.column_stack([np.abs(rng.normal(9.8, 0.3, 300)), rng.normal(size=(300, 3))])
+    out = interpolate_uniform(t, V, 100.0)
+    assert out.shape == (int(np.floor((t[-1] - t[0]) * 100.0 + 1e-9)) + 1, 4)
+    for j in range(4):
+        assert out[:, j].tobytes() == interpolate_uniform(t, V[:, j], 100.0).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (1,)])
+def test_interpolate_matrix_rejects_the_same_bad_input(shape):
+    def cols(v):
+        return np.asarray(v, dtype=float).reshape(-1, *shape)
+
+    with pytest.raises(ValueError, match=">= 4"):
+        interpolate_uniform([0.0, 0.1, 0.2], cols([1.0, 2.0, 3.0]), 100.0)
+    with pytest.raises(ValueError, match="monotone"):
+        interpolate_uniform([0.0, 0.2, 0.1, 0.3], cols([1.0, 2.0, 3.0, 4.0]), 100.0)
+    with pytest.raises(ValueError, match="positive"):
+        interpolate_uniform([0.0, 0.1, 0.2, 0.3], cols([1.0, 2.0, 3.0, 4.0]), 0.0)
+    with pytest.raises(ValueError, match="one row per timestamp"):
+        interpolate_uniform([0.0, 0.1, 0.2, 0.3], cols([1.0, 2.0, 3.0, 4.0, 5.0]), 100.0)
+    with pytest.raises(ValueError, match="one row per timestamp"):
+        interpolate_uniform([[0.0, 0.1, 0.2, 0.3]], cols([1.0, 2.0, 3.0, 4.0]), 100.0)
+    with pytest.raises(ValueError, match="one row per timestamp"):
+        interpolate_uniform([0.0, 0.1, 0.2, 0.3], np.zeros((4, 1, 1)), 100.0)
+
+
+def test_build_streams_rows_are_contiguous_column_fits():
+    s = generate_synthetic(1, 1, seed=2).samples[0]
+    ss = build_streams(s)
+    sources = [magnitude(s.accel), s.gyro[:, 0], s.gyro[:, 1], s.gyro[:, 2]]
+    for key, v in zip(STREAM_KEYS, sources):
+        expected = interpolate_uniform(s.timestamps, v, 100.0)
+        if key == "A_MAG":
+            expected = np.maximum(expected, 0.0)
+        assert ss.streams[key].flags.c_contiguous
+        assert ss.streams[key].tobytes() == expected.tobytes()
