@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import stdtrit
 
 from .metric import standardize_fit, train_ldml, transform
 
@@ -294,7 +294,7 @@ def _confidence_interval(values, level: float = 0.95) -> tuple[float, float]:
     m = float(np.mean(v))
     if len(v) < 2:
         return (m, m)
-    half = float(_stats.t.ppf(0.5 + level / 2, len(v) - 1) * v.std(ddof=1) / np.sqrt(len(v)))
+    half = float(stdtrit(len(v) - 1, 0.5 + level / 2) * v.std(ddof=1) / np.sqrt(len(v)))
     return (m - half, m + half)
 
 

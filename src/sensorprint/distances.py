@@ -6,18 +6,25 @@ fit by maximum likelihood against five candidate families and the fits are
 ranked by AIC. Densities, CDFs, and samplers are written out explicitly so
 the fitted objects are self-contained and cheap to draw from in bulk.
 
+Each family is described in one place, its ``_Family`` record in
+``_FAMILIES``: adding a family is adding one record (and its name to
+``FAMILIES`` if it is a fit candidate).
+
 Parameterizations:
   INVERSE_GAUSSIAN  mu > 0, lam > 0
   GEV               mu, sigma > 0, xi  (support: 1 + xi*(x-mu)/sigma > 0)
   LOG_NORMAL        mu, sigma > 0     (of log x)
   GAMMA             shape k > 0, scale theta > 0
   WEIBULL           shape k > 0, scale lam > 0
+  UNIFORM           lo < hi
+  DEGENERATE        value             (a point mass)
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,19 +47,7 @@ FAMILIES = (INVERSE_GAUSSIAN, GEV, LOG_NORMAL, GAMMA, WEIBULL)
 UNIFORM = "UNIFORM"
 DEGENERATE = "DEGENERATE"
 
-POSITIVE_ONLY = (INVERSE_GAUSSIAN, LOG_NORMAL, GAMMA, WEIBULL)
-
 EULER_GAMMA = 0.5772156649015329
-
-_PARAM_NAMES = {
-    INVERSE_GAUSSIAN: ("mu", "lam"),
-    GEV: ("mu", "sigma", "xi"),
-    LOG_NORMAL: ("mu", "sigma"),
-    GAMMA: ("shape", "scale"),
-    WEIBULL: ("shape", "scale"),
-    UNIFORM: ("lo", "hi"),
-    DEGENERATE: ("value",),
-}
 
 
 @dataclass
@@ -81,27 +76,20 @@ class FittedDistribution:
     n: int
 
     def __post_init__(self):
-        if self.family not in _PARAM_NAMES:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        names = _PARAM_NAMES[self.family]
-        if set(self.params) != set(names):
-            raise ValueError(f"{self.family} params must be named {names}")
-        self.params = {k: float(self.params[k]) for k in names}
-        expected_aic = 2 * len(names) - 2 * self.log_likelihood
+        fam = _FAMILIES[self.family]
+        if set(self.params) != set(fam.params):
+            raise ValueError(f"{self.family} params must be named {fam.params}")
+        self.params = {k: float(self.params[k]) for k in fam.params}
+        if not np.all(np.isfinite([*self.params.values(), self.log_likelihood, self.aic])):
+            raise ValueError(f"non-finite {self.family} fit: {self.params}, "
+                             f"loglik {self.log_likelihood}, aic {self.aic}")
+        expected_aic = 2 * len(fam.params) - 2 * self.log_likelihood
         if abs(self.aic - expected_aic) > 1e-9 * max(1.0, abs(expected_aic)):
             raise ValueError("aic inconsistent with log-likelihood")
-        p = self.params
-        ok = {
-            INVERSE_GAUSSIAN: lambda: p["mu"] > 0 and p["lam"] > 0,
-            GEV: lambda: p["sigma"] > 0,
-            LOG_NORMAL: lambda: p["sigma"] > 0,
-            GAMMA: lambda: p["shape"] > 0 and p["scale"] > 0,
-            WEIBULL: lambda: p["shape"] > 0 and p["scale"] > 0,
-            UNIFORM: lambda: p["lo"] < p["hi"],
-            DEGENERATE: lambda: np.isfinite(p["value"]),
-        }[self.family]
-        if not ok():
-            raise ValueError(f"{self.family} params outside domain: {p}")
+        if not fam.valid(**self.params):
+            raise ValueError(f"{self.family} params outside domain: {self.params}")
 
 
 def pairwise_distances(vectors_by_device: dict, model=None) -> tuple[DistancePopulation, DistancePopulation]:
@@ -141,16 +129,55 @@ def pairwise_distances(vectors_by_device: dict, model=None) -> tuple[DistancePop
 
 
 # ---------------------------------------------------------------------------
-# Densities, CDFs, analytic means.
+# The family table: densities, CDFs, analytic means, samplers and fitting.
 
 
-def _logpdf_ig(x, mu, lam):
+@dataclass(frozen=True)
+class _Family:
+    """One family; every function takes the parameters by name, and
+    ``sample(rng, n, **params)`` draws n values. A fit candidate has either a
+    closed-form ``estimate(x) -> params`` or three Nelder-Mead ``starts(mean,
+    std)`` over ``params``, with each name in ``log_params`` fit as its log.
+    """
+
+    params: tuple[str, ...]
+    valid: Callable[..., bool]
+    logpdf: Callable[..., np.ndarray]
+    cdf: Callable[..., np.ndarray]
+    mean: Callable[..., float]
+    sample: Callable[..., np.ndarray]
+    positive: bool = False  # fits require strictly positive samples
+    estimate: Callable[[np.ndarray], dict] | None = None
+    starts: Callable[[float, float], list] | None = None
+    log_params: tuple[str, ...] = ()
+
+
+def _ig_logpdf(x, mu, lam):
     return 0.5 * (np.log(lam) - np.log(2 * np.pi) - 3 * np.log(x)) - lam * (x - mu) ** 2 / (
         2 * mu**2 * x
     )
 
 
-def _logpdf_gev(x, mu, sigma, xi):
+def _ig_cdf(x, mu, lam):
+    with np.errstate(divide="ignore"):
+        s = np.sqrt(lam / x)
+    # second term computed in log space: e^(2 lam/mu) underflows otherwise
+    return ndtr(s * (x / mu - 1)) + np.exp(2 * lam / mu + log_ndtr(-s * (x / mu + 1)))
+
+
+def _ig_sample(rng, n, mu, lam):
+    y = rng.standard_normal(n) ** 2
+    x = mu + mu**2 * y / (2 * lam) - mu / (2 * lam) * np.sqrt(4 * mu * lam * y + mu**2 * y**2)
+    u = rng.random(n)
+    return np.where(u <= mu / (mu + x), x, mu**2 / x)
+
+
+def _ig_estimate(x):
+    mu = float(np.mean(x))
+    return {"mu": mu, "lam": float(1.0 / np.mean(1.0 / x - 1.0 / mu))}
+
+
+def _gev_logpdf(x, mu, sigma, xi):
     z = (x - mu) / sigma
     if abs(xi) < 1e-12:
         return -np.log(sigma) - z - np.exp(-z)
@@ -160,93 +187,146 @@ def _logpdf_gev(x, mu, sigma, xi):
     return -np.log(sigma) - (1 + 1 / xi) * np.log(t) - t ** (-1 / xi)
 
 
-def _logpdf_lognormal(x, mu, sigma):
+def _gev_cdf(x, mu, sigma, xi):
+    z = (x - mu) / sigma
+    if abs(xi) < 1e-12:
+        return np.exp(-np.exp(-z))
+    t = 1 + xi * z
+    out = np.where(t > 0, np.exp(-np.maximum(t, 1e-300) ** (-1 / xi)), 0.0)
+    # above the upper endpoint (xi < 0) the CDF is 1
+    if xi < 0:
+        out = np.where(t <= 0, 1.0, out)
+    return out
+
+
+def _gev_mean(mu, sigma, xi):
+    if xi >= 1:
+        return float("nan")
+    if abs(xi) < 1e-12:
+        return mu + sigma * EULER_GAMMA
+    return mu + sigma * (gamma_fn(1 - xi) - 1) / xi
+
+
+def _gev_sample(rng, n, mu, sigma, xi):
+    u = rng.random(n)
+    if abs(xi) < 1e-12:
+        return mu - sigma * np.log(-np.log(u))
+    return mu + sigma * ((-np.log(u)) ** -xi - 1) / xi
+
+
+def _gev_starts(m, s):
+    sigma0 = s * np.sqrt(6) / np.pi
+    mu0 = m - EULER_GAMMA * sigma0
+    return [np.array([mu0 + a * sigma0, np.log(sigma0 * b), xi])
+            for a, b, xi in ((0.0, 1.0, 0.1), (-0.3, 0.7, -0.1), (0.3, 1.4, 0.3))]
+
+
+def _lognormal_logpdf(x, mu, sigma):
     lx = np.log(x)
     return -lx - np.log(sigma) - 0.5 * np.log(2 * np.pi) - (lx - mu) ** 2 / (2 * sigma**2)
 
 
-def _logpdf_gamma(x, shape, scale):
-    return (shape - 1) * np.log(x) - x / scale - shape * np.log(scale) - gammaln(shape)
+def _gamma_starts(m, s):
+    k0 = max(m * m / (s * s), 1e-3)
+    return [np.log([k, m / k]) for k in (k0, k0 * 0.5, k0 * 2.0)]
 
 
-def _logpdf_weibull(x, shape, scale):
-    z = x / scale
-    return np.log(shape) - np.log(scale) + (shape - 1) * np.log(z) - z**shape
+def _weibull_starts(m, s):
+    k0 = max((s / m) ** -1.086, 1e-2) if m > 0 else 1.0
+    lam0 = m / gamma_fn(1 + 1 / k0)
+    return [np.log([k0 * a, lam0 * b]) for a, b in ((1.0, 1.0), (0.6, 0.8), (1.8, 1.2))]
+
+
+_FAMILIES = {
+    INVERSE_GAUSSIAN: _Family(
+        params=("mu", "lam"),
+        valid=lambda mu, lam: mu > 0 and lam > 0,
+        logpdf=_ig_logpdf,
+        cdf=_ig_cdf,
+        mean=lambda mu, lam: mu,
+        sample=_ig_sample,
+        positive=True,
+        estimate=_ig_estimate,
+    ),
+    GEV: _Family(
+        params=("mu", "sigma", "xi"),
+        valid=lambda mu, sigma, xi: sigma > 0,
+        logpdf=_gev_logpdf,
+        cdf=_gev_cdf,
+        mean=_gev_mean,
+        sample=_gev_sample,
+        starts=_gev_starts,
+        log_params=("sigma",),
+    ),
+    LOG_NORMAL: _Family(
+        params=("mu", "sigma"),
+        valid=lambda mu, sigma: sigma > 0,
+        logpdf=_lognormal_logpdf,
+        cdf=lambda x, mu, sigma: ndtr((np.log(x) - mu) / sigma),
+        mean=lambda mu, sigma: float(np.exp(mu + sigma**2 / 2)),
+        sample=lambda rng, n, mu, sigma: np.exp(mu + sigma * rng.standard_normal(n)),
+        positive=True,
+        estimate=lambda x: {"mu": float(np.mean(np.log(x))), "sigma": float(np.std(np.log(x)))},
+    ),
+    GAMMA: _Family(
+        params=("shape", "scale"),
+        valid=lambda shape, scale: shape > 0 and scale > 0,
+        logpdf=lambda x, shape, scale: (
+            (shape - 1) * np.log(x) - x / scale - shape * np.log(scale) - gammaln(shape)
+        ),
+        cdf=lambda x, shape, scale: gammainc(shape, x / scale),
+        mean=lambda shape, scale: shape * scale,
+        sample=lambda rng, n, shape, scale: rng.gamma(shape, scale, size=n),
+        positive=True,
+        starts=_gamma_starts,
+        log_params=("shape", "scale"),
+    ),
+    WEIBULL: _Family(
+        params=("shape", "scale"),
+        valid=lambda shape, scale: shape > 0 and scale > 0,
+        logpdf=lambda x, shape, scale: (
+            np.log(shape) - np.log(scale) + (shape - 1) * np.log(x / scale) - (x / scale) ** shape
+        ),
+        cdf=lambda x, shape, scale: 1.0 - np.exp(-((x / scale) ** shape)),
+        mean=lambda shape, scale: scale * float(gamma_fn(1 + 1 / shape)),
+        sample=lambda rng, n, shape, scale: scale * (-np.log1p(-rng.random(n))) ** (1.0 / shape),
+        positive=True,
+        starts=_weibull_starts,
+        log_params=("shape", "scale"),
+    ),
+    UNIFORM: _Family(
+        params=("lo", "hi"),
+        valid=lambda lo, hi: lo < hi,
+        logpdf=lambda x, lo, hi: np.where((x >= lo) & (x <= hi), -np.log(hi - lo), -np.inf),
+        cdf=lambda x, lo, hi: np.clip((x - lo) / (hi - lo), 0.0, 1.0),
+        mean=lambda lo, hi: 0.5 * (lo + hi),
+        sample=lambda rng, n, lo, hi: rng.uniform(lo, hi, size=n),
+    ),
+    DEGENERATE: _Family(
+        params=("value",),
+        valid=lambda value: True,
+        # point mass: log-density 0 on the atom under the counting measure
+        logpdf=lambda x, value: np.where(x == value, 0.0, -np.inf),
+        cdf=lambda x, value: np.where(x >= value, 1.0, 0.0),
+        mean=lambda value: value,
+        sample=lambda rng, n, value: np.full(n, value),
+    ),
+}
+
+POSITIVE_ONLY = tuple(f for f in FAMILIES if _FAMILIES[f].positive)
 
 
 def distribution_logpdf(dist: FittedDistribution, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    p = dist.params
-    if dist.family == INVERSE_GAUSSIAN:
-        return _logpdf_ig(x, p["mu"], p["lam"])
-    if dist.family == GEV:
-        return _logpdf_gev(x, p["mu"], p["sigma"], p["xi"])
-    if dist.family == LOG_NORMAL:
-        return _logpdf_lognormal(x, p["mu"], p["sigma"])
-    if dist.family == GAMMA:
-        return _logpdf_gamma(x, p["shape"], p["scale"])
-    if dist.family == WEIBULL:
-        return _logpdf_weibull(x, p["shape"], p["scale"])
-    if dist.family == UNIFORM:
-        inside = (x >= p["lo"]) & (x <= p["hi"])
-        return np.where(inside, -np.log(p["hi"] - p["lo"]), -np.inf)
-    # point mass: log-density 0 on the atom under the counting measure
-    return np.where(x == p["value"], 0.0, -np.inf)
+    return _FAMILIES[dist.family].logpdf(np.asarray(x, dtype=float), **dist.params)
 
 
 def distribution_cdf(dist: FittedDistribution, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    p = dist.params
-    if dist.family == INVERSE_GAUSSIAN:
-        mu, lam = p["mu"], p["lam"]
-        with np.errstate(divide="ignore"):
-            s = np.sqrt(lam / x)
-        # second term computed in log space: e^(2 lam/mu) underflows otherwise
-        return ndtr(s * (x / mu - 1)) + np.exp(2 * lam / mu + log_ndtr(-s * (x / mu + 1)))
-    if dist.family == GEV:
-        mu, sigma, xi = p["mu"], p["sigma"], p["xi"]
-        z = (x - mu) / sigma
-        if abs(xi) < 1e-12:
-            return np.exp(-np.exp(-z))
-        t = 1 + xi * z
-        out = np.where(t > 0, np.exp(-np.maximum(t, 1e-300) ** (-1 / xi)), 0.0)
-        # above the upper endpoint (xi < 0) the CDF is 1
-        if xi < 0:
-            out = np.where(t <= 0, 1.0, out)
-        return out
-    if dist.family == LOG_NORMAL:
-        return ndtr((np.log(x) - p["mu"]) / p["sigma"])
-    if dist.family == GAMMA:
-        return gammainc(p["shape"], x / p["scale"])
-    if dist.family == WEIBULL:
-        z = x / p["scale"]
-        return 1.0 - np.exp(-(z ** p["shape"]))
-    if dist.family == UNIFORM:
-        return np.clip((x - p["lo"]) / (p["hi"] - p["lo"]), 0.0, 1.0)
-    return np.where(x >= p["value"], 1.0, 0.0)
+    return _FAMILIES[dist.family].cdf(np.asarray(x, dtype=float), **dist.params)
 
 
 def distribution_mean(dist: FittedDistribution) -> float:
     """Analytic mean; nan when the family/params leave it undefined."""
-    p = dist.params
-    if dist.family == INVERSE_GAUSSIAN:
-        return p["mu"]
-    if dist.family == GEV:
-        xi = p["xi"]
-        if xi >= 1:
-            return float("nan")
-        if abs(xi) < 1e-12:
-            return p["mu"] + p["sigma"] * EULER_GAMMA
-        return p["mu"] + p["sigma"] * (gamma_fn(1 - xi) - 1) / xi
-    if dist.family == LOG_NORMAL:
-        return float(np.exp(p["mu"] + p["sigma"] ** 2 / 2))
-    if dist.family == GAMMA:
-        return p["shape"] * p["scale"]
-    if dist.family == WEIBULL:
-        return p["scale"] * float(gamma_fn(1 + 1 / p["shape"]))
-    if dist.family == UNIFORM:
-        return 0.5 * (p["lo"] + p["hi"])
-    return p["value"]
+    return _FAMILIES[dist.family].mean(**dist.params)
 
 
 # ---------------------------------------------------------------------------
@@ -259,72 +339,9 @@ def _check_samples(x, family):
         raise ValueError(f"need >= 8 samples, got {len(x)}")
     if np.std(x) == 0:
         raise ValueError("degenerate: zero dispersion")
-    if family in POSITIVE_ONLY and np.any(x <= 0):
+    if _FAMILIES[family].positive and np.any(x <= 0):
         raise ValueError(f"{family} requires strictly positive samples")
     return x
-
-
-def _fit_closed_form(x, family):
-    n = len(x)
-    if family == INVERSE_GAUSSIAN:
-        mu = float(np.mean(x))
-        lam = float(1.0 / np.mean(1.0 / x - 1.0 / mu))
-        params = {"mu": mu, "lam": lam}
-        ll = float(np.sum(_logpdf_ig(x, mu, lam)))
-    else:  # LOG_NORMAL
-        lx = np.log(x)
-        mu = float(np.mean(lx))
-        sigma = float(np.std(lx))
-        params = {"mu": mu, "sigma": sigma}
-        ll = float(np.sum(_logpdf_lognormal(x, mu, sigma)))
-    return params, ll
-
-
-def _nll_and_inits(x, family):
-    """Objective over unconstrained parameters plus 3 deterministic starts."""
-    m, s = np.mean(x), np.std(x)
-    if family == GEV:
-        sigma0 = s * np.sqrt(6) / np.pi
-        mu0 = m - EULER_GAMMA * sigma0
-        inits = [
-            np.array([mu0, np.log(sigma0), 0.1]),
-            np.array([mu0 - 0.3 * sigma0, np.log(sigma0 * 0.7), -0.1]),
-            np.array([mu0 + 0.3 * sigma0, np.log(sigma0 * 1.4), 0.3]),
-        ]
-
-        def nll(theta):
-            mu, log_sigma, xi = theta
-            lp = _logpdf_gev(x, mu, np.exp(log_sigma), xi)
-            # support violation: large finite penalty keeps the simplex sane
-            return -np.sum(lp) if np.all(np.isfinite(lp)) else 1e300
-
-        unpack = lambda th: {"mu": float(th[0]), "sigma": float(np.exp(th[1])), "xi": float(th[2])}
-    elif family == GAMMA:
-        k0 = max(m * m / (s * s), 1e-3)
-        inits = [
-            np.log([k0, m / k0]),
-            np.log([k0 * 0.5, m / (k0 * 0.5)]),
-            np.log([k0 * 2.0, m / (k0 * 2.0)]),
-        ]
-
-        def nll(theta):
-            return -np.sum(_logpdf_gamma(x, np.exp(theta[0]), np.exp(theta[1])))
-
-        unpack = lambda th: {"shape": float(np.exp(th[0])), "scale": float(np.exp(th[1]))}
-    else:  # WEIBULL
-        k0 = max((s / m) ** -1.086, 1e-2) if m > 0 else 1.0
-        lam0 = m / gamma_fn(1 + 1 / k0)
-        inits = [
-            np.log([k0, lam0]),
-            np.log([k0 * 0.6, lam0 * 0.8]),
-            np.log([k0 * 1.8, lam0 * 1.2]),
-        ]
-
-        def nll(theta):
-            return -np.sum(_logpdf_weibull(x, np.exp(theta[0]), np.exp(theta[1])))
-
-        unpack = lambda th: {"shape": float(np.exp(th[0])), "scale": float(np.exp(th[1]))}
-    return nll, inits, unpack
 
 
 def fit_family(samples, family: str) -> FittedDistribution:
@@ -336,14 +353,23 @@ def fit_family(samples, family: str) -> FittedDistribution:
     """
     if family not in FAMILIES:
         raise ValueError(f"family {family!r} is not a fit candidate")
+    fam = _FAMILIES[family]
     x = _check_samples(samples, family)
-    n = len(x)
-    if family in (INVERSE_GAUSSIAN, LOG_NORMAL):
-        params, ll = _fit_closed_form(x, family)
+    if fam.estimate is not None:
+        params = fam.estimate(x)
+        ll = float(np.sum(fam.logpdf(x, **params)))
     else:
-        nll, inits, unpack = _nll_and_inits(x, family)
+        def unpack(theta):
+            return {k: float(np.exp(t) if k in fam.log_params else t)
+                    for k, t in zip(fam.params, theta)}
+
+        def nll(theta):
+            lp = fam.logpdf(x, **unpack(theta))
+            # off-support (GEV): large finite penalty keeps the simplex sane
+            return -np.sum(lp) if np.all(np.isfinite(lp)) else 1e300
+
         best = None
-        for theta0 in inits:
+        for theta0 in fam.starts(np.mean(x), np.std(x)):
             res = optimize.minimize(
                 nll, theta0, method="Nelder-Mead",
                 options={"xatol": 1e-8, "fatol": 1e-8, "maxfev": 2000},
@@ -354,8 +380,8 @@ def fit_family(samples, family: str) -> FittedDistribution:
             raise RuntimeError(f"{family} MLE did not converge from any start")
         params = unpack(best.x)
         ll = float(-best.fun)
-    k = len(_PARAM_NAMES[family])
-    return FittedDistribution(family=family, params=params, log_likelihood=ll, aic=2 * k - 2 * ll, n=n)
+    aic = 2 * len(fam.params) - 2 * ll
+    return FittedDistribution(family=family, params=params, log_likelihood=ll, aic=aic, n=len(x))
 
 
 def rank_families(samples, families=FAMILIES) -> list[FittedDistribution]:
@@ -423,32 +449,7 @@ def sample_distribution(dist: FittedDistribution, rng: np.random.Generator, size
     Weibull invert their CDFs; log-normal exponentiates a normal; gamma uses
     the generator's gamma stream.
     """
-    p = dist.params
-    n = 1 if size is None else size
-    if dist.family == INVERSE_GAUSSIAN:
-        mu, lam = p["mu"], p["lam"]
-        y = rng.standard_normal(n) ** 2
-        x = mu + mu**2 * y / (2 * lam) - mu / (2 * lam) * np.sqrt(4 * mu * lam * y + mu**2 * y**2)
-        u = rng.random(n)
-        out = np.where(u <= mu / (mu + x), x, mu**2 / x)
-    elif dist.family == GEV:
-        mu, sigma, xi = p["mu"], p["sigma"], p["xi"]
-        u = rng.random(n)
-        if abs(xi) < 1e-12:
-            out = mu - sigma * np.log(-np.log(u))
-        else:
-            out = mu + sigma * ((-np.log(u)) ** -xi - 1) / xi
-    elif dist.family == LOG_NORMAL:
-        out = np.exp(p["mu"] + p["sigma"] * rng.standard_normal(n))
-    elif dist.family == GAMMA:
-        out = rng.gamma(p["shape"], p["scale"], size=n)
-    elif dist.family == WEIBULL:
-        u = rng.random(n)
-        out = p["scale"] * (-np.log1p(-u)) ** (1.0 / p["shape"])
-    elif dist.family == UNIFORM:
-        out = rng.uniform(p["lo"], p["hi"], size=n)
-    else:  # DEGENERATE
-        out = np.full(n, p["value"])
+    out = _FAMILIES[dist.family].sample(rng, 1 if size is None else size, **dist.params)
     return float(out[0]) if size is None else out
 
 

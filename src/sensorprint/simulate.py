@@ -117,6 +117,16 @@ def _step_se(row_a: SweepRow, row_b: SweepRow) -> float:
     return float(np.hypot(se(row_a), se(row_b)))
 
 
+def _trend_holds(cells: list[SweepRow], falling: bool) -> bool:
+    """No step along ``cells`` moves accuracy against the expected direction
+    by more than 2 combined std-errors."""
+    for ra, rb in zip(cells, cells[1:]):
+        tol = 2 * _step_se(ra, rb)
+        if (rb.accuracy > ra.accuracy + tol) if falling else (rb.accuracy < ra.accuracy - tol):
+            return False
+    return True
+
+
 def sweep(k, N_values, D_values, runs, intra, inter, seed: int = 0) -> SweepResult:
     """Grid of simulations over (N, D) at fixed k, with trend diagnostics.
 
@@ -133,24 +143,10 @@ def sweep(k, N_values, D_values, runs, intra, inter, seed: int = 0) -> SweepResu
             row = SweepRow(k, N, D, runs, res.accuracy, res.ci_low, res.ci_high)
             rows.append(row)
             by_cell[(N, D)] = row
-    monotone_in_d = {}
-    for N in N_values:
-        ok = True
-        ds = sorted(D_values)
-        for a, b in zip(ds, ds[1:]):
-            ra, rb = by_cell[(N, a)], by_cell[(N, b)]
-            if rb.accuracy > ra.accuracy + 2 * _step_se(ra, rb):
-                ok = False
-        monotone_in_d[N] = ok
-    monotone_in_n = {}
-    for D in D_values:
-        ok = True
-        ns = sorted(N_values)
-        for a, b in zip(ns, ns[1:]):
-            ra, rb = by_cell[(a, D)], by_cell[(b, D)]
-            if rb.accuracy < ra.accuracy - 2 * _step_se(ra, rb):
-                ok = False
-        monotone_in_n[D] = ok
+    monotone_in_d = {N: _trend_holds([by_cell[(N, D)] for D in sorted(D_values)], falling=True)
+                     for N in N_values}
+    monotone_in_n = {D: _trend_holds([by_cell[(N, D)] for N in sorted(N_values)], falling=False)
+                     for D in D_values}
     return SweepResult(rows=rows, monotone_in_d=monotone_in_d, monotone_in_n=monotone_in_n)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sensorprint.classify import (
+    _confidence_interval,
     evaluate,
     knn_predict,
     rf_predict,
@@ -356,3 +357,16 @@ def test_protocol_ldml_runs():
     )
     assert res.classifier == "knn+ldml"
     assert res.avg_f_mean > 0.9
+
+
+def test_confidence_interval_t_quantile_matches_scipy_stats():
+    from scipy import stats
+    from scipy.special import stdtrit
+
+    for df in range(1, 200):
+        for level in (0.90, 0.95, 0.99):
+            assert stdtrit(df, 0.5 + level / 2) == stats.t.ppf(0.5 + level / 2, df), (df, level)
+    v = np.random.default_rng(0).random(7)
+    m = float(np.mean(v))
+    half = float(stats.t.ppf(0.975, 6) * v.std(ddof=1) / np.sqrt(7))
+    assert _confidence_interval(v) == (m - half, m + half)

@@ -329,6 +329,31 @@ def test_malformed_fit_json_exits_3(workdir, tmp_path, capsys, damage):
     assert "error:" in capsys.readouterr().err
 
 
+def _write_fit(path, kind, family, params, loglik=-10.0, n=50):
+    payload = {"class": kind, "family": family, "params": params,
+               "loglik": loglik, "aic": 2 * len(params) - 2 * loglik, "n": n}
+    path.write_text(json.dumps(payload))  # json writes NaN/Infinity literally
+
+
+@pytest.mark.parametrize("kind, family, params", [
+    ("inter", "GEV", {"mu": float("nan"), "sigma": 1.0, "xi": 0.1}),
+    ("intra", "UNIFORM", {"lo": float("-inf"), "hi": 1.0}),
+])
+def test_non_finite_fit_json_exits_3(tmp_path, capsys, kind, family, params):
+    # a NaN GEV location used to run to a sweep of accuracy 0.0 (exit 0), an
+    # infinite UNIFORM edge to an OverflowError in the sampler (exit 1)
+    fits = {"intra": tmp_path / "intra.json", "inter": tmp_path / "inter.json"}
+    _write_fit(fits["intra"], "intra", "LOG_NORMAL", {"mu": 0.0, "sigma": 0.5})
+    _write_fit(fits["inter"], "inter", "LOG_NORMAL", {"mu": 1.0, "sigma": 0.5})
+    _write_fit(fits[kind], kind, family, params)
+    out = tmp_path / "s.csv"
+    rc = main(["simulate", "--intra", str(fits["intra"]), "--inter", str(fits["inter"]),
+               "--device-counts", "10", "--runs", "10", "--out", str(out)])
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("damage", ["truncate", "drop_d_prime", "drop_means", "flat_L"])
 def test_malformed_metric_json_exits_3(workdir, tmp_path, capsys, damage):
     model = tmp_path / "m.json"

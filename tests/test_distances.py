@@ -5,15 +5,19 @@ recovery on self-generated draws, AIC contests with the true family in the
 candidate set, and KS distances of matched vs mismatched fits.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from sensorprint.distances import (
+    DEGENERATE,
     FAMILIES,
     GAMMA,
     GEV,
     INVERSE_GAUSSIAN,
     LOG_NORMAL,
+    UNIFORM,
     WEIBULL,
     DistancePopulation,
     FittedDistribution,
@@ -325,3 +329,62 @@ def test_fitted_json_round_trip(tmp_path):
     assert loaded.family == f.family
     assert loaded.params == pytest.approx(f.params)
     assert loaded.aic == pytest.approx(f.aic)
+
+
+# one parameter set per family, plus GEV at xi = 0, xi < 0 and xi >= 1
+PINNED_PARAMS = [
+    (INVERSE_GAUSSIAN, {"mu": 2.0, "lam": 6.0}),
+    (GEV, {"mu": 0.0, "sigma": 1.0, "xi": 0.2}),
+    (GEV, {"mu": 0.5, "sigma": 1.5, "xi": 0.0}),
+    (GEV, {"mu": 1.0, "sigma": 0.8, "xi": -0.3}),
+    (GEV, {"mu": 0.0, "sigma": 1.0, "xi": 1.2}),
+    (LOG_NORMAL, {"mu": 0.3, "sigma": 0.6}),
+    (GAMMA, {"shape": 2.5, "scale": 0.8}),
+    (WEIBULL, {"shape": 1.7, "scale": 2.2}),
+    (UNIFORM, {"lo": 0.5, "hi": 3.0}),
+    (DEGENERATE, {"value": 1.25}),
+]
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a, dtype=float)
+        # one NaN bit pattern: the sign of a NaN from an invalid operation
+        # is not part of any contract
+        h.update(np.where(np.isnan(a), np.nan, a).tobytes())
+    return h.hexdigest()
+
+
+def test_family_table_pinned():
+    # sha256 digests recorded from the per-family dispatch implementation;
+    # any change of arithmetic in a density, CDF, mean, sampler or fit moves
+    # them. The grid holds off-support points (x <= 0, beyond the GEV
+    # endpoints and the UNIFORM edges) and the DEGENERATE atom; the inner
+    # grid keeps GEV's logpdf from being -inf everywhere.
+    grid = np.concatenate([np.linspace(-1.0, 6.0, 141), [0.0, 1e-300, 1e6, -1e-3]])
+    inner = grid[(grid > 0.05) & (grid < 3.5)]
+    dists = [make_dist(f, **p) for f, p in PINNED_PARAMS]
+    with np.errstate(all="ignore"):
+        logpdf = _digest(distribution_logpdf(d, x) for d in dists for x in (grid, inner))
+        cdf = _digest(distribution_cdf(d, grid) for d in dists)
+        mean = _digest([[distribution_mean(d) for d in dists]])
+        draws = _digest(
+            sample_distribution(d, np.random.default_rng(100 + i), size=1000)
+            for i, d in enumerate(dists)
+        )
+        scalar = _digest([[sample_distribution(d, np.random.default_rng(7)) for d in dists]])
+    rng = np.random.default_rng(5)
+    samples = (rng.gamma(3.0, 0.7, 300), np.exp(rng.normal(0.2, 0.5, 300)))
+    fits = hashlib.sha256(repr([
+        (f.family, f.params, f.log_likelihood, f.aic, f.n)
+        for x in samples for f in (fit_family(x, fam) for fam in FAMILIES)
+    ]).encode()).hexdigest()
+    order = [f.family for f in rank_families(samples[0])]
+    assert logpdf == "1d2170b29c291ade603f6db212ebcee09ed0df7ae9e7052a13617ae167fd6fa3", "logpdf"
+    assert cdf == "ce2dd4f195d6e43979c7947a7afe0de3c5004f8d16320f170d5b8e54e24ef797", "cdf"
+    assert mean == "c5c197d41385178ae115958fd79bb7e5fd1499f902f336cb08dc6f83281e4956", "mean"
+    assert draws == "4cf6fd6faa2183197bf66e94ebaeb09c3299c560d50c931ac0b1436c46b56afe", "draws"
+    assert scalar == "515279c891f6e73d194c477daa05377e4515be85ab2083334e0aa69599baf3cb", "scalar draw"
+    assert fits == "2f9c2104fa18bf8ffb8bccae743a006a392127e392b00644385d355d8dadd725", "fit_family"
+    assert order == [GAMMA, WEIBULL, GEV, LOG_NORMAL, INVERSE_GAUSSIAN]

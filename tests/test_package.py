@@ -1,0 +1,52 @@
+"""Package-wide checks: what importing sensorprint pulls in, and the names
+the benchmark's tracer wraps."""
+
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sensorprint
+
+PKG_ROOT = Path(sensorprint.__file__).resolve().parent.parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def test_importing_every_module_leaves_scipy_stats_out():
+    # scipy.stats adds about a second to every CLI start and no module needs it
+    code = (
+        "import importlib, pkgutil, sys, sensorprint\n"
+        "mods = [m.name for m in pkgutil.iter_modules(sensorprint.__path__)]\n"
+        "for m in mods:\n"
+        "    importlib.import_module('sensorprint.' + m)\n"
+        "print(len(mods), 'scipy.stats' in sys.modules)\n"
+    )
+    pythonpath = os.pathsep.join(filter(None, [str(PKG_ROOT), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    n_modules, has_stats = proc.stdout.split()
+    assert int(n_modules) >= 9
+    assert has_stats == "False"
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="perfbench/ is not in this checkout")
+def test_traced_names_exist(monkeypatch):
+    # a renamed or deleted function would otherwise break only the traced
+    # benchmark run (perfbench/run.py --trace 1)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.PACKAGE == "sensorprint"
+    missing = [
+        f"{mod}.{name}"
+        for mod, names in tracer.TARGETS.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"sensorprint.{mod}"), name, None))
+    ]
+    assert missing == []
