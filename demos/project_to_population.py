@@ -27,7 +27,7 @@ def main() -> None:
     print("learning the metric ...")
     model = train_ldml(table.X, table.device_ids, seed=0)
 
-    intra, inter = pairwise_distances(table.by_device(), model=model)
+    intra, inter = pairwise_distances(table.X, table.device_ids, model=model)
     print(f"distance populations: {intra.n} same-device, {inter.n} cross-device")
 
     fits = {}

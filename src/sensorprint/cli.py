@@ -171,9 +171,9 @@ def cmd_distfit(args) -> int:
     from .features import load_features_csv
     from .metric import load_metric_model
 
-    by_dev = load_features_csv(args.features).by_device()
+    table = load_features_csv(args.features)
     model = load_metric_model(args.metric_model) if args.metric_model else None
-    intra_pop, inter_pop = pairwise_distances(by_dev, model)
+    intra_pop, inter_pop = pairwise_distances(table.X, table.device_ids, model)
     report = {"command": "distfit", "config": _config_echo(args)}
     for pop, out_path in ((intra_pop, args.intra_out), (inter_pop, args.inter_out)):
         ranking = rank_families(pop.values)

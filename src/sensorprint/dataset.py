@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -163,21 +163,15 @@ class DevicePrior:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DevicePrior":
-        kwargs = {}
-        for key in ("accel_gain", "accel_offset", "gyro_gain", "gyro_offset"):
-            if key in d:
-                lo, hi = d[key]
-                kwargs[key] = (float(lo), float(hi))
-        for key in ("noise_sigma_accel", "noise_sigma_gyro"):
-            if key in d:
-                kwargs[key] = float(d[key])
-        unknown = set(d) - {
-            "accel_gain", "accel_offset", "gyro_gain", "gyro_offset",
-            "noise_sigma_accel", "noise_sigma_gyro",
-        }
+        """Ranges are [lo, hi] pairs (see ``_prior_range``); noise sigmas are
+        finite numbers >= 0."""
+        if not isinstance(d, dict):
+            raise ValueError("device prior must be a JSON object")
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown device-prior keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        return cls(**{key: _prior_number(key, v, low=0.0) if key.startswith("noise_sigma")
+                      else _prior_range(key, v) for key, v in d.items()})
 
     @classmethod
     def from_file(cls, path) -> "DevicePrior":
@@ -195,6 +189,26 @@ class DevicePrior:
         )
 
 
+def _prior_number(key: str, v, low: float = -np.inf) -> float:
+    """A finite number >= low; NaN, infinities and integers beyond the float
+    range fail the comparisons."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        if low <= v and abs(v) <= np.finfo(float).max:
+            return float(v)
+    raise ValueError(f"device prior {key!r}: {v!r} is not a finite number"
+                     + (f" >= {low}" if low > -np.inf else ""))
+
+
+def _prior_range(key: str, pair) -> tuple[float, float]:
+    """A [lo, hi] pair of finite numbers with lo <= hi, and lo > 0 for a gain."""
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        lo, hi = (_prior_number(key, v) for v in pair)
+        if lo <= hi and (lo > 0 or not key.endswith("gain")):
+            return lo, hi
+    raise ValueError(f"device prior {key!r}: {pair!r} is not a [lo, hi] range with lo <= hi"
+                     + (" and lo > 0" if key.endswith("gain") else ""))
+
+
 RECORD_KEYS = ("device_id", "sample_id", "t", "ax", "ay", "az", "gx", "gy", "gz")
 
 
@@ -202,18 +216,21 @@ def _sample_from_record(rec: dict, lineno: int) -> tuple[RawSample, str | None]:
     missing = [k for k in RECORD_KEYS if k not in rec]
     if missing:
         raise ValueError(f"line {lineno}: missing keys {missing}")
-    t = np.asarray(rec["t"], dtype=float)
-    cols = {}
-    for k in ("ax", "ay", "az", "gx", "gy", "gz"):
-        cols[k] = np.asarray(rec[k], dtype=float)
-        if cols[k].shape != t.shape:
+    try:
+        t, *cols = (np.asarray(rec[k], dtype=float) for k in RECORD_KEYS[2:])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"line {lineno}: readings must be arrays of numbers ({e})") from None
+    if t.ndim != 1:
+        raise ValueError(f"line {lineno}: 't' must be a 1-d array")
+    for k, v in zip(RECORD_KEYS[3:], cols):
+        if v.shape != t.shape:
             raise ValueError(f"line {lineno}: array {k!r} length differs from t")
     sample = RawSample(
         device_id=str(rec["device_id"]),
         sample_id=str(rec["sample_id"]),
         timestamps=t,
-        accel=np.column_stack([cols["ax"], cols["ay"], cols["az"]]),
-        gyro=np.column_stack([cols["gx"], cols["gy"], cols["gz"]]),
+        accel=np.column_stack(cols[:3]),
+        gyro=np.column_stack(cols[3:]),
     )
     return sample, rec.get("countermeasure")
 

@@ -92,34 +92,41 @@ class FittedDistribution:
             raise ValueError(f"{self.family} params outside domain: {self.params}")
 
 
-def pairwise_distances(vectors_by_device: dict, model=None) -> tuple[DistancePopulation, DistancePopulation]:
+def pairwise_distances(X, device_ids, model=None) -> tuple[DistancePopulation, DistancePopulation]:
     """Split all unordered pairwise distances into intra/inter populations.
 
-    ``vectors_by_device`` maps device id -> matrix of feature vectors. When a
-    metric model is given, vectors are transformed first and distances are
-    Euclidean in the learned space. Devices with a single sample contribute
-    only cross-device pairs.
+    Row i of ``X`` is a capture of ``device_ids[i]``; devices come in
+    first-seen order, each with its rows in ``X`` order. When a metric model
+    is given, the rows are transformed first and distances are Euclidean in
+    the learned space. Devices with a single sample contribute only
+    cross-device pairs.
     """
+    from .features import rows_by_device
     from .metric import transform
 
-    if len(vectors_by_device) < 2:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or len(X) != len(device_ids):
+        raise ValueError("feature rows and device ids must align")
+    groups = list(rows_by_device(device_ids).values())
+    if len(groups) < 2:
         raise ValueError("need >= 2 devices")
-    devs = list(vectors_by_device)
-    mats = []
-    for d in devs:
-        V = np.atleast_2d(np.asarray(vectors_by_device[d], dtype=float))
-        mats.append(transform(model, V) if model is not None else V)
-    intra = []
-    for V in mats:
+    if model is not None:
+        X = transform(model, X)
+    G = X[np.concatenate(groups)]  # rows grouped by device
+    starts = np.cumsum([0] + [len(g) for g in groups])
+    intra, inter = [], []
+    for a in range(len(groups)):
+        V, later = G[starts[a]:starts[a + 1]], G[starts[a + 1]:]
         if len(V) >= 2:
             i, j = np.triu_indices(len(V), k=1)
             diff = V[i] - V[j]
             intra.append(np.sqrt(np.sum(diff * diff, axis=1)))
-    inter = []
-    for a in range(len(devs)):
-        for b in range(a + 1, len(devs)):
-            diff = mats[a][:, None, :] - mats[b][None, :, :]
-            inter.append(np.sqrt(np.sum(diff * diff, axis=2)).ravel())
+        # device a against all later rows at once, cut into one row-major
+        # block per later device
+        diff = V[:, None, :] - later[None, :, :]
+        diff *= diff
+        d = np.sqrt(np.sum(diff, axis=2))
+        inter.extend(blk.ravel() for blk in np.split(d, starts[a + 2:-1] - starts[a + 1], axis=1))
     if not intra:
         raise ValueError("no eligible pairs: no device has >= 2 samples")
     return (
@@ -146,7 +153,7 @@ class _Family:
     cdf: Callable[..., np.ndarray]
     mean: Callable[..., float]
     sample: Callable[..., np.ndarray]
-    positive: bool = False  # fits require strictly positive samples
+    positive: bool = False  # support x > 0; fits require strictly positive samples
     estimate: Callable[[np.ndarray], dict] | None = None
     starts: Callable[[float, float], list] | None = None
     log_params: tuple[str, ...] = ()
@@ -182,9 +189,9 @@ def _gev_logpdf(x, mu, sigma, xi):
     if abs(xi) < 1e-12:
         return -np.log(sigma) - z - np.exp(-z)
     t = 1 + xi * z
-    if np.any(t <= 0):
-        return np.full(np.shape(x), -np.inf)
-    return -np.log(sigma) - (1 + 1 / xi) * np.log(t) - t ** (-1 / xi)
+    off = t <= 0
+    t = np.where(off, 1.0, t)  # off the support: -inf, without a log of t <= 0
+    return np.where(off, -np.inf, -np.log(sigma) - (1 + 1 / xi) * np.log(t) - t ** (-1 / xi))
 
 
 def _gev_cdf(x, mu, sigma, xi):
@@ -313,15 +320,20 @@ _FAMILIES = {
     ),
 }
 
-POSITIVE_ONLY = tuple(f for f in FAMILIES if _FAMILIES[f].positive)
+def _evaluate(dist: FittedDistribution, f, x, below_zero: float) -> np.ndarray:
+    """``f`` at x; a positive family gives ``below_zero`` at x < 0, where f
+    sees x = 1 instead so that no invalid-value warning escapes."""
+    x = np.asarray(x, dtype=float)
+    neg = (x < 0) & _FAMILIES[dist.family].positive
+    return np.where(neg, below_zero, f(np.where(neg, 1.0, x), **dist.params))
 
 
 def distribution_logpdf(dist: FittedDistribution, x) -> np.ndarray:
-    return _FAMILIES[dist.family].logpdf(np.asarray(x, dtype=float), **dist.params)
+    return _evaluate(dist, _FAMILIES[dist.family].logpdf, x, -np.inf)
 
 
 def distribution_cdf(dist: FittedDistribution, x) -> np.ndarray:
-    return _FAMILIES[dist.family].cdf(np.asarray(x, dtype=float), **dist.params)
+    return _evaluate(dist, _FAMILIES[dist.family].cdf, x, 0.0)
 
 
 def distribution_mean(dist: FittedDistribution) -> float:
@@ -407,7 +419,8 @@ class SubsetStability:
 
 
 def subset_stability(
-    vectors_by_device: dict,
+    X,
+    device_ids,
     model=None,
     n_subsets: int = 4,
     families=FAMILIES,
@@ -416,9 +429,14 @@ def subset_stability(
 ) -> SubsetStability:
     """Random equal split of the devices; check the top family holds per subset.
 
-    ``kind`` selects which distance population ("intra" or "inter") is fit.
+    ``X`` and ``device_ids`` are as for ``pairwise_distances``. ``kind``
+    selects which distance population ("intra" or "inter") is fit.
     """
-    devs = list(vectors_by_device)
+    from .features import rows_by_device
+
+    X, device_ids = np.asarray(X, dtype=float), np.asarray(device_ids, dtype=str)
+    groups = rows_by_device(device_ids)
+    devs = list(groups)
     if n_subsets > len(devs):
         raise ValueError("more subsets than devices")
     if len(devs) < 2 * n_subsets:
@@ -426,13 +444,13 @@ def subset_stability(
     which = {"intra": 0, "inter": 1}[kind]
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(devs))
-    groups = np.array_split(order, n_subsets)
-    full = rank_families(pairwise_distances(vectors_by_device, model)[which].values, families)
+    full = rank_families(pairwise_distances(X, device_ids, model)[which].values, families)
     subsets, rankings = [], []
-    for g in groups:
-        sub = {devs[i]: vectors_by_device[devs[i]] for i in g}
-        subsets.append(list(sub))
-        rankings.append(rank_families(pairwise_distances(sub, model)[which].values, families))
+    for g in np.array_split(order, n_subsets):
+        subsets.append([devs[i] for i in g])
+        rows = np.concatenate([groups[d] for d in subsets[-1]])
+        pop = pairwise_distances(X[rows], device_ids[rows], model)[which]
+        rankings.append(rank_families(pop.values, families))
     top = full[0].family
     agreement = all(r[0].family == top for r in rankings)
     return SubsetStability(kind, subsets, rankings, full, agreement)

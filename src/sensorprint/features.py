@@ -7,10 +7,11 @@ dropped. Constant or silent streams would make several definitions blow up,
 so: skewness/kurtosis are 0 when the variance is 0, and all 15 spectral
 features are 0 when the spectrum carries no energy.
 
+A capture's features are one (100,) row; a dataset's are a ``FeatureTable``.
 One batched kernel computes the features of every row of an (m, n) stream
 matrix; the per-series functions pass it one row, ``featurize`` one
-capture's four rows, and ``featurize_dataset`` blocks of captures whose
-streams have equal length. The degenerate rules above are per-row masks
+capture's (4, n) stream matrix, and ``featurize_dataset`` blocks of captures
+whose streams have equal length. The degenerate rules above are per-row masks
 applied after the arithmetic, which runs under ``np.errstate`` so no warning
 escapes. Each row's features are bit for bit those of the row alone, because
 row sums and means of a C-contiguous matrix reduce exactly as a 1-d array
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RawSample
-from .preprocess import DEFAULT_FS, STREAM_KEYS, StreamSet, build_streams
+from .preprocess import DEFAULT_FS, STREAM_KEYS, build_streams
 
 TEMPORAL_NAMES = (
     "mean", "std", "avg_dev", "skewness", "kurtosis",
@@ -60,18 +61,12 @@ def feature_names() -> list[str]:
     return [f"{key}.{name}" for key in STREAM_KEYS for name in per_stream]
 
 
-@dataclass
-class FeatureVector:
-    device_id: str
-    sample_id: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (N_TOTAL,):
-            raise ValueError(f"feature vector must have length {N_TOTAL}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature vector contains non-finite values")
+def rows_by_device(device_ids) -> dict[str, np.ndarray]:
+    """Device -> the indices of its rows; devices in first-seen order."""
+    rows: dict[str, list[int]] = {}
+    for i, dev in enumerate(np.asarray(device_ids, dtype=str).tolist()):
+        rows.setdefault(dev, []).append(i)
+    return {dev: np.array(idx) for dev, idx in rows.items()}
 
 
 @dataclass
@@ -95,15 +90,8 @@ class FeatureTable:
             raise ValueError("feature table contains non-finite values")
 
     def device_rows(self) -> dict[str, np.ndarray]:
-        """Device -> its row indices; devices in first-seen order, rows ascending."""
-        rows: dict[str, list[int]] = {}
-        for i, dev in enumerate(self.device_ids.tolist()):
-            rows.setdefault(dev, []).append(i)
-        return {dev: np.array(idx) for dev, idx in rows.items()}
-
-    def by_device(self) -> dict[str, np.ndarray]:
-        """Device -> its feature matrix, in ``device_rows`` order."""
-        return {dev: self.X[idx] for dev, idx in self.device_rows().items()}
+        """Device -> its row indices, as ``rows_by_device`` groups them."""
+        return rows_by_device(self.device_ids)
 
     def eligible(self, min_samples: int) -> "FeatureTable":
         """The rows of devices with at least ``min_samples`` captures."""
@@ -266,15 +254,15 @@ def _stream_features(S, fs: float) -> np.ndarray:
     return np.hstack([_temporal_rows(S), _spectral_rows(S, fs)])
 
 
-def featurize(streams: StreamSet, device_id: str = "", sample_id: str = "") -> FeatureVector:
-    """Concatenate the 25 per-stream features in stream-major order."""
-    S = np.stack([streams.streams[key] for key in STREAM_KEYS])
-    return FeatureVector(device_id, sample_id, _stream_features(S, streams.fs).ravel())
+def featurize(streams, fs: float) -> np.ndarray:
+    """The (100,) feature row of one capture's (4, n) stream matrix sampled
+    at ``fs``: the 25 features of each stream, in stream-major order."""
+    return _stream_features(streams, fs).ravel()
 
 
-def featurize_sample(sample: RawSample, fs_target: float = DEFAULT_FS) -> FeatureVector:
-    """RawSample -> resampled streams -> feature vector, ids carried through."""
-    return featurize(build_streams(sample, fs_target), sample.device_id, sample.sample_id)
+def featurize_sample(sample: RawSample, fs_target: float = DEFAULT_FS) -> np.ndarray:
+    """RawSample -> resampled streams -> its (100,) feature row."""
+    return featurize(build_streams(sample, fs_target), fs_target)
 
 
 def featurize_dataset(dataset: Dataset, fs_target: float = DEFAULT_FS) -> FeatureTable:
@@ -290,16 +278,16 @@ def featurize_dataset(dataset: Dataset, fs_target: float = DEFAULT_FS) -> Featur
     pending: dict[int, tuple[list[int], list[np.ndarray]]] = {}
 
     def flush(length: int) -> None:
-        idx, rows = pending.pop(length)
-        X[idx] = _stream_features(np.stack(rows), fs_target).reshape(len(idx), N_TOTAL)
+        idx, mats = pending.pop(length)
+        X[idx] = _stream_features(np.concatenate(mats), fs_target).reshape(len(idx), N_TOTAL)
 
     for i, s in enumerate(samples):
-        ss = build_streams(s, fs_target)
-        idx, rows = pending.setdefault(ss.length, ([], []))
+        S = build_streams(s, fs_target)
+        idx, mats = pending.setdefault(S.shape[1], ([], []))
         idx.append(i)
-        rows.extend(ss.streams[key] for key in STREAM_KEYS)
+        mats.append(S)
         if len(idx) == BLOCK_CAPTURES:
-            flush(ss.length)
+            flush(S.shape[1])
     for length in list(pending):
         flush(length)
     return FeatureTable(X, [s.device_id for s in samples], [s.sample_id for s in samples])

@@ -4,12 +4,11 @@ Hardware delivers readings at irregular instants, so every capture is
 resampled onto a uniform grid before feature extraction. The accelerometer
 is collapsed to its magnitude (orientation-free, gravity included); the
 gyroscope keeps its three axes separate since rotation has no baseline to
-collapse against.
+collapse against. A capture's streams are the rows of one (4, n) matrix, in
+STREAM_KEYS order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -19,34 +18,6 @@ from .dataset import RawSample
 STREAM_KEYS = ("A_MAG", "GYRO_X", "GYRO_Y", "GYRO_Z")
 
 DEFAULT_FS = 100.0  # Hz
-
-MIN_STREAM_LEN = 8
-
-
-@dataclass
-class StreamSet:
-    """Four equal-length uniform series for one capture, keyed by STREAM_KEYS."""
-
-    fs: float
-    streams: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
-        if set(self.streams) != set(STREAM_KEYS):
-            raise ValueError(f"streams must be keyed exactly {STREAM_KEYS}")
-        lens = {len(v) for v in self.streams.values()}
-        if len(lens) != 1:
-            raise ValueError("stream lengths differ")
-        n = lens.pop()
-        if n < MIN_STREAM_LEN:
-            raise ValueError(f"streams too short ({n} < {MIN_STREAM_LEN})")
-        if np.any(self.streams["A_MAG"] < 0):
-            raise ValueError("A_MAG must be non-negative")
-
-    @property
-    def length(self) -> int:
-        return len(self.streams["A_MAG"])
 
 
 def magnitude(accel) -> np.ndarray:
@@ -83,15 +54,15 @@ def interpolate_uniform(timestamps, values, fs_target: float) -> np.ndarray:
     return spline(grid)
 
 
-def build_streams(sample: RawSample, fs_target: float = DEFAULT_FS) -> StreamSet:
-    """Resample one capture into its four canonical streams.
+def build_streams(sample: RawSample, fs_target: float = DEFAULT_FS) -> np.ndarray:
+    """Resample one capture into its four canonical streams, as the rows of a
+    C-contiguous (4, n) matrix in STREAM_KEYS order.
 
     One spline is fitted over the four source columns (|a| and the three gyro
-    axes); each stream is a C-contiguous row of the transposed result.
-    Interpolating the magnitude can undershoot zero between knots, so the
-    resampled A_MAG is clamped at 0.
+    axes) and the result is transposed. Interpolating the magnitude can
+    undershoot zero between knots, so the resampled A_MAG row is clamped at 0.
     """
     columns = np.column_stack([magnitude(sample.accel), sample.gyro])
     rows = interpolate_uniform(sample.timestamps, columns, fs_target).T.copy()
     np.maximum(rows[0], 0.0, out=rows[0])
-    return StreamSet(fs=fs_target, streams=dict(zip(STREAM_KEYS, rows)))
+    return rows

@@ -225,16 +225,17 @@ def validate_against_empirical(
         table, "knn", train_per_device, repeats, seed, k=k, use_ldml=use_ldml,
     )
 
-    vecs = table.eligible(train_per_device + 1).by_device()
-    X_all = np.vstack(list(vecs.values()))
-    model = None
+    eligible = table.eligible(train_per_device + 1)
+    # rows grouped by device: LDML's pair draws and the standardization
+    # sums depend on row order, and the fits have always seen this one
+    rows = np.concatenate(list(eligible.device_rows().values()))
+    X, ids, model = eligible.X[rows], eligible.device_ids[rows], None
     if use_ldml:
-        y_all = np.concatenate([[d] * len(v) for d, v in vecs.items()])
-        model = train_ldml(X_all, y_all, seed=seed)
+        model = train_ldml(X, ids, seed=seed)
     else:
-        means, stds = standardize_fit(X_all)
-        vecs = {d: (v - means) / stds for d, v in vecs.items()}
-    intra_pop, inter_pop = pairwise_distances(vecs, model)
+        means, stds = standardize_fit(X)
+        X = (X - means) / stds
+    intra_pop, inter_pop = pairwise_distances(X, ids, model)
     intra_fit = fit_top(intra_pop.values)
     inter_fit = fit_top(inter_pop.values)
 

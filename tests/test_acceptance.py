@@ -106,7 +106,7 @@ def test_c04_population_scale_trend(feats50):
     # identification accuracy out to populations far beyond the dataset
     t0 = time.monotonic()
     model = train_ldml(feats50.X, feats50.device_ids, seed=0)
-    intra_pop, inter_pop = pairwise_distances(feats50.by_device(), model=model)
+    intra_pop, inter_pop = pairwise_distances(feats50.X, feats50.device_ids, model=model)
     intra_fit = rank_families(intra_pop.values)[0]
     inter_fit = rank_families(inter_pop.values)[0]
     res = sweep(1, [3], [100, 1_000, 10_000, 100_000], 10_000,
@@ -280,7 +280,7 @@ def test_c10_feature_invariance_suite(feats50):
                      accel=np.tile([0.0, 0.0, 9.81], (n, 1)),
                      gyro=np.zeros((n, 3)))
     fv = featurize_sample(flat)
-    assert fv.values.shape == (100,) and np.all(np.isfinite(fv.values))
+    assert fv.shape == (100,) and np.all(np.isfinite(fv))
 
     # index map into the temporal block: mean std avg_dev skew kurt rms min max zcr nonneg
     shift_add = [0, 6, 7]          # track an additive shift one-for-one

@@ -57,6 +57,37 @@ def test_malformed_input_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_scalar_readings_exit_3(tmp_path, capsys):
+    rec = {"device_id": "a", "sample_id": "s", "t": 5,
+           "ax": 1, "ay": 1, "az": 1, "gx": 1, "gy": 1, "gz": 1}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n" + json.dumps(rec) + "\n")
+    rc = main(["ingest", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")])
+    assert rc == 3
+    assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prior", [
+    '{"accel_gain": 5}',
+    "5",
+    '{"noise_sigma_accel": [1]}',
+    '{"noise_sigma_accel": NaN}',
+    '{"noise_sigma_gyro": Infinity}',
+    '{"noise_sigma_gyro": -0.1}',
+    '{"accel_gain": [1.05, 0.95]}',
+    '{"gyro_gain": [0, 1]}',
+    '{"accel_offset": [0, Infinity]}',
+    '{"gyro_offset": ["0", 1]}',
+])
+def test_synth_refuses_bad_prior(tmp_path, capsys, prior):
+    p = tmp_path / "prior.json"
+    p.write_text(prior)
+    rc = main(["synth", "--prior", str(p), "--devices", "2", "--samples", "2",
+               "--out", str(tmp_path / "o.jsonl")])
+    assert rc == 3
+    assert "device prior" in capsys.readouterr().err
+
+
 def test_same_in_and_out_path_exits_3(workdir):
     path = str(workdir / "data.jsonl")
     assert main(["ingest", "--in", path, "--out", path]) == 3

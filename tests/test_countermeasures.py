@@ -302,7 +302,7 @@ def test_quantization_collapses_small_offsets_to_chance():
     )
     ds = generate_synthetic(12, 5, device_prior=prior, seed=13)
     q = apply_countermeasure(ds, "quantize")
-    feats = np.array([featurize_sample(s, 100.0).values for s in q.samples])
+    feats = np.array([featurize_sample(s, 100.0) for s in q.samples])
     assert np.all(feats == feats[0])
     rep = privacy_impact(ds, "quantize", classifier="knn", train_per_device=3, repeats=3, seed=0)
     chance = 1.0 / 12

@@ -6,6 +6,7 @@ candidate set, and KS distances of matched vs mismatched fits.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -44,19 +45,25 @@ IG26 = lambda: make_dist(INVERSE_GAUSSIAN, mu=2.0, lam=6.0)
 GEV02 = lambda: make_dist(GEV, mu=0.0, sigma=1.0, xi=0.2)
 
 
+def flat(vecs):
+    """Device -> matrix of rows, as the row-aligned (X, device_ids) pair."""
+    X = np.vstack(list(vecs.values()))
+    return X, np.repeat(list(vecs), [len(v) for v in vecs.values()])
+
+
 def test_pairwise_duplicate_geometry():
     vecs = {
         "a": np.array([[0.0, 0.0], [0.0, 0.0]]),
         "b": np.array([[3.0, 4.0], [3.0, 4.0]]),
     }
-    intra, inter = pairwise_distances(vecs)
+    intra, inter = pairwise_distances(*flat(vecs))
     np.testing.assert_array_equal(intra.values, [0.0, 0.0])
     np.testing.assert_allclose(inter.values, [5.0, 5.0, 5.0, 5.0])
 
 
 def test_pairwise_hand_enumeration():
     vecs = {"A": np.array([[0.0], [1.0]]), "B": np.array([[10.0]])}
-    intra, inter = pairwise_distances(vecs)
+    intra, inter = pairwise_distances(*flat(vecs))
     np.testing.assert_array_equal(intra.values, [1.0])
     np.testing.assert_array_equal(np.sort(inter.values), [9.0, 10.0])
 
@@ -65,7 +72,7 @@ def test_pairwise_counting_formula():
     rng = np.random.default_rng(0)
     for D, n in [(2, 2), (3, 4), (5, 3)]:
         vecs = {f"d{i}": rng.normal(size=(n, 6)) for i in range(D)}
-        intra, inter = pairwise_distances(vecs)
+        intra, inter = pairwise_distances(*flat(vecs))
         assert intra.n == D * n * (n - 1) // 2
         assert inter.n == n * n * D * (D - 1) // 2
 
@@ -76,15 +83,71 @@ def test_pairwise_applies_metric_model():
     # L doubles coordinates: all distances double
     vecs = {"A": np.array([[0.0], [1.0]]), "B": np.array([[10.0]])}
     model = MetricModel(np.zeros(1), np.ones(1), 2.0 * np.eye(1), 0.0, 0)
-    intra, inter = pairwise_distances(vecs, model)
+    intra, inter = pairwise_distances(*flat(vecs), model)
     np.testing.assert_array_equal(intra.values, [2.0])
     np.testing.assert_array_equal(np.sort(inter.values), [18.0, 20.0])
+
+
+def test_pairwise_distances_pinned():
+    # sha256 of the intra and inter values and of subset_stability rankings
+    # on a featurized 20 x 5 fleet, recorded from the dict-of-device-matrices
+    # implementation; rows interleaved across devices give the grouped values
+    import json
+
+    from sensorprint.dataset import generate_synthetic
+    from sensorprint.features import featurize_dataset
+    from sensorprint.metric import train_ldml
+
+    def digest(a):
+        return hashlib.sha256(np.asarray(a).tobytes()).hexdigest()
+
+    def ranking_digest(res):
+        fits = [[(f.family, f.params, f.log_likelihood) for f in r]
+                for r in res.rankings + [res.full_ranking]]
+        return digest(json.dumps([res.subsets, fits]).encode())
+
+    table = featurize_dataset(generate_synthetic(20, 5, seed=0))
+    X, ids = table.X, table.device_ids
+    model = train_ldml(X, ids, iterations=20, seed=0)
+    interleaved = np.argsort(np.arange(len(X)) % 5, kind="stable")
+    # the last device keeps only its last capture
+    single = np.flatnonzero((ids != ids[-1]) | (np.arange(len(X)) == len(X) - 1))
+    full = {
+        "raw": ("af2aa0d1a9122fbef44ab31b76a0ec96cbf344b3deb904aa0949d2cd1916393e",
+                "8070a612da55644eff2a930297a927ecb5f5980ae38713cae31507724151dad8"),
+        "ldml": ("6ea341ed230b19a39fdcc5f9a7f819dc9b54a91dae7b39427ae61566ecc98806",
+                 "7e55fc922007e27f580c063ff361bf6dca22bbd8cdd18a5465bf3c84df2cd9a6"),
+    }
+    expected = {
+        ("grouped", "raw"): full["raw"],
+        ("grouped", "ldml"): full["ldml"],
+        ("interleaved", "raw"): full["raw"],
+        ("interleaved", "ldml"): full["ldml"],
+        ("single", "raw"): (
+            "efd6365c4dde139165971ecbf183a1737b42317d437d739da9ee02615e30a581",
+            "c978a844db9573e85f29c7b9b695dd9d8e32c962d121f2b1aed3d5de52a16c88"),
+        ("single", "ldml"): (
+            "42f4d616f6a27c2fbf55fd8893eca0fd2c9d53f18fbb98a61db9d0cbf8a9b368",
+            "2e04b89396a0db8eff6d1bef5d2b44aeeda16872ec494e4ecfb29d38f1b85a11"),
+    }
+    cases = {"grouped": np.arange(len(X)), "interleaved": interleaved, "single": single}
+    models = {"raw": None, "ldml": model}
+    for (case, m), (intra_digest, inter_digest) in expected.items():
+        rows = cases[case]
+        intra, inter = pairwise_distances(X[rows], ids[rows], models[m])
+        got = (digest(intra.values), digest(inter.values))
+        assert got == (intra_digest, inter_digest), (case, m)
+    Xi, idsi = X[interleaved], ids[interleaved]
+    res = subset_stability(Xi, idsi, model, n_subsets=2, seed=3, kind="intra")
+    assert ranking_digest(res) == "7c1d31d76cde3417f889fd551f98e184ef459f5f3734b769d040491dbfb6b91f"
+    res = subset_stability(Xi, idsi, None, n_subsets=4, seed=1, kind="inter")
+    assert ranking_digest(res) == "dc546e8612a7352f0266fe66e4b388f1f59aa7992c9c5b98572f87873bd3a5c8"
 
 
 def test_pairwise_needs_same_device_pairs():
     vecs = {"A": np.array([[0.0]]), "B": np.array([[1.0]])}
     with pytest.raises(ValueError, match="eligible"):
-        pairwise_distances(vecs)
+        pairwise_distances(*flat(vecs))
 
 
 def test_population_rejects_negative_values():
@@ -273,7 +336,7 @@ def test_subset_stability_on_ig_populations():
     for d in range(8):
         # 1-d vectors: many samples per device so intra pairs dominate
         vecs[f"dev{d}"] = rng.normal(0.0, 1.0, size=(12, 3)) + 10.0 * d
-    res = subset_stability(vecs, n_subsets=4, seed=1, kind="intra")
+    res = subset_stability(*flat(vecs), n_subsets=4, seed=1, kind="intra")
     assert len(res.subsets) == 4
     assert sorted(sum(res.subsets, [])) == sorted(vecs)
     assert res.agreement == all(
@@ -288,7 +351,7 @@ def test_subset_stability_agreement_on_ig_data():
     draws = sample_distribution(IG26(), rng, size=240)
     vecs = {f"dev{d:03d}": np.array([[0.0], [draws[d]]]) for d in range(240)}
     res = subset_stability(
-        vecs, n_subsets=4, seed=0, families=(INVERSE_GAUSSIAN, WEIBULL), kind="intra"
+        *flat(vecs), n_subsets=4, seed=0, families=(INVERSE_GAUSSIAN, WEIBULL), kind="intra"
     )
     assert res.agreement is True
     assert res.full_ranking[0].family == INVERSE_GAUSSIAN
@@ -299,16 +362,16 @@ def test_subset_stability_agreement_on_ig_data():
 def test_subset_stability_too_few_devices():
     vecs = {f"d{i}": np.zeros((2, 2)) for i in range(3)}
     with pytest.raises(ValueError, match="subsets|devices"):
-        subset_stability(vecs, n_subsets=4)
+        subset_stability(*flat(vecs), n_subsets=4)
     with pytest.raises(ValueError, match="devices"):
-        subset_stability({f"d{i}": np.zeros((2, 2)) for i in range(5)}, n_subsets=4)
+        subset_stability(*flat({f"d{i}": np.zeros((2, 2)) for i in range(5)}), n_subsets=4)
 
 
 def test_subset_stability_deterministic():
     rng = np.random.default_rng(13)
     vecs = {f"dev{d}": rng.normal(size=(10, 4)) + 3 * d for d in range(8)}
-    r1 = subset_stability(vecs, n_subsets=2, seed=5, kind="inter")
-    r2 = subset_stability(vecs, n_subsets=2, seed=5, kind="inter")
+    r1 = subset_stability(*flat(vecs), n_subsets=2, seed=5, kind="inter")
+    r2 = subset_stability(*flat(vecs), n_subsets=2, seed=5, kind="inter")
     assert r1.subsets == r2.subsets
     assert [x[0].family for x in r1.rankings] == [x[0].family for x in r2.rankings]
 
@@ -356,12 +419,46 @@ def _digest(arrays) -> str:
     return h.hexdigest()
 
 
+@pytest.mark.parametrize("family,params", [
+    (INVERSE_GAUSSIAN, {"mu": 2.0, "lam": 6.0}),
+    (LOG_NORMAL, {"mu": 0.3, "sigma": 0.6}),
+    (GAMMA, {"shape": 2.5, "scale": 0.8}),
+    (WEIBULL, {"shape": 2.0, "scale": 1.0}),
+])
+def test_positive_families_below_zero(family, params):
+    d = make_dist(family, **params)
+    x = np.array([-1.0, -1e-3, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lp = distribution_logpdf(d, x)
+        c = distribution_cdf(d, x)
+        assert distribution_cdf(d, -1.0) == 0.0
+        assert distribution_logpdf(d, -1.0) == -np.inf
+    np.testing.assert_array_equal(lp[:2], -np.inf)
+    np.testing.assert_array_equal(c[:2], 0.0)
+    # x >= 0 is evaluated as if no negative point were present
+    assert lp[2] == distribution_logpdf(d, [1.0])[0]
+    assert c[2] == distribution_cdf(d, [1.0])[0]
+
+
+def test_gev_logpdf_is_per_point_off_support():
+    d = make_dist(GEV, mu=1.0, sigma=0.8, xi=-0.3)  # upper endpoint 1 + 0.8 / 0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lp = distribution_logpdf(d, [1.0, 5.0])
+    assert lp[0] == distribution_logpdf(d, [1.0])[0] == pytest.approx(np.log(1.25) - 1.0)
+    assert lp[1] == -np.inf
+
+
 def test_family_table_pinned():
     # sha256 digests recorded from the per-family dispatch implementation;
     # any change of arithmetic in a density, CDF, mean, sampler or fit moves
     # them. The grid holds off-support points (x <= 0, beyond the GEV
     # endpoints and the UNIFORM edges) and the DEGENERATE atom; the inner
-    # grid keeps GEV's logpdf from being -inf everywhere.
+    # grid dates from when one off-support point made all of GEV's logpdf
+    # -inf. logpdf and cdf were re-recorded when the positive families
+    # became -inf and 0 at x < 0 and GEV's logpdf -inf per off-support
+    # point; no other value of theirs moved.
     grid = np.concatenate([np.linspace(-1.0, 6.0, 141), [0.0, 1e-300, 1e6, -1e-3]])
     inner = grid[(grid > 0.05) & (grid < 3.5)]
     dists = [make_dist(f, **p) for f, p in PINNED_PARAMS]
@@ -381,8 +478,8 @@ def test_family_table_pinned():
         for x in samples for f in (fit_family(x, fam) for fam in FAMILIES)
     ]).encode()).hexdigest()
     order = [f.family for f in rank_families(samples[0])]
-    assert logpdf == "1d2170b29c291ade603f6db212ebcee09ed0df7ae9e7052a13617ae167fd6fa3", "logpdf"
-    assert cdf == "ce2dd4f195d6e43979c7947a7afe0de3c5004f8d16320f170d5b8e54e24ef797", "cdf"
+    assert logpdf == "cca14686dbd498c0466636bd56739ffb022de0ad75eacfa244a016517517c860", "logpdf"
+    assert cdf == "961fe5306def8439b637658923dc930b3f331cc2635323156c8602ae309d3e79", "cdf"
     assert mean == "c5c197d41385178ae115958fd79bb7e5fd1499f902f336cb08dc6f83281e4956", "mean"
     assert draws == "4cf6fd6faa2183197bf66e94ebaeb09c3299c560d50c931ac0b1436c46b56afe", "draws"
     assert scalar == "515279c891f6e73d194c477daa05377e4515be85ab2083334e0aa69599baf3cb", "scalar draw"

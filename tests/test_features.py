@@ -13,7 +13,6 @@ from sensorprint.dataset import Dataset, RawSample, generate_synthetic
 from sensorprint.features import (
     N_TOTAL,
     FeatureTable,
-    FeatureVector,
     feature_names,
     featurize,
     featurize_dataset,
@@ -23,7 +22,7 @@ from sensorprint.features import (
     temporal_features,
     write_features_csv,
 )
-from sensorprint.preprocess import StreamSet, build_streams
+from sensorprint.preprocess import STREAM_KEYS, build_streams
 
 
 def test_temporal_constant_series():
@@ -145,16 +144,16 @@ def test_featurize_length_and_blocks():
         "GYRO_Y": rng.normal(0, 0.02, n),
         "GYRO_Z": rng.normal(0, 0.03, n),
     }
-    fv = featurize(StreamSet(fs=100.0, streams=streams), "d", "s")
-    assert fv.values.shape == (N_TOTAL,)
+    fv = featurize(np.stack([streams[k] for k in STREAM_KEYS]), 100.0)
+    assert fv.shape == (N_TOTAL,)
     assert len(feature_names()) == N_TOTAL
     # swapping two gyro axes permutes exactly the corresponding 25-blocks
     swapped = dict(streams)
     swapped["GYRO_X"], swapped["GYRO_Z"] = streams["GYRO_Z"], streams["GYRO_X"]
-    fv2 = featurize(StreamSet(fs=100.0, streams=swapped), "d", "s")
-    np.testing.assert_array_equal(fv2.values[25:50], fv.values[75:100])
-    np.testing.assert_array_equal(fv2.values[75:100], fv.values[25:50])
-    np.testing.assert_array_equal(fv2.values[0:25], fv.values[0:25])
+    fv2 = featurize(np.stack([swapped[k] for k in STREAM_KEYS]), 100.0)
+    np.testing.assert_array_equal(fv2[25:50], fv[75:100])
+    np.testing.assert_array_equal(fv2[75:100], fv[25:50])
+    np.testing.assert_array_equal(fv2[0:25], fv[0:25])
 
 
 def test_featurize_stationary_sample():
@@ -162,8 +161,8 @@ def test_featurize_stationary_sample():
     t = np.arange(n) / 100.0
     sample = RawSample("d", "s", t, np.tile([0.0, 0.0, 9.81], (n, 1)), np.zeros((n, 3)))
     fv = featurize_sample(sample)
-    assert fv.values[0] == pytest.approx(9.81, abs=1e-9)  # A_MAG mean
-    assert fv.values[1] == pytest.approx(0.0, abs=1e-9)   # A_MAG std
+    assert fv[0] == pytest.approx(9.81, abs=1e-9)  # A_MAG mean
+    assert fv[1] == pytest.approx(0.0, abs=1e-9)   # A_MAG std
 
 
 def test_featurize_deterministic():
@@ -171,17 +170,10 @@ def test_featurize_deterministic():
     n = 500
     streams = {k: rng.normal(size=n) + 5 for k in ("A_MAG", "GYRO_X", "GYRO_Y", "GYRO_Z")}
     streams["A_MAG"] = np.abs(streams["A_MAG"])
-    ss = StreamSet(fs=100.0, streams=streams)
-    a = featurize(ss, "d", "s").values
-    b = featurize(ss, "d", "s").values
+    S = np.stack([streams[k] for k in STREAM_KEYS])
+    a = featurize(S, 100.0)
+    b = featurize(S, 100.0)
     np.testing.assert_array_equal(a, b)
-
-
-def test_feature_vector_rejects_bad_shape():
-    with pytest.raises(ValueError, match="length"):
-        FeatureVector("d", "s", np.zeros(99))
-    with pytest.raises(ValueError, match="finite"):
-        FeatureVector("d", "s", np.full(100, np.nan))
 
 
 def test_features_csv_round_trip(tmp_path):
@@ -218,7 +210,7 @@ def test_featurize_dataset_rows_follow_dataset_order():
     table = featurize_dataset(ds)
     assert table.X.shape == (6, N_TOTAL)
     for row, s in zip(table.X, ds.samples):
-        np.testing.assert_array_equal(row, featurize_sample(s).values)
+        np.testing.assert_array_equal(row, featurize_sample(s))
 
 
 def test_featurize_dataset_pinned():
@@ -258,7 +250,7 @@ def _mixed_length_dataset() -> Dataset:
 
 def test_featurize_dataset_blocks_match_single_captures():
     ds = _mixed_length_dataset()
-    lengths = [build_streams(s).length for s in ds.samples]
+    lengths = [build_streams(s).shape[1] for s in ds.samples]
     # the premise: several length groups, interleaved, one spanning blocks
     assert len(set(lengths)) >= 4
     assert max(lengths.count(n) for n in set(lengths)) > features.BLOCK_CAPTURES
@@ -269,7 +261,7 @@ def test_featurize_dataset_blocks_match_single_captures():
     assert list(table.sample_ids) == [s.sample_id for s in ds.samples]
     assert list(table.device_ids) == [s.device_id for s in ds.samples]
     for row, fv in zip(table.X, single):
-        assert row.tobytes() == fv.values.tobytes()
+        assert row.tobytes() == fv.tobytes()
     flat = table.X[list(table.device_ids).index("flat")]
     assert flat[1] == 0.0  # constant A_MAG: std follows the degenerate rule
     np.testing.assert_array_equal(flat[25 + 10:50], 0.0)  # silent GYRO_X spectrum
@@ -289,22 +281,22 @@ def test_featurize_stream_rows_are_independent():
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fv = featurize(StreamSet(fs=100.0, streams=streams))
+        fv = featurize(np.stack([streams[k] for k in STREAM_KEYS]), 100.0)
         for j, key in enumerate(("A_MAG", "GYRO_X", "GYRO_Y", "GYRO_Z")):
             block = np.concatenate([temporal_features(streams[key]),
                                     spectral_features(streams[key], 100.0)])
-            assert fv.values[25 * j:25 * (j + 1)].tobytes() == block.tobytes(), key
+            assert fv[25 * j:25 * (j + 1)].tobytes() == block.tobytes(), key
 
 
 def test_feature_table_by_device_order():
     # interleaved rows: devices in first-seen order, rows in original order
     X = np.arange(5 * N_TOTAL, dtype=float).reshape(5, N_TOTAL)
     table = FeatureTable(X, ["b", "a", "b", "c", "a"], ["s0", "s1", "s2", "s3", "s4"])
-    groups = table.by_device()
+    groups = table.device_rows()
     assert list(groups) == ["b", "a", "c"]
-    np.testing.assert_array_equal(groups["b"], X[[0, 2]])
-    np.testing.assert_array_equal(groups["a"], X[[1, 4]])
-    np.testing.assert_array_equal(groups["c"], X[[3]])
+    np.testing.assert_array_equal(groups["b"], [0, 2])
+    np.testing.assert_array_equal(groups["a"], [1, 4])
+    np.testing.assert_array_equal(groups["c"], [3])
     two = table.eligible(2)
     assert list(two.sample_ids) == ["s0", "s1", "s2", "s4"]
     np.testing.assert_array_equal(two.X, X[[0, 1, 2, 4]])
@@ -360,6 +352,6 @@ def test_features_csv_rejects_bad_header(tmp_path):
 def test_build_streams_featurize_pipeline():
     ds = generate_synthetic(2, 2, seed=3)
     for s in ds.samples:
-        fv = featurize(build_streams(s), s.device_id, s.sample_id)
-        assert np.all(np.isfinite(fv.values))
-        assert fv.values[0] == pytest.approx(9.81, abs=0.5)  # near-gravity magnitude
+        fv = featurize(build_streams(s), 100.0)
+        assert np.all(np.isfinite(fv))
+        assert fv[0] == pytest.approx(9.81, abs=0.5)  # near-gravity magnitude

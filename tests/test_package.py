@@ -1,6 +1,7 @@
 """Package-wide checks: what importing sensorprint pulls in, and the names
 the benchmark's tracer wraps."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -49,4 +50,30 @@ def test_traced_names_exist(monkeypatch):
         for name in names
         if not callable(getattr(importlib.import_module(f"sensorprint.{mod}"), name, None))
     ]
+    assert missing == []
+
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.skipif(not DEMOS, reason="demos/ is not in this checkout")
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_exist(demo):
+    # no test runs the demos (they take seconds each), so a renamed or
+    # deleted library name would otherwise break them silently
+    tree = ast.parse(demo.read_text(), filename=str(demo))
+    imported, missing = 0, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sensorprint":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                imported += 1
+                if not hasattr(module, alias.name):
+                    missing.append(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sensorprint":
+                    imported += 1
+                    importlib.import_module(alias.name)
+    assert imported > 0
     assert missing == []

@@ -6,7 +6,6 @@ import pytest
 from sensorprint.dataset import RawSample, generate_synthetic
 from sensorprint.preprocess import (
     STREAM_KEYS,
-    StreamSet,
     build_streams,
     interpolate_uniform,
     magnitude,
@@ -94,27 +93,27 @@ def test_build_streams_stationary_noiseless():
     t = np.arange(n) / 100.0
     accel = np.tile([0.0, 0.0, 9.81], (n, 1))
     gyro = np.zeros((n, 3))
-    ss = build_streams(RawSample("d", "s", t, accel, gyro))
-    assert set(ss.streams) == set(STREAM_KEYS)
-    np.testing.assert_allclose(ss.streams["A_MAG"], 9.81, atol=1e-9)
-    for k in ("GYRO_X", "GYRO_Y", "GYRO_Z"):
-        np.testing.assert_allclose(ss.streams[k], 0.0, atol=1e-12)
+    S = build_streams(RawSample("d", "s", t, accel, gyro))
+    assert S.shape[0] == len(STREAM_KEYS)
+    np.testing.assert_allclose(S[0], 9.81, atol=1e-9)  # A_MAG
+    for row in S[1:]:  # GYRO_X, GYRO_Y, GYRO_Z
+        np.testing.assert_allclose(row, 0.0, atol=1e-12)
 
 
 def test_build_streams_grid_alignment():
     n = 500
     t = np.arange(n) / 100.0
     sample = RawSample("d", "s", t, np.tile([0.0, 0.0, 9.81], (n, 1)), np.zeros((n, 3)))
-    ss = build_streams(sample, fs_target=100.0)
-    assert abs(ss.length - n) <= 1
+    S = build_streams(sample, fs_target=100.0)
+    assert abs(S.shape[1] - n) <= 1
 
 
 def test_build_streams_length_matches_duration():
     ds = generate_synthetic(3, 2, seed=11)
     for s in ds.samples:
-        ss = build_streams(s, fs_target=100.0)
+        S = build_streams(s, fs_target=100.0)
         expected = int(np.floor(s.duration * 100.0)) + 1
-        assert abs(ss.length - expected) <= 1
+        assert abs(S.shape[1] - expected) <= 1
 
 
 def test_build_streams_clamps_negative_magnitude():
@@ -128,28 +127,8 @@ def test_build_streams_clamps_negative_magnitude():
     sample = RawSample("d", "s", t, accel, np.zeros((n, 3)))
     raw = interpolate_uniform(t, magnitude(accel), 100.0)
     assert np.min(raw) < 0
-    ss = build_streams(sample, fs_target=100.0)
-    assert np.min(ss.streams["A_MAG"]) >= 0
-
-
-def test_streamset_rejects_length_mismatch():
-    good = np.zeros(100)
-    with pytest.raises(ValueError, match="length"):
-        StreamSet(
-            fs=100.0,
-            streams={
-                "A_MAG": good,
-                "GYRO_X": good,
-                "GYRO_Y": good,
-                "GYRO_Z": np.zeros(99),
-            },
-        )
-
-
-def test_streamset_rejects_wrong_keys():
-    good = np.zeros(100)
-    with pytest.raises(ValueError, match="keyed"):
-        StreamSet(fs=100.0, streams={"A_MAG": good, "GX": good, "GY": good, "GZ": good})
+    S = build_streams(sample, fs_target=100.0)
+    assert np.min(S[0]) >= 0  # A_MAG
 
 
 def test_interpolate_matrix_equals_column_calls():
@@ -185,11 +164,12 @@ def test_interpolate_matrix_rejects_the_same_bad_input(shape):
 
 def test_build_streams_rows_are_contiguous_column_fits():
     s = generate_synthetic(1, 1, seed=2).samples[0]
-    ss = build_streams(s)
+    S = build_streams(s)
+    assert S.shape[0] == len(STREAM_KEYS) and S.flags.c_contiguous
     sources = [magnitude(s.accel), s.gyro[:, 0], s.gyro[:, 1], s.gyro[:, 2]]
-    for key, v in zip(STREAM_KEYS, sources):
+    for key, row, v in zip(STREAM_KEYS, S, sources):
         expected = interpolate_uniform(s.timestamps, v, 100.0)
         if key == "A_MAG":
             expected = np.maximum(expected, 0.0)
-        assert ss.streams[key].flags.c_contiguous
-        assert ss.streams[key].tobytes() == expected.tobytes()
+        assert row.flags.c_contiguous
+        assert row.tobytes() == expected.tobytes()

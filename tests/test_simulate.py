@@ -169,3 +169,18 @@ def test_validate_deterministic():
     r1 = validate_against_empirical(ds, repeats=2, runs=500, seed=3)
     r2 = validate_against_empirical(ds, repeats=2, runs=500, seed=3)
     assert r1.to_dict() == r2.to_dict()
+
+
+def test_validate_fits_do_not_depend_on_dataset_row_order():
+    # the simulated arm fits the rows grouped by device, so interleaving the
+    # captures of a dataset leaves its LDML model and both fits unchanged
+    from sensorprint.dataset import Dataset
+
+    ds = generate_synthetic(8, 5, seed=2)
+    interleaved = Dataset()
+    for i in range(5):
+        for s in ds.samples[i::5]:
+            interleaved.add(s)
+    a = validate_against_empirical(ds, repeats=1, runs=200, use_ldml=True)
+    b = validate_against_empirical(interleaved, repeats=1, runs=200, use_ldml=True)
+    assert (a.intra_fit, a.inter_fit) == (b.intra_fit, b.inter_fit)
