@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import stdtrit
 
-from .metric import standardize_fit, train_ldml, transform
+from .metric import cross_distances, standardizer, train_ldml, transform
 
 
 @dataclass
@@ -97,22 +97,18 @@ def knn_predict(train_X, train_y, query, k: int = 1):
     y = np.asarray(train_y)
     if len(X) == 0:
         raise ValueError("empty training set")
-    if k % 2 != 1:
-        raise ValueError("k must be odd")
+    if k < 1 or k % 2 != 1:
+        raise ValueError("k must be odd and >= 1")
     if k > len(X):
         raise ValueError(f"k={k} exceeds training size {len(X)}")
     q = np.asarray(query, dtype=float)
-    single = q.ndim == 1
-    Q = np.atleast_2d(q)
+    dist = cross_distances(np.atleast_2d(q), X)
     out = []
-    step = max(1, (1 << 22) // X.size)  # queries per block: <= 4M floats of differences
-    for start in range(0, len(Q), step):
-        dist = np.sqrt(np.sum((X - Q[start:start + step, None, :]) ** 2, axis=2))
-        for row, nearest in zip(dist, np.argsort(dist, axis=1, kind="stable")[:, :k]):
-            labs, inv = np.unique(y[nearest], return_inverse=True)
-            votes, sums = np.bincount(inv), np.bincount(inv, weights=row[nearest])
-            out.append(labs[np.lexsort((labs, sums, -votes))[0]])
-    return out[0] if single else np.array(out)
+    for row, nearest in zip(dist, np.argsort(dist, axis=1, kind="stable")[:, :k]):
+        labs, inv = np.unique(y[nearest], return_inverse=True)
+        votes, sums = np.bincount(inv), np.bincount(inv, weights=row[nearest])
+        out.append(labs[np.lexsort((labs, sums, -votes))[0]])
+    return out[0] if q.ndim == 1 else np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +310,20 @@ def run_protocol(
 ) -> ProtocolResult:
     """Repeated random split per device, mean AvgF with a 95% t-interval.
 
-    Devices need train_per_device + 1 samples to participate (at least one
-    held-out test sample); the rest are dropped. Features are extracted once;
-    standardization and the optional learned metric are fit on each repeat's
-    training half only.
+    ``dataset`` is a ``FeatureTable``, or a ``Dataset`` featurized once at
+    ``fs_target``. Devices need train_per_device + 1 samples (at least one
+    held-out test sample); the rest are dropped. Standardization or the
+    learned metric is fit on each repeat's training half only.
     """
-    from .features import featurize_dataset
+    from .features import FeatureTable, featurize_dataset
 
     if classifier not in ("knn", "rf"):
         raise ValueError("classifier must be 'knn' or 'rf'")
-    return _protocol_on_table(
-        featurize_dataset(dataset, fs_target), classifier, train_per_device, repeats, seed, k,
-        use_ldml, ldml_iterations, ldml_step, d_prime, n_trees)
-
-
-def _protocol_on_table(table, classifier, train_per_device, repeats, seed, k=1, use_ldml=False,
-                       ldml_iterations=200, ldml_step=1e-3, d_prime=None, n_trees=100):
-    """run_protocol on an already featurized dataset (a FeatureTable)."""
-    table = table.eligible(train_per_device + 1)
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    if not isinstance(dataset, FeatureTable):
+        dataset = featurize_dataset(dataset, fs_target)
+    table = dataset.eligible(train_per_device + 1)
     dev_rows = table.device_rows()
     if not dev_rows:
         raise ValueError("no eligible devices")
@@ -348,17 +340,12 @@ def _protocol_on_table(table, classifier, train_per_device, repeats, seed, k=1, 
         train_idx = np.asarray(train_idx)
         test_idx = np.asarray(test_idx)
         if use_ldml:
-            model = train_ldml(
-                X[train_idx], y[train_idx],
-                d_prime=d_prime, iterations=ldml_iterations,
-                step=ldml_step, seed=[seed, r],
-            )
-            Ztr = transform(model, X[train_idx])
-            Zte = transform(model, X[test_idx])
+            model = train_ldml(X[train_idx], y[train_idx], d_prime=d_prime,
+                               iterations=ldml_iterations, step=ldml_step, seed=[seed, r])
         else:
-            means, stds = standardize_fit(X[train_idx])
-            Ztr = (X[train_idx] - means) / stds
-            Zte = (X[test_idx] - means) / stds
+            model = standardizer(X[train_idx])
+        Ztr = transform(model, X[train_idx])
+        Zte = transform(model, X[test_idx])
         if classifier == "knn":
             preds = knn_predict(Ztr, y[train_idx], Zte, k=k)
         else:

@@ -54,9 +54,10 @@ def _jsonable(obj):
 
 
 def _write_json(obj, path) -> None:
+    # encoded first: a NaN or infinity is refused before the file is opened
+    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _config_echo(args) -> dict:
@@ -169,10 +170,10 @@ def cmd_evaluate(args) -> int:
 def cmd_distfit(args) -> int:
     from .distances import ks_statistic, pairwise_distances, rank_families, save_fitted
     from .features import load_features_csv
-    from .metric import load_metric_model
+    from .metric import load_metric_model, standardizer
 
     table = load_features_csv(args.features)
-    model = load_metric_model(args.metric_model) if args.metric_model else None
+    model = load_metric_model(args.metric_model) if args.metric_model else standardizer(table.X)
     intra_pop, inter_pop = pairwise_distances(table.X, table.device_ids, model)
     report = {"command": "distfit", "config": _config_echo(args)}
     for pop, out_path in ((intra_pop, args.intra_out), (inter_pop, args.inter_out)):
@@ -331,7 +332,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("distfit", help="fit distance distributions to a feature table")
     p.add_argument("--features", help="input feature table path (CSV, required)")
     p.add_argument("--metric-model", default=None,
-                   help="distance-metric model applied before distances (path, optional)")
+                   help="metric model to apply before distances (path, default: standardize)")
     p.add_argument("--intra-out", default=None,
                    help="write the best same-device fit here (JSON, optional)")
     p.add_argument("--inter-out", default=None,

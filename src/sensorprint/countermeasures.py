@@ -36,10 +36,8 @@ class ObfuscationConfig:
     def __post_init__(self):
         o_lo, o_hi = self.offset_range
         g_lo, g_hi = self.gain_range
-        if o_lo > o_hi or g_lo > g_hi:
-            raise ValueError("ranges must be non-empty (lo <= hi)")
-        if g_lo <= 0:
-            raise ValueError("gain range must be strictly positive")
+        if not (-np.inf < o_lo <= o_hi < np.inf and 0 < g_lo <= g_hi < np.inf):
+            raise ValueError("ranges must be finite and non-empty (lo <= hi), gains > 0")
 
 
 @dataclass
@@ -48,8 +46,8 @@ class QuantizationConfig:
     magnitude_bin: float = 1.0  # m/s^2
 
     def __post_init__(self):
-        if self.angle_bin <= 0 or self.magnitude_bin <= 0:
-            raise ValueError("bin sizes must be > 0")
+        if not (0 < self.angle_bin < np.inf and 0 < self.magnitude_bin < np.inf):
+            raise ValueError("bin sizes must be finite and > 0")
 
 
 def _session_rng(seed: int, device_id: str, sample_id: str) -> np.random.Generator:

@@ -102,7 +102,7 @@ def pairwise_distances(X, device_ids, model=None) -> tuple[DistancePopulation, D
     cross-device pairs.
     """
     from .features import rows_by_device
-    from .metric import transform
+    from .metric import cross_distances, transform
 
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) != len(device_ids):
@@ -118,14 +118,10 @@ def pairwise_distances(X, device_ids, model=None) -> tuple[DistancePopulation, D
     for a in range(len(groups)):
         V, later = G[starts[a]:starts[a + 1]], G[starts[a + 1]:]
         if len(V) >= 2:
-            i, j = np.triu_indices(len(V), k=1)
-            diff = V[i] - V[j]
-            intra.append(np.sqrt(np.sum(diff * diff, axis=1)))
+            intra.append(cross_distances(V, V)[np.triu_indices(len(V), k=1)])
         # device a against all later rows at once, cut into one row-major
         # block per later device
-        diff = V[:, None, :] - later[None, :, :]
-        diff *= diff
-        d = np.sqrt(np.sum(diff, axis=2))
+        d = cross_distances(V, later)
         inter.extend(blk.ravel() for blk in np.split(d, starts[a + 2:-1] - starts[a + 1], axis=1))
     if not intra:
         raise ValueError("no eligible pairs: no device has >= 2 samples")

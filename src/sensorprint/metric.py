@@ -1,5 +1,7 @@
-"""Feature standardization, learned Mahalanobis metric, and a per-feature
-mutual-information diagnostic.
+"""The space feature rows are compared in: a ``MetricModel`` that ``transform``
+applies, either plain standardization (``standardizer``, L = I) or a learned
+Mahalanobis metric (``train_ldml``); ``cross_distances``, the one Euclidean
+kernel between rows; and a per-feature mutual-information diagnostic.
 
 The metric is learned by logistic discriminant metric learning: same-device
 pairs should score small distances, cross-device pairs large ones, with
@@ -67,13 +69,20 @@ def standardize_fit(features) -> tuple[np.ndarray, np.ndarray]:
     return means, stds
 
 
+def standardizer(features) -> MetricModel:
+    """The standardized space as a model: ``standardize_fit``'s means and
+    stds and L = I, the untrained metric ``train_ldml`` starts from."""
+    means, stds = standardize_fit(features)
+    return MetricModel(means=means, stds=stds, L=np.eye(len(means)), bias=0.0, seed=0)
+
+
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # fixed-order matmul: result bits do not depend on BLAS thread count
     return np.einsum("ij,jk->ik", a, b)
 
 
 def transform(model: MetricModel, v):
-    """Map features into the learned space: L @ ((v - means) / stds).
+    """Map features into the model's space: L @ ((v - means) / stds).
 
     Accepts a (d,) vector or an (n, d) matrix.
     """
@@ -85,6 +94,19 @@ def transform(model: MetricModel, v):
     z = np.atleast_2d((v - model.means) / model.stds)
     out = _mm(z, model.L.T)
     return out[0] if v.ndim == 1 else out
+
+
+def cross_distances(A, B) -> np.ndarray:
+    """(len(A), len(B)) Euclidean distances between the rows of ``A`` and ``B``,
+    in row blocks of ``A`` whose (rows, len(B), d) temporaries hold <= 4M floats."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    out = np.empty((len(A), len(B)))
+    step = max(1, (1 << 22) // max(1, B.size))
+    for start in range(0, len(A), step):
+        diff = B - A[start:start + step, None, :]
+        diff *= diff
+        out[start:start + step] = np.sqrt(diff.sum(axis=2))
+    return out
 
 
 def _build_pairs(y: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,6 +152,8 @@ def train_ldml(
     takes one ascent step on (L, b) with step halving until the objective
     does not decrease; training stops early once no halved step helps.
     """
+    if iterations < 0 or not 0 < step < np.inf:
+        raise ValueError("need iterations >= 0 and a finite step > 0")
     X, y = _as_matrix(features, labels)
     label_set, counts = np.unique(y, return_counts=True)
     if np.count_nonzero(counts >= 2) < 2:

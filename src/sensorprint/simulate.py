@@ -203,12 +203,10 @@ def validate_against_empirical(
     space, optionally through the learned metric) and feeds the top-ranked
     family of each into the simulator with D = eligible device count.
     """
-    from .classify import _protocol_on_table
-    from .distances import (
-        DEGENERATE, FittedDistribution, pairwise_distances, rank_families,
-    )
+    from .classify import run_protocol
+    from .distances import DEGENERATE, FittedDistribution, pairwise_distances, rank_families
     from .features import featurize_dataset
-    from .metric import standardize_fit, train_ldml
+    from .metric import standardizer, train_ldml
 
     def fit_top(values: np.ndarray) -> FittedDistribution:
         if np.ptp(values) <= 1e-9 * max(1.0, float(np.max(np.abs(values)))):
@@ -221,20 +219,14 @@ def validate_against_empirical(
         return rank_families(values)[0]
 
     table = featurize_dataset(dataset, fs_target)
-    emp = _protocol_on_table(
-        table, "knn", train_per_device, repeats, seed, k=k, use_ldml=use_ldml,
-    )
+    emp = run_protocol(table, "knn", train_per_device, repeats, seed, k=k, use_ldml=use_ldml)
 
     eligible = table.eligible(train_per_device + 1)
     # rows grouped by device: LDML's pair draws and the standardization
     # sums depend on row order, and the fits have always seen this one
     rows = np.concatenate(list(eligible.device_rows().values()))
-    X, ids, model = eligible.X[rows], eligible.device_ids[rows], None
-    if use_ldml:
-        model = train_ldml(X, ids, seed=seed)
-    else:
-        means, stds = standardize_fit(X)
-        X = (X - means) / stds
+    X, ids = eligible.X[rows], eligible.device_ids[rows]
+    model = train_ldml(X, ids, seed=seed) if use_ldml else standardizer(X)
     intra_pop, inter_pop = pairwise_distances(X, ids, model)
     intra_fit = fit_top(intra_pop.values)
     inter_fit = fit_top(inter_pop.values)

@@ -104,6 +104,9 @@ def test_knn_rejects_even_k_and_empty_train():
         knn_predict(np.zeros((0, 1)), np.array([]), [0.5], k=1)
     with pytest.raises(ValueError, match="exceeds"):
         knn_predict(X, y, [0.5], k=3)
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match=">= 1"):
+            knn_predict(X, y, [0.5], k=k)
 
 
 def test_knn_distance_tie_keeps_input_order():
@@ -312,6 +315,23 @@ def test_protocol_requires_eligible_devices():
     ds = quiet_dataset(n_dev=2, n_per=3)
     with pytest.raises(ValueError, match="eligible"):
         run_protocol(ds, train_per_device=3, repeats=2)
+
+
+def test_protocol_refuses_zero_repeats():
+    with pytest.raises(ValueError, match="repeats"):
+        run_protocol(generate_synthetic(4, 5, seed=3), repeats=0)
+
+
+def test_protocol_on_table_equals_protocol_on_dataset():
+    from sensorprint.features import featurize_dataset
+
+    ds = generate_synthetic(6, 5, seed=5)
+    table = featurize_dataset(ds, 80.0)
+    for kwargs in ({"classifier": "knn", "k": 3}, {"classifier": "rf", "n_trees": 10},
+                   {"classifier": "knn", "use_ldml": True, "ldml_iterations": 10}):
+        common = dict(train_per_device=2, repeats=2, seed=4, **kwargs)
+        assert (run_protocol(table, **common).to_dict()
+                == run_protocol(ds, fs_target=80.0, **common).to_dict()), kwargs
 
 
 def test_protocol_deterministic():

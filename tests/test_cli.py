@@ -158,6 +158,43 @@ def test_distfit_ranking_and_fit_files(workdir, tmp_path):
     assert kind == "intra" and fit.family == rep["intra"]["ranking"][0]["family"]
 
 
+def test_distfit_without_model_uses_standardized_space(workdir, tmp_path):
+    from sensorprint.distances import ks_statistic, pairwise_distances, rank_families
+    from sensorprint.metric import standardizer
+
+    out = tmp_path / "dist.json"
+    assert main(["distfit", "--features", str(workdir / "feat.csv"), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    table = load_features_csv(workdir / "feat.csv")
+    for pop in pairwise_distances(table.X, table.device_ids, standardizer(table.X)):
+        assert rep[pop.kind]["n_distances"] == pop.n
+        assert rep[pop.kind]["ranking"] == [
+            {"family": f.family, "params": f.params, "log_likelihood": f.log_likelihood,
+             "aic": f.aic, "ks": ks_statistic(pop.values, f)}
+            for f in rank_families(pop.values)]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("classify", ["--k", "-1"]),
+    ("classify", ["--ldml-step", "nan"]),
+    ("evaluate", ["--repeats", "0"]),
+])
+def test_protocol_refuses_bad_values(workdir, tmp_path, capsys, command, flags):
+    out = tmp_path / "report.json"
+    assert main([command, "--in", str(workdir / "data.jsonl"), *flags, "--out", str(out)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--iterations", "-3"], ["--step", "-1"]])
+def test_train_metric_refuses_untrained_settings(workdir, tmp_path, capsys, flags):
+    out = tmp_path / "model.json"
+    assert main(["train-metric", "--features", str(workdir / "feat.csv"), *flags,
+                 "--out", str(out)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_sweep_csv(workdir, tmp_path):
     fi, fe = tmp_path / "intra.json", tmp_path / "inter.json"
     assert main(["distfit", "--features", str(workdir / "feat.csv"),
@@ -213,6 +250,19 @@ def test_countermeasure_impact_report(workdir, tmp_path):
     rep = json.loads(imp.read_text())
     assert rep["result"]["countermeasure"] == "obfuscate"
     assert rep["result"]["protected_avg_f"] <= rep["result"]["baseline_avg_f"]
+
+
+@pytest.mark.parametrize("scheme, flags", [
+    ("obfuscate", ["--offset-range", "nan", "1"]),
+    ("obfuscate", ["--gain-range", "0.5", "inf"]),
+    ("quantize", ["--angle-bin", "nan"]),
+])
+def test_countermeasure_refuses_non_finite_settings(workdir, tmp_path, capsys, scheme, flags):
+    out = tmp_path / "cm.jsonl"
+    assert main(["countermeasure", "--in", str(workdir / "data.jsonl"), "--scheme", scheme,
+                 *flags, "--out", str(out)]) == 3
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_fills_defaults_but_flags_win(tmp_path):

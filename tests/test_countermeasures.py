@@ -41,6 +41,15 @@ def test_config_validation():
         QuantizationConfig(angle_bin=0)
     with pytest.raises(ValueError):
         QuantizationConfig(magnitude_bin=-1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ObfuscationConfig(offset_range=(bad, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            ObfuscationConfig(gain_range=(0.5, bad))
+        with pytest.raises(ValueError, match="finite"):
+            QuantizationConfig(angle_bin=bad)
+        with pytest.raises(ValueError, match="finite"):
+            QuantizationConfig(magnitude_bin=bad)
     ObfuscationConfig(offset_range=(0.0, 0.0), gain_range=(1.0, 1.0))  # ok: non-empty
 
 

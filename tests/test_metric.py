@@ -5,10 +5,12 @@ import pytest
 
 from sensorprint.metric import (
     MetricModel,
+    cross_distances,
     feature_mutual_information,
     load_metric_model,
     save_metric_model,
     standardize_fit,
+    standardizer,
     train_ldml,
     transform,
 )
@@ -55,6 +57,45 @@ def test_standardize_constant_dimension_gets_unit_std():
 def test_standardize_rejects_single_vector():
     with pytest.raises(ValueError, match=">= 2"):
         standardize_fit(np.array([[1.0, 2.0]]))
+
+
+def test_standardizer_is_the_untrained_metric():
+    X, y = toy_data()
+    model = standardizer(X)
+    means, stds = standardize_fit(X)
+    np.testing.assert_array_equal(model.means, means)
+    np.testing.assert_array_equal(model.stds, stds)
+    np.testing.assert_array_equal(model.L, np.eye(X.shape[1]))
+    np.testing.assert_array_equal(model.L, train_ldml(X, y, iterations=0).L)
+    # the identity map is exact: only -0.0 can become +0.0, and they compare equal
+    assert np.array_equal(transform(model, X), (X - means) / stds)
+
+
+def test_cross_distances_match_per_pair_formula_bitwise():
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(5, 100))
+    B = rng.normal(size=(21_000, 100))  # 2.1M floats: one row of A per block
+    got = cross_distances(A, B)
+    assert got.shape == (5, 21_000)
+    for i in range(len(A)):
+        want = np.sqrt(np.sum((B - A[i]) ** 2, axis=1))
+        assert got[i].tobytes() == want.tobytes(), i
+    for i, j in [(0, 0), (1, 4_321), (4, 20_999)]:
+        assert got[i, j] == np.sqrt(np.sum((A[i] - B[j]) ** 2))
+    V = B[:40]  # one block, against itself
+    D = cross_distances(V, V)
+    assert np.all(np.diag(D) == 0.0)
+    assert np.array_equal(D, D.T)
+    assert cross_distances(V, B[:0]).shape == (40, 0)
+
+
+def test_ldml_refuses_negative_iterations_and_bad_steps():
+    X, y = toy_data()
+    with pytest.raises(ValueError, match="iterations"):
+        train_ldml(X, y, iterations=-3)
+    for step in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step"):
+            train_ldml(X, y, step=step)
 
 
 def test_zero_iterations_gives_identity_transform():
