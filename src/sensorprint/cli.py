@@ -227,15 +227,17 @@ def cmd_countermeasure(args) -> int:
     )
     quant = QuantizationConfig(angle_bin=args.angle_bin, magnitude_bin=args.magnitude_bin)
     out_ds = apply_countermeasure(ds, args.scheme, obfuscation=obf, quantization=quant)
-    write_dataset(out_ds, args.out)
-    log.info("countermeasure: %s on %d sample(s) -> %s", args.scheme, len(ds.samples), args.out)
-    if args.impact_out:
+    rep = None
+    if args.impact_out:  # before any write: settings it refuses must leave no file behind
         rep = privacy_impact(
             ds, args.scheme, classifier=args.classifier,
             train_per_device=args.train_per_device, repeats=args.repeats,
             seed=args.seed, obfuscation=obf, quantization=quant,
             k=args.k, n_trees=args.n_trees,
         )
+    write_dataset(out_ds, args.out)
+    log.info("countermeasure: %s on %d sample(s) -> %s", args.scheme, len(ds.samples), args.out)
+    if rep is not None:
         _write_json({"command": "countermeasure", "config": _config_echo(args),
                      "result": rep.to_dict()}, args.impact_out)
         log.info("privacy impact: AvgF %.4f -> %.4f (drop %.1f%%) -> %s",

@@ -14,12 +14,15 @@ need no projection.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 MAX_HALVINGS = 60
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -129,10 +132,8 @@ def _build_pairs(y: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, n
     return pi, pj, is_same
 
 
-def _objective(L, b, D, is_same):
-    LD = _mm(D, L.T)
-    d = np.einsum("ij,ij->i", LD, LD)
-    t = b - d
+def _log_likelihood(dist, b, is_same):
+    t = b - dist
     # log sigmoid(t) = -log(1+e^-t); log(1-sigmoid(t)) = -log(1+e^t)
     return -(np.logaddexp(0, -t[is_same]).sum() + np.logaddexp(0, t[~is_same]).sum())
 
@@ -151,6 +152,14 @@ def train_ldml(
     Standardization is fit internally on the given vectors. Each iteration
     takes one ascent step on (L, b) with step halving until the objective
     does not decrease; training stops early once no halved step helps.
+
+    The ascent runs in sample space. The gradient in L is -2 L Z^T Lap(c) Z
+    for the graph Laplacian Lap(c) of the pair weights c, so its rows lie in
+    the span of Z's rows and L = L0 + C^T Z for an (n, d') matrix C. A step
+    moves the mapped pair differences dY by t (K grad_C)[i] - t (K grad_C)[j]
+    with the Gram matrix K = Z Z^T, so each squared distance is a quadratic
+    in t and a halving costs O(pairs); no product runs over the pairs. Every
+    product is the fixed-order ``_mm``.
     """
     if iterations < 0 or not 0 < step < np.inf:
         raise ValueError("need iterations >= 0 and a finite step > 0")
@@ -160,7 +169,7 @@ def train_ldml(
         raise ValueError("need >= 2 devices with >= 2 samples each")
     means, stds = standardize_fit(X)
     Z = (X - means) / stds
-    d = Z.shape[1]
+    n, d = Z.shape
     if d_prime is None:
         d_prime = d
     if not (1 <= d_prime <= d):
@@ -168,45 +177,64 @@ def train_ldml(
 
     rng = np.random.default_rng(seed)
     pi, pj, is_same = _build_pairs(y, rng)
-    D = Z[pi] - Z[pj]
+    target = is_same.astype(float)
+    # flat (row, column) cells of C that each pair's +/- gradient term lands on
+    cells = (np.concatenate([pi, pj])[:, None] * d_prime + np.arange(d_prime)).ravel()
+    K = _mm(Z, Z.T)
 
-    L = np.eye(d)[:d_prime]
-    LD0 = _mm(D, L.T)
-    b = float(np.median(np.einsum("ij,ij->i", LD0, LD0)))
+    L0 = np.eye(d)[:d_prime]
+    C = np.zeros((n, d_prime))
+    dY = Z[pi, :d_prime] - Z[pj, :d_prime]  # pair differences under L0
+    dist = np.einsum("ij,ij->i", dY, dY)
+    b = float(np.median(dist))
 
-    obj = _objective(L, b, D, is_same)
+    def gradient(dY, dist, b):
+        # grad_C = -2 Lap(c) Y, scattered from the pairs; G = K grad_C; grad_b
+        c = target - expit(b - dist)
+        w = c[:, None] * dY
+        grad_C = -2.0 * np.bincount(
+            cells, weights=np.concatenate([w, -w]).ravel(), minlength=n * d_prime,
+        ).reshape(n, d_prime)
+        return grad_C, _mm(K, grad_C), c.sum()
+
+    obj = _log_likelihood(dist, b, is_same)
     history = [obj]
+    halvings = 0
+    grad_C, G, grad_b = gradient(dY, dist, b)
     for it in range(iterations):
-        LD = _mm(D, L.T)
-        dist = np.einsum("ij,ij->i", LD, LD)
-        p = expit(b - dist)
-        c = np.where(is_same, 1.0, 0.0) - p
-        S = _mm(D.T, c[:, None] * D)
-        grad_L = -2.0 * _mm(L, S)
-        grad_b = c.sum()
-        if not (np.all(np.isfinite(grad_L)) and np.isfinite(grad_b)):
+        if not (np.all(np.isfinite(G)) and np.isfinite(grad_b)):
             raise RuntimeError(f"non-finite gradient at iteration {it}")
-        accepted = False
+        dG = G[pi] - G[pj]
+        a1 = 2.0 * np.einsum("ij,ij->i", dY, dG)
+        a2 = np.einsum("ij,ij->i", dG, dG)
         trial = step
         for _ in range(MAX_HALVINGS):
-            L_new = L + trial * grad_L
             b_new = b + trial * grad_b
-            obj_new = _objective(L_new, b_new, D, is_same)
+            obj_new = _log_likelihood(dist + trial * (a1 + trial * a2), b_new, is_same)
             if not np.isfinite(obj_new):
                 raise RuntimeError(f"non-finite objective at iteration {it}")
             if obj_new >= obj:
-                accepted = True
                 break
             trial /= 2.0
-        if not accepted:
+            halvings += 1
+        else:
             break  # no step length improves: converged
-        L, b, obj, step = L_new, b_new, obj_new, trial
+        C += trial * grad_C
+        dY += trial * dG
+        dist = np.einsum("ij,ij->i", dY, dY)
+        b, obj, step = b_new, obj_new, trial
         history.append(obj)
+        grad_C, G, grad_b = gradient(dY, dist, b)
+    # squared gradient norm: ||grad_L||_F^2 = <grad_C, K grad_C>, plus grad_b^2
+    grad_norm = np.sqrt(max(0.0, float(np.sum(grad_C * G))) + grad_b**2)
+    log.debug("ldml: %d accepted step(s), %d halving(s), stopped early: %s, "
+              "objective %.6g, gradient norm %.3g",
+              len(history) - 1, halvings, len(history) <= iterations, obj, grad_norm)
 
     model = MetricModel(
         means=means,
         stds=stds,
-        L=L,
+        L=L0 + _mm(C.T, Z),
         bias=b,
         seed=seed,
         trained_on=(len(label_set), len(X)),

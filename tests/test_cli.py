@@ -4,10 +4,14 @@ and byte-level determinism of rerun artifacts."""
 import json
 import logging
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sensorprint
 from sensorprint.cli import main
 from sensorprint.dataset import load_dataset
 from sensorprint.distances import load_fitted
@@ -119,6 +123,30 @@ def test_train_metric_artifact_loads(workdir, tmp_path):
                  "--iterations", "30", "--out", str(out)]) == 0
     model = load_metric_model(out)
     assert model.L.shape == (N_TOTAL, N_TOTAL)
+
+
+def test_train_metric_verbose_logs_ldml_and_keeps_artifact_bytes(workdir, tmp_path):
+    # a child process: in-process, the test runner's log handlers make
+    # main's logging.basicConfig a no-op
+    pkg_root = str(Path(sensorprint.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    stderr = {}
+    for name, flags in (("quiet", []), ("verbose", ["--verbose"])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sensorprint.cli", *flags, "train-metric",
+             "--features", str(workdir / "feat.csv"), "--iterations", "30",
+             "--out", str(tmp_path / f"{name}.json")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        stderr[name] = proc.stderr
+    assert (tmp_path / "verbose.json").read_bytes() == (tmp_path / "quiet.json").read_bytes()
+    lines = [ln for ln in stderr["verbose"].splitlines()
+             if ln.startswith("DEBUG sensorprint.metric: ldml:")]
+    assert len(lines) == 1
+    for word in ("accepted step", "halving", "stopped early", "objective", "gradient norm"):
+        assert word in lines[0]
+    assert "ldml:" not in stderr["quiet"]
 
 
 def test_classify_report_shape(workdir, tmp_path):
@@ -250,6 +278,15 @@ def test_countermeasure_impact_report(workdir, tmp_path):
     rep = json.loads(imp.read_text())
     assert rep["result"]["countermeasure"] == "obfuscate"
     assert rep["result"]["protected_avg_f"] <= rep["result"]["baseline_avg_f"]
+
+
+def test_countermeasure_refused_impact_settings_leave_no_files(workdir, tmp_path, capsys):
+    out, imp = tmp_path / "q.jsonl", tmp_path / "imp.json"
+    rc = main(["countermeasure", "--in", str(workdir / "data.jsonl"), "--scheme", "quantize",
+               "--impact-out", str(imp), "--repeats", "0", "--out", str(out)])
+    assert rc == 3
+    assert "repeats must be >= 1" in capsys.readouterr().err
+    assert not out.exists() and not imp.exists()
 
 
 @pytest.mark.parametrize("scheme, flags", [

@@ -90,13 +90,16 @@ def test_pairwise_applies_metric_model():
 
 def test_pairwise_distances_pinned():
     # sha256 of the intra and inter values and of subset_stability rankings
-    # on a featurized 20 x 5 fleet, recorded from the dict-of-device-matrices
-    # implementation; rows interleaved across devices give the grouped values
+    # on a featurized 20 x 5 fleet; rows interleaved across devices give the
+    # grouped values. The raw-space digests were recorded from the
+    # dict-of-device-matrices implementation. The metric is a fixed seeded
+    # map, not a trained one, so its digests pin the grouping and the
+    # distances, not LDML's arithmetic.
     import json
 
     from sensorprint.dataset import generate_synthetic
     from sensorprint.features import featurize_dataset
-    from sensorprint.metric import train_ldml
+    from sensorprint.metric import MetricModel, standardize_fit
 
     def digest(a):
         return hashlib.sha256(np.asarray(a).tobytes()).hexdigest()
@@ -108,30 +111,32 @@ def test_pairwise_distances_pinned():
 
     table = featurize_dataset(generate_synthetic(20, 5, seed=0))
     X, ids = table.X, table.device_ids
-    model = train_ldml(X, ids, iterations=20, seed=0)
+    means, stds = standardize_fit(X)
+    L = np.eye(X.shape[1]) + 0.1 * np.random.default_rng(0).normal(size=(X.shape[1],) * 2)
+    model = MetricModel(means=means, stds=stds, L=L, bias=0.0, seed=0)
     interleaved = np.argsort(np.arange(len(X)) % 5, kind="stable")
     # the last device keeps only its last capture
     single = np.flatnonzero((ids != ids[-1]) | (np.arange(len(X)) == len(X) - 1))
     full = {
         "raw": ("af2aa0d1a9122fbef44ab31b76a0ec96cbf344b3deb904aa0949d2cd1916393e",
                 "8070a612da55644eff2a930297a927ecb5f5980ae38713cae31507724151dad8"),
-        "ldml": ("6ea341ed230b19a39fdcc5f9a7f819dc9b54a91dae7b39427ae61566ecc98806",
-                 "7e55fc922007e27f580c063ff361bf6dca22bbd8cdd18a5465bf3c84df2cd9a6"),
+        "metric": ("110934fc7718b589e0ea78392405a4e17e1f08857e99035cf6387a905b70232c",
+                   "97c86df4052894d9fe8bbf09ea028b5504e39726d818bc0d64bdb5d9b71a01bf"),
     }
     expected = {
         ("grouped", "raw"): full["raw"],
-        ("grouped", "ldml"): full["ldml"],
+        ("grouped", "metric"): full["metric"],
         ("interleaved", "raw"): full["raw"],
-        ("interleaved", "ldml"): full["ldml"],
+        ("interleaved", "metric"): full["metric"],
         ("single", "raw"): (
             "efd6365c4dde139165971ecbf183a1737b42317d437d739da9ee02615e30a581",
             "c978a844db9573e85f29c7b9b695dd9d8e32c962d121f2b1aed3d5de52a16c88"),
-        ("single", "ldml"): (
-            "42f4d616f6a27c2fbf55fd8893eca0fd2c9d53f18fbb98a61db9d0cbf8a9b368",
-            "2e04b89396a0db8eff6d1bef5d2b44aeeda16872ec494e4ecfb29d38f1b85a11"),
+        ("single", "metric"): (
+            "6719bd360f1f4d3e8e306bedcafe9259f41e2f282a383b5ede0ef9eb4c802227",
+            "a00b4504d3d08285988ed4cd974cf078773312007b5b5acd4585c4fabcb08e47"),
     }
     cases = {"grouped": np.arange(len(X)), "interleaved": interleaved, "single": single}
-    models = {"raw": None, "ldml": model}
+    models = {"raw": None, "metric": model}
     for (case, m), (intra_digest, inter_digest) in expected.items():
         rows = cases[case]
         intra, inter = pairwise_distances(X[rows], ids[rows], models[m])
@@ -139,7 +144,7 @@ def test_pairwise_distances_pinned():
         assert got == (intra_digest, inter_digest), (case, m)
     Xi, idsi = X[interleaved], ids[interleaved]
     res = subset_stability(Xi, idsi, model, n_subsets=2, seed=3, kind="intra")
-    assert ranking_digest(res) == "7c1d31d76cde3417f889fd551f98e184ef459f5f3734b769d040491dbfb6b91f"
+    assert ranking_digest(res) == "16034656d6a423ede5e1dc79722c9c687f3006fde13700208ca2f0db78429a5d"
     res = subset_stability(Xi, idsi, None, n_subsets=4, seed=1, kind="inter")
     assert ranking_digest(res) == "dc546e8612a7352f0266fe66e4b388f1f59aa7992c9c5b98572f87873bd3a5c8"
 

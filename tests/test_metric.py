@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from sensorprint.metric import (
+    MAX_HALVINGS,
     MetricModel,
+    _build_pairs,
+    _mm,
     cross_distances,
     feature_mutual_information,
     load_metric_model,
@@ -104,6 +108,67 @@ def test_zero_iterations_gives_identity_transform():
     np.testing.assert_array_equal(model.L, np.eye(X.shape[1]))
     Z = transform(model, X)
     np.testing.assert_allclose(Z, (X - model.means) / model.stds, atol=1e-12)
+
+
+def _pair_space_ldml(X, y, d_prime=None, iterations=200, step=1e-3, seed=0):
+    """Reference LDML in pair space: the same ascent as train_ldml, with every
+    product over the (pairs x d) difference matrix D and L updated each step.
+    Returns (L, bias, history)."""
+    means, stds = standardize_fit(X)
+    Z = (X - means) / stds
+    d_prime = d_prime or Z.shape[1]
+    pi, pj, is_same = _build_pairs(y, np.random.default_rng(seed))
+    D = Z[pi] - Z[pj]
+
+    def objective(L, b):
+        LD = _mm(D, L.T)
+        t = b - np.einsum("ij,ij->i", LD, LD)
+        return -(np.logaddexp(0, -t[is_same]).sum() + np.logaddexp(0, t[~is_same]).sum())
+
+    L = np.eye(Z.shape[1])[:d_prime]
+    LD0 = _mm(D, L.T)
+    b = float(np.median(np.einsum("ij,ij->i", LD0, LD0)))
+    obj = objective(L, b)
+    history = [obj]
+    for _ in range(iterations):
+        LD = _mm(D, L.T)
+        c = np.where(is_same, 1.0, 0.0) - expit(b - np.einsum("ij,ij->i", LD, LD))
+        grad_L = -2.0 * _mm(L, _mm(D.T, c[:, None] * D))
+        grad_b = c.sum()
+        trial = step
+        for _ in range(MAX_HALVINGS):
+            L_new, b_new = L + trial * grad_L, b + trial * grad_b
+            obj_new = objective(L_new, b_new)
+            if obj_new >= obj:
+                break
+            trial /= 2.0
+        else:
+            break
+        L, b, obj, step = L_new, b_new, obj_new, trial
+        history.append(obj)
+    return L, b, history
+
+
+def _fleet_features(samples_per_device):
+    from sensorprint.dataset import generate_synthetic
+    from sensorprint.features import featurize_dataset
+
+    table = featurize_dataset(generate_synthetic(20, 5, seed=0))
+    keep = np.sort(np.concatenate(
+        [rows[:samples_per_device] for rows in table.device_rows().values()]))
+    return table.X[keep], table.device_ids[keep]
+
+
+@pytest.mark.parametrize("case", ["toy", "toy-d4", "fleet-3", "fleet-5"])
+def test_sample_space_ldml_matches_pair_space_reference(case):
+    d_prime = 4 if case == "toy-d4" else None
+    X, y = toy_data() if case.startswith("toy") else _fleet_features(int(case[-1]))
+    model, history = train_ldml(X, y, d_prime=d_prime, return_history=True)
+    L, b, ref_history = _pair_space_ldml(X, y, d_prime=d_prime)
+    assert len(history) == len(ref_history) > 1
+    np.testing.assert_allclose(history, ref_history, rtol=1e-9)
+    np.testing.assert_allclose(model.L, L, rtol=0, atol=1e-12)
+    assert model.bias == pytest.approx(b, rel=0, abs=1e-12)
 
 
 def test_training_is_deterministic():
