@@ -8,12 +8,20 @@ averaged precision and averaged recall (not the mean of per-class F).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import stdtrit
 
 from .metric import cross_distances, standardizer, train_ldml, transform
+
+log = logging.getLogger(__name__)
+
+# A group of trees grown together keeps its node arrays and one step's
+# scoring temporaries at or below about this many entries (4M, as in
+# metric.cross_distances).
+_FOREST_ENTRIES = 1 << 22
 
 
 @dataclass
@@ -136,85 +144,160 @@ class RandomForest:
     seed: int
 
 
-def _best_cut(X, presorted, member, onehot, y_idx, idx, feats):
-    """Best (feature, threshold) for the node holding rows ``idx``, or None.
+def _best_cuts(X, rank, n_ranks, y_idx, n_classes, node_rows, feats):
+    """Best cut of every node of one step, all scored together.
 
-    Every candidate feature is scored in one pass. Each one's node rows come
-    in value order from filtering its presorted column by node membership;
-    equal values keep row order, as a stable sort of the node would. Cuts
-    fall only between distinct consecutive values, at their midpoint. The
-    Gini decrease at every cut is one flat array in (feature, cut) order,
-    so argmax keeps the first drawn feature, then the first cut, on ties.
-    """
-    n, m = len(idx), len(feats)
-    member[idx] = True
-    rows = presorted[feats]
-    rows = rows[member[rows]].reshape(m, n)
-    member[idx] = False
-    vs = X[rows, feats[:, None]]
-    fi, cut = np.nonzero(vs[:, 1:] > vs[:, :-1])  # left part = sorted[:cut + 1]
-    if len(cut) == 0:  # all candidate features constant here
-        return None
-    cum = np.cumsum(onehot[y_idx[rows]], axis=1)
-    left, total = cum[fi, cut], cum[0, -1]
-    parent = 1.0 - ((total / n) ** 2).sum()
-    nl = (cut + 1).astype(float)
-    nr = n - nl
-    pl = left / nl.reshape(-1, 1)
-    pr = (total - left) / nr.reshape(-1, 1)
-    gl = 1.0 - (pl * pl).sum(axis=1)
-    gr = 1.0 - (pr * pr).sum(axis=1)
-    decrease = parent - (nl * gl + nr * gr) / n
-    w = int(decrease.argmax())
-    f, c = fi[w], cut[w]
-    return int(feats[f]), float(0.5 * (vs[f, c] + vs[f, c + 1]))
+    Node b holds rows ``node_rows[b]`` of ``X`` (a bootstrap multiset) and
+    draws features ``feats[b]``. Each (node, drawn feature) pair is one
+    segment of flat arrays, segments in (node, draw) order, each in value
+    order: one sort of (segment, value rank, row) keys, where ``rank`` maps
+    equal values of ``X`` to one of ``n_ranks`` ranks in value order. Cuts
+    fall only between distinct consecutive values, at their midpoint (at
+    the lower value when the midpoint rounds onto the upper one), so the
+    order of equal values changes nothing and both sides keep rows.
 
+    A cut that leaves class counts L_c of the node's totals T_c on the left
+    decreases Gini by a constant plus (SL/nl + SR/nr)/n, with SL = sum L_c^2
+    and SR = sum (T_c - L_c)^2 = sum T_c^2 - 2 sum T_c L_c + SL. Scanning a
+    segment, a row whose class already appeared k times adds 2k + 1 to SL and
+    T_c to sum T_c L_c; k is the row's place in one sort by (segment, class,
+    position). Counts stay int64 and the score is one correctly rounded
+    division of SL nr + SR nl by nl nr, so equal decreases give equal floats
+    (distinct ones stay distinct below about 2 000 rows) and the first drawn
+    feature, then the first cut, wins an exact tie.
 
-def _grow_tree(X, y_idx, n_classes, max_feats, rng, nodes) -> None:
-    """Append one tree to ``nodes``, rows of [feature, threshold, left, right, label].
-
-    Nodes are numbered as they are made and expanded depth first, right
-    child first, so each node's feature draw comes off ``rng`` in a fixed
-    order. Leaves take the majority label, the smallest class index on ties.
+    Returns the split nodes' indices into the step and, per split node, its
+    feature, threshold, size and left count, its rows with the left part
+    first (all split nodes' rows in one array), and each child's label if
+    the child is pure, -1 if not.
     """
     n, d = X.shape
-    presorted = np.argsort(X, axis=0, kind="stable").T.copy()  # (d, n): rows in value order
-    member = np.zeros(n, dtype=bool)
-    onehot = np.eye(n_classes)
-    stack = [(np.arange(n), len(nodes))]
-    nodes.append([0, 0.0, 0, 0, -1])
-    while stack:
-        idx, node = stack.pop()
-        sub_y = y_idx[idx]
-        split = None
-        if len(idx) >= 2 and not np.all(sub_y == sub_y[0]):
-            feats = rng.choice(d, size=max_feats, replace=False)
-            split = _best_cut(X, presorted, member, onehot, y_idx, idx, feats)
-        if split is None:
-            majority = int(np.argmax(np.bincount(sub_y, minlength=n_classes)))
-            nodes[node][2:] = [node, node, majority]
-            continue
-        f, thr = split
-        mask = X[idx, f] <= thr
-        kids = len(nodes), len(nodes) + 1
-        nodes[node][:4] = [f, thr, *kids]
-        nodes += [[0, 0.0, 0, 0, -1], [0, 0.0, 0, 0, -1]]
-        stack.append((idx[mask], kids[0]))
-        stack.append((idx[~mask], kids[1]))
+    B, m = feats.shape
+    sizes = np.array([len(r) for r in node_rows])
+    seg_len = np.repeat(sizes, m)
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    seg = np.repeat(np.arange(B * m), seg_len)
+    pos = np.arange(seg_end[-1]) - seg_start[seg]
+    rows = np.concatenate(node_rows)[(np.cumsum(sizes) - sizes)[seg // m] + pos]
+    f = feats.ravel()[seg]
+    key = (seg * n_ranks + rank.ravel()[rows * d + f]) * n + rows
+    key.sort()
+    rows = key % n
+    v = X.ravel()[rows * d + f]
+    c = y_idx[rows]
+
+    n_flat = len(seg)
+    grouped = (seg * n_classes + c) * n_flat + np.arange(n_flat)
+    grouped.sort()
+    group_id = grouped // n_flat
+    at = grouped - group_id * n_flat  # value-order position of each grouped place
+    first = np.ones(n_flat, dtype=bool)
+    first[1:] = group_id[1:] != group_id[:-1]
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    k, total = np.empty_like(at), np.empty_like(at)
+    k[at] = np.arange(n_flat) - starts[group]
+    total[at] = np.diff(np.append(starts, n_flat))[group]
+    sl = np.cumsum(2 * k + 1)
+    tl = np.cumsum(total)
+    sl -= np.append(0, sl)[seg_start][seg]
+    tl -= np.append(0, tl)[seg_start][seg]
+    sq_total = sl[seg_end - 1]  # sum T_c^2 per segment
+    right_sq = lambda i: sq_total[seg[i]] - 2 * tl[i] + sl[i]  # SR after position i
+
+    cand = np.flatnonzero((v[1:] > v[:-1]) & (seg[1:] == seg[:-1]))  # cut after cand
+    nl = pos[cand] + 1
+    nr = seg_len[seg[cand]] - nl
+    score = (sl[cand] * nr + right_sq(cand) * nl) / (nl * nr)
+    node = seg[cand] // m
+    lead = np.flatnonzero(np.diff(node, prepend=-1))
+    best = np.repeat(np.maximum.reduceat(score, lead), np.diff(np.append(lead, len(cand))))
+    hit = np.flatnonzero(score == best)
+    hit = hit[np.diff(node[hit], prepend=-1) != 0]  # first best per node
+    p, won = cand[hit], node[hit]
+    lo, hi = seg_start[seg[p]], seg_end[seg[p]]
+    mid = 0.5 * (v[p] + v[p + 1])
+    thr = np.where(mid < v[p + 1], mid, v[p])  # two adjacent doubles: cut at the lower
+    n_left = p - lo + 1
+    n_right = hi - p - 1
+    split = np.zeros(B * m, dtype=bool)
+    split[seg[p]] = True
+    left_label = np.where(sl[p] == n_left * n_left, c[lo], -1)
+    right_label = np.where(right_sq(p) == n_right * n_right, c[hi - 1], -1)
+    return won, f[p], thr, hi - lo, n_left, rows[split[seg]], left_label, right_label
+
+
+def _grow_trees(X, rank, n_ranks, y_idx, n_classes, max_feats, seed, trees, bootstrap):
+    """Grow ``trees`` together; returns their flat node arrays and node counts.
+
+    Each tree keeps its own ``default_rng([seed, t])`` and resample. Its
+    nodes are numbered as they are made and expanded depth first, right
+    child first, so each split search's feature draw comes off its tree's
+    stream in a fixed order. A pure child is a leaf as soon as it is made;
+    at every step each unfinished tree pops its next impure node, and those
+    nodes are scored in one ``_best_cuts`` call. A node whose drawn features
+    are all constant is a leaf with the majority label, the smallest class
+    index on ties. Arrays are (trees, 2n): feature, threshold, left, right,
+    label and depth per node; a leaf's children are itself.
+    """
+    n, d = X.shape
+    G, width = len(trees), 2 * n
+    rngs = [np.random.default_rng([seed, t]) for t in trees]
+    boot = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs]
+    feature = np.zeros((G, width), dtype=np.intp)
+    threshold = np.zeros((G, width))
+    left = np.zeros((G, width), dtype=np.intp)
+    right = np.zeros((G, width), dtype=np.intp)
+    label = np.full((G, width), -1, dtype=np.intp)
+    depth = np.zeros((G, width), dtype=np.intp)
+    count = np.ones(G, dtype=np.intp)
+    stacks = [[] for _ in trees]
+    for t, rows in enumerate(boot):
+        if np.all(y_idx[rows] == y_idx[rows[0]]):
+            label[t, 0] = y_idx[rows[0]]
+        else:
+            stacks[t].append((rows, 0))
+    while True:
+        busy = [t for t, stack in enumerate(stacks) if stack]
+        if not busy:
+            return feature, threshold, left, right, label, depth, count
+        step = [stacks[t].pop() for t in busy]
+        feats = np.array([rngs[t].choice(d, size=max_feats, replace=False) for t in busy])
+        won, feat, thr, size, n_left, rows, left_label, right_label = _best_cuts(
+            X, rank, n_ranks, y_idx, n_classes, [r for r, _ in step], feats)
+        for b in np.setdiff1d(np.arange(len(step)), won):  # all drawn features constant
+            rows_b, node = step[b]
+            label[busy[b], node] = np.argmax(np.bincount(y_idx[rows_b], minlength=n_classes))
+        t = np.array(busy)[won]
+        node = np.array([node for _, node in step])[won]
+        kid = count[t]
+        count[t] += 2
+        feature[t, node], threshold[t, node], left[t, node], right[t, node] = feat, thr, kid, kid + 1
+        for j, lab in ((kid, left_label), (kid + 1, right_label)):
+            left[t, j] = right[t, j] = j
+            label[t, j] = lab
+            depth[t, j] = depth[t, node] + 1
+        start = np.cumsum(size) - size
+        for w, (lo, cut, hi) in enumerate(zip(start, start + n_left, start + size)):
+            if left_label[w] < 0:
+                stacks[t[w]].append((rows[lo:cut].copy(), kid[w]))
+            if right_label[w] < 0:
+                stacks[t[w]].append((rows[cut:hi].copy(), kid[w] + 1))
 
 
 def rf_train(train_X, train_y, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -> RandomForest:
     """Train a forest of CART trees, each on its own bootstrap resample.
 
-    Per-tree RNG streams are keyed (seed, tree index) so training order and
-    thread count cannot change the result. ``bootstrap=False`` is a test hook
-    that trains every tree on the full sample. Each tree is grown from one
-    stable argsort of its resample's columns. The forest is flat: one array
-    each of feature, threshold, left child, right child and leaf label over
-    the nodes of all trees, tree by tree, plus each tree's root index (see
-    ``RandomForest``).
+    Per-tree RNG streams are keyed (seed, tree index) so training order,
+    tree grouping and thread count cannot change the result.
+    ``bootstrap=False`` is a test hook that trains every tree on the full
+    sample. Trees grow together in groups sized by ``_FOREST_ENTRIES`` (see
+    ``_grow_trees``). The forest is flat: one array each of feature,
+    threshold, left child, right child and leaf label over the nodes of all
+    trees, tree by tree, plus each tree's root index (see ``RandomForest``).
     """
-    X = np.asarray(train_X, dtype=float)
+    X = np.ascontiguousarray(train_X, dtype=float)
     classes, y_idx = np.unique(np.asarray(train_y), return_inverse=True)
     if len(classes) < 2:
         raise ValueError("need >= 2 classes")
@@ -222,16 +305,23 @@ def rf_train(train_X, train_y, n_trees: int = 100, seed: int = 0, bootstrap: boo
         raise ValueError("n_trees must be >= 1")
     n, d = X.shape
     max_feats = int(np.ceil(np.sqrt(d)))
-    nodes, roots = [], []
-    for t in range(n_trees):
-        rng = np.random.default_rng([seed, t])
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        roots.append(len(nodes))
-        _grow_tree(X[idx], y_idx[idx], len(classes), max_feats, rng, nodes)
-    feature, threshold, left, right, label = (np.array(col) for col in zip(*nodes))
+    values, rank = np.unique(X, return_inverse=True)
+    rank = rank.reshape(n, d)
+    # per tree: about two dozen step arrays of up to max_feats * n entries, six node arrays of 2n
+    group = max(1, _FOREST_ENTRIES // (n * (24 * max_feats + 12)))
+    parts = [_grow_trees(X, rank, len(values), y_idx, len(classes), max_feats, seed,
+                         range(t0, min(t0 + group, n_trees)), bootstrap)
+             for t0 in range(0, n_trees, group)]
+    feature, threshold, left, right, label, depth, count = (
+        np.concatenate(col) for col in zip(*parts))
+    roots = np.cumsum(count) - count
+    keep = np.arange(feature.shape[1]) < count[:, None]
+    left, right = left + roots[:, None], right + roots[:, None]
+    feature, threshold, left, right, label = (a[keep] for a in (feature, threshold, left, right, label))
+    log.debug("forest: %d tree(s), %d node(s), %d leaves, max depth %d",
+              n_trees, len(label), int(np.count_nonzero(label >= 0)), int(depth.max()))
     return RandomForest(feature=feature, threshold=threshold, left=left, right=right,
-                        label=label, roots=np.array(roots, dtype=np.intp), n_features=d,
-                        classes=classes, seed=seed)
+                        label=label, roots=roots, n_features=d, classes=classes, seed=seed)
 
 
 def rf_predict(model: RandomForest, query):

@@ -215,7 +215,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_countermeasure(args) -> int:
     from .countermeasures import (
-        ObfuscationConfig, QuantizationConfig, apply_countermeasure, privacy_impact,
+        ObfuscationConfig, QuantizationConfig, _impact, apply_countermeasure,
     )
     from .dataset import load_dataset, write_dataset
 
@@ -229,11 +229,10 @@ def cmd_countermeasure(args) -> int:
     out_ds = apply_countermeasure(ds, args.scheme, obfuscation=obf, quantization=quant)
     rep = None
     if args.impact_out:  # before any write: settings it refuses must leave no file behind
-        rep = privacy_impact(
-            ds, args.scheme, classifier=args.classifier,
+        rep = _impact(
+            ds, out_ds, args.scheme, classifier=args.classifier,
             train_per_device=args.train_per_device, repeats=args.repeats,
-            seed=args.seed, obfuscation=obf, quantization=quant,
-            k=args.k, n_trees=args.n_trees,
+            seed=args.seed, k=args.k, n_trees=args.n_trees,
         )
     write_dataset(out_ds, args.out)
     log.info("countermeasure: %s on %d sample(s) -> %s", args.scheme, len(ds.samples), args.out)

@@ -209,16 +209,19 @@ def privacy_impact(
     the transformed one (the transform precedes all preprocessing) and
     reports both mean AvgF scores plus the relative drop.
     """
-    from .classify import run_protocol
-
     protected_ds = apply_countermeasure(
         dataset, scheme, obfuscation=obfuscation, quantization=quantization
     )
-    base, prot = (
-        run_protocol(ds, classifier=classifier, train_per_device=train_per_device,
-                     repeats=repeats, seed=seed, **protocol_kwargs)
-        for ds in (dataset, protected_ds)
-    )
+    return _impact(dataset, protected_ds, scheme, classifier=classifier,
+                   train_per_device=train_per_device, repeats=repeats, seed=seed,
+                   **protocol_kwargs)
+
+
+def _impact(dataset: Dataset, protected_ds: Dataset, scheme: str, **protocol_kwargs) -> PrivacyReport:
+    """``privacy_impact`` on a dataset whose countermeasure is already applied."""
+    from .classify import run_protocol
+
+    base, prot = (run_protocol(ds, **protocol_kwargs) for ds in (dataset, protected_ds))
     drop = 0.0 if base.avg_f_mean == 0 else (base.avg_f_mean - prot.avg_f_mean) / base.avg_f_mean
     return PrivacyReport(
         countermeasure=scheme,

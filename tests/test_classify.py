@@ -2,10 +2,12 @@
 forest behavior, and the repeated-split protocol."""
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sensorprint import classify
 from sensorprint.classify import (
     _confidence_interval,
     evaluate,
@@ -239,6 +241,52 @@ def test_rf_equal_gini_decrease_first_cut_wins():
     assert forest.threshold[forest.roots[0]] == 0.5
 
 
+def _exact_score(y_sorted, cut):
+    """SL/nl + SR/nr of the cut after ``cut``, as an exact fraction."""
+    left, right = y_sorted[:cut + 1], y_sorted[cut + 1:]
+    sq = lambda part: sum(list(part).count(c) ** 2 for c in set(part))
+    return Fraction(sq(left), len(left)) + Fraction(sq(right), len(right))
+
+
+def test_rf_exact_gini_ties_follow_the_tie_rule_not_rounding():
+    # a float Gini summed over class proportions rounds these exact ties
+    # apart and took the later cut or the later drawn feature
+    y = np.array(["d", "c", "c", "b", "c", "a"])
+    assert _exact_score(y, 0) == _exact_score(y, 4) == Fraction(16, 5)
+    assert max(_exact_score(y, c) for c in range(5)) == Fraction(16, 5)
+    forest = rf_train(np.arange(6.0)[:, None], y, n_trees=1, seed=0, bootstrap=False)
+    assert forest.threshold[forest.roots[0]] == 0.5  # first cut, not 4.5
+
+    # 1 + 33/9 and 5/3 + 21/7 are both 14/3, but not as sums of two rounded
+    # quotients: the score must be one division
+    y = np.array(list("bdbdcdcdbd"))
+    assert _exact_score(y, 0) == _exact_score(y, 2) == max(_exact_score(y, c) for c in range(9))
+    forest = rf_train(np.arange(10.0)[:, None], y, n_trees=1, seed=0, bootstrap=False)
+    assert forest.threshold[forest.roots[0]] == 0.5  # first cut, not 2.5
+
+    # feature 0 is drawn first; cutting off its top row ties cutting off
+    # feature 1's bottom row (each a lone class)
+    X = np.array([[3, 1], [5, 0], [7, 6], [4, 4], [0, 2], [1, 5], [2, 3], [6, 7]], dtype=float)
+    y = np.array([2, 3, 0, 4, 4, 1, 2, 4])
+    assert list(np.random.default_rng([0, 0]).choice(2, size=2, replace=False)) == [0, 1]
+    scores = [[_exact_score(y[np.argsort(X[:, f])], c) for c in range(7)] for f in (0, 1)]
+    assert max(scores[0]) == max(scores[1]) == scores[0][6] == scores[1][0]
+    forest = rf_train(X, y, n_trees=1, seed=0, bootstrap=False)
+    root = forest.roots[0]
+    assert (forest.feature[root], forest.threshold[root]) == (0, 6.5)
+
+
+def test_rf_splits_adjacent_doubles_at_the_lower_value():
+    # their midpoint rounds onto the upper value, so a cut there would send
+    # both rows left and leave the node to be split again forever
+    lo, hi = 1 + 2.0 ** -52, 1 + 2.0 ** -51
+    assert 0.5 * (lo + hi) == hi
+    X = np.array([[lo], [hi]])
+    forest = rf_train(X, np.array(["x", "y"]), n_trees=1, bootstrap=False)
+    assert forest.threshold[forest.roots[0]] == lo
+    assert list(rf_predict(forest, X)) == ["x", "y"]
+
+
 def _preorder(forest, node, out):
     """Tree as text, node then left then right: 'feature:threshold' or leaf label."""
     if forest.label[node] >= 0:
@@ -249,21 +297,124 @@ def _preorder(forest, node, out):
     _preorder(forest, forest.right[node], out)
 
 
-def test_rf_forest_pinned():
-    # every split (feature and threshold bits) and leaf of ten trees on an
-    # identify-sized problem: 60 rows, 100 features, 20 classes, recorded
-    # from the earlier per-feature, dict-tree implementation. Any change to
-    # the draw order, tie rule or Gini arithmetic moves this digest.
+def _identify_sized_problem():
+    """60 rows, 100 features, 20 classes of three noisy rows each."""
     rng = np.random.default_rng(17)
     X = rng.normal(size=(20, 100)).repeat(3, axis=0) + rng.normal(size=(60, 100))
-    y = np.array([f"d{i:02d}" for i in range(20)]).repeat(3)
-    forest = rf_train(X, y, n_trees=10, seed=0)
+    return X, np.array([f"d{i:02d}" for i in range(20)]).repeat(3)
+
+
+def test_rf_forest_pinned():
+    # every split (feature and threshold bits) and leaf of ten trees on an
+    # identify-sized problem, recorded from the integer-Gini forest. The
+    # float Gini of earlier versions broke one exact tie here by rounding
+    # (same 428 nodes, another digest). Any change to the draw order, tie
+    # rule or Gini arithmetic moves this digest.
+    forest = rf_train(*_identify_sized_problem(), n_trees=10, seed=0)
     out = []
     for root in forest.roots:
         _preorder(forest, root, out)
     assert len(out) == 428
     assert hashlib.sha256(" ".join(out).encode()).hexdigest() == (
-        "f0c7d60a68f0bf74b6cacc5f3c99a55854d944dc4c17dbdcf093aa3ed115156a")
+        "d3faebeaf9a9aea18c04405d163d562e93c454848717eb32498ff79bf5e7c56f")
+
+
+def _reference_best_cut(X, presorted, member, y_idx, n_classes, idx, feats):
+    """One node's best cut, scored from one-hot class counts of every cut."""
+    n, m = len(idx), len(feats)
+    member[idx] = True
+    rows = presorted[feats]
+    rows = rows[member[rows]].reshape(m, n)
+    member[idx] = False
+    vs = X[rows, feats[:, None]]
+    fi, cut = np.nonzero(vs[:, 1:] > vs[:, :-1])
+    if len(cut) == 0:
+        return None
+    cum = np.cumsum(np.eye(n_classes, dtype=np.int64)[y_idx[rows]], axis=1)
+    left, total = cum[fi, cut], cum[0, -1]
+    nl = cut + 1
+    nr = n - nl
+    sl, sr = (left * left).sum(axis=1), ((total - left) ** 2).sum(axis=1)
+    w = int(((sl * nr + sr * nl) / (nl * nr)).argmax())  # SL/nl + SR/nr, one rounding
+    f, c = fi[w], cut[w]
+    mid = 0.5 * (vs[f, c] + vs[f, c + 1])
+    return int(feats[f]), float(mid if mid < vs[f, c + 1] else vs[f, c])
+
+
+def _reference_forest(X, y, n_trees, seed):
+    """rf_train one node at a time: each tree grown alone, depth first, right
+    child first, from a stable presort of its resample; flat arrays as
+    (feature, threshold, left, right, label, roots)."""
+    classes, y_all = np.unique(y, return_inverse=True)
+    n, d = X.shape
+    nodes, roots = [], []
+    for t in range(n_trees):
+        rng = np.random.default_rng([seed, t])
+        boot = rng.integers(0, n, size=n)
+        Xb, yb = X[boot], y_all[boot]
+        presorted = np.argsort(Xb, axis=0, kind="stable").T.copy()
+        member = np.zeros(n, dtype=bool)
+        roots.append(len(nodes))
+        stack = [(np.arange(n), len(nodes))]
+        nodes.append([0, 0.0, 0, 0, -1])
+        while stack:
+            idx, node = stack.pop()
+            split = None
+            if len(idx) >= 2 and not np.all(yb[idx] == yb[idx[0]]):
+                feats = rng.choice(d, size=int(np.ceil(np.sqrt(d))), replace=False)
+                split = _reference_best_cut(Xb, presorted, member, yb, len(classes), idx, feats)
+            if split is None:
+                nodes[node][2:] = [node, node, int(np.argmax(np.bincount(yb[idx], minlength=len(classes))))]
+                continue
+            f, thr = split
+            mask = Xb[idx, f] <= thr
+            kids = len(nodes), len(nodes) + 1
+            nodes[node][:4] = [f, thr, *kids]
+            nodes += [[0, 0.0, 0, 0, -1], [0, 0.0, 0, 0, -1]]
+            stack += [(idx[mask], kids[0]), (idx[~mask], kids[1])]
+    return [np.array(col) for col in zip(*nodes)] + [np.array(roots)]
+
+
+def _reference_problems():
+    rng = np.random.default_rng(14)
+    dup_X = rng.integers(0, 4, size=(40, 5)).astype(float)
+    dup_y = np.array([f"c{v}" for v in rng.integers(0, 4, size=40)])
+    rng = np.random.default_rng(50)
+    wide_X = rng.normal(size=(50, 100)).repeat(3, axis=0) + rng.normal(size=(150, 100))
+    wide_y = np.array([f"d{i:02d}" for i in range(50)]).repeat(3)
+    return {
+        "identify-sized": (*_identify_sized_problem(), 10, 0, None),
+        "duplicate-heavy": (dup_X, dup_y, 20, 15, None),
+        "150 rows, 50 classes": (wide_X, wide_y, 8, 2, None),
+        # a budget that holds a few of these trees, and ten trees that do
+        # not fill a whole number of groups
+        "uneven groups": (*_identify_sized_problem(), 10, 4, 100_000),
+    }
+
+
+@pytest.mark.parametrize("name", list(_reference_problems()))
+def test_rf_equals_sequential_reference_whatever_the_grouping(name, monkeypatch):
+    X, y, n_trees, seed, budget = _reference_problems()[name]
+    want = _reference_forest(X, y, n_trees, seed)
+    groups = []
+    grow = classify._grow_trees
+    monkeypatch.setattr(classify, "_grow_trees",
+                        lambda *a: groups.append(len(a[-2])) or grow(*a))
+
+    def check(entries):
+        monkeypatch.setattr(classify, "_FOREST_ENTRIES", entries)
+        groups.clear()
+        f = rf_train(X, y, n_trees=n_trees, seed=seed)
+        for got, ref in zip([f.feature, f.threshold, f.left, f.right, f.label, f.roots], want):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+
+    check(classify._FOREST_ENTRIES)
+    assert groups == [n_trees]
+    check(1)
+    assert groups == [1] * n_trees
+    if budget is not None:
+        check(budget)
+        assert 1 < groups[0] < n_trees and groups[-1] < groups[0] and sum(groups) == n_trees
 
 
 def test_rf_thresholds_never_fall_between_duplicate_values():

@@ -149,6 +149,33 @@ def test_train_metric_verbose_logs_ldml_and_keeps_artifact_bytes(workdir, tmp_pa
     assert "ldml:" not in stderr["quiet"]
 
 
+@pytest.mark.parametrize("command, repeats", [("classify", 1), ("evaluate", 2)])
+def test_rf_verbose_logs_each_forest_and_keeps_report_bytes(workdir, tmp_path, command, repeats):
+    # a child process, as for train-metric above
+    pkg_root = str(Path(sensorprint.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    extra = ["--repeats", str(repeats)] if command == "evaluate" else []
+    stderr = {}
+    for name, flags in (("quiet", []), ("verbose", ["--verbose"])):
+        (tmp_path / name).mkdir()  # the report echoes its --out path: keep it the same
+        proc = subprocess.run(
+            [sys.executable, "-m", "sensorprint.cli", *flags, command,
+             "--in", str(workdir / "data.jsonl"), "--classifier", "rf", "--n-trees", "20",
+             *extra, "--out", "report.json"],
+            env=env, cwd=tmp_path / name, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        stderr[name] = proc.stderr
+    assert ((tmp_path / "verbose" / "report.json").read_bytes()
+            == (tmp_path / "quiet" / "report.json").read_bytes())
+    lines = [ln for ln in stderr["verbose"].splitlines()
+             if ln.startswith("DEBUG sensorprint.classify: forest:")]
+    assert len(lines) == repeats
+    for word in ("20 tree(s)", "node(s)", "leaves", "max depth"):
+        assert all(word in ln for ln in lines)
+    assert "forest:" not in stderr["quiet"]
+
+
 def test_classify_report_shape(workdir, tmp_path):
     out = tmp_path / "report.json"
     assert main(["classify", "--in", str(workdir / "data.jsonl"),
@@ -278,6 +305,19 @@ def test_countermeasure_impact_report(workdir, tmp_path):
     rep = json.loads(imp.read_text())
     assert rep["result"]["countermeasure"] == "obfuscate"
     assert rep["result"]["protected_avg_f"] <= rep["result"]["baseline_avg_f"]
+
+
+def test_countermeasure_impact_applies_the_countermeasure_once(workdir, tmp_path, monkeypatch):
+    from sensorprint import countermeasures
+
+    calls = []
+    apply = countermeasures.apply_countermeasure
+    monkeypatch.setattr(countermeasures, "apply_countermeasure",
+                        lambda *a, **kw: calls.append(a[1]) or apply(*a, **kw))
+    assert main(["countermeasure", "--in", str(workdir / "data.jsonl"), "--scheme", "quantize",
+                 "--out", str(tmp_path / "q.jsonl"), "--impact-out", str(tmp_path / "i.json"),
+                 "--classifier", "knn", "--repeats", "1"]) == 0
+    assert calls == ["quantize"]
 
 
 def test_countermeasure_refused_impact_settings_leave_no_files(workdir, tmp_path, capsys):
