@@ -28,16 +28,16 @@ def main() -> None:
     model = train_ldml(table.X, table.device_ids, seed=0)
 
     intra, inter = pairwise_distances(table.X, table.device_ids, model=model)
-    print(f"distance populations: {intra.n} same-device, {inter.n} cross-device")
+    print(f"distance populations: {len(intra)} same-device, {len(inter)} cross-device")
 
     fits = {}
-    for pop in (intra, inter):
-        ranking = rank_families(pop.values)
-        print(f"\n{pop.kind} ranking (AIC, lower wins):")
+    for kind, values in (("intra", intra), ("inter", inter)):
+        ranking = rank_families(values)
+        print(f"\n{kind} ranking (AIC, lower wins):")
         for f in ranking:
             print(f"  {f.family:<18} aic={f.aic:>10.1f}  "
                   + " ".join(f"{k}={v:.3g}" for k, v in f.params.items()))
-        fits[pop.kind] = ranking[0]
+        fits[kind] = ranking[0]
 
     print(f"\nsimulating 1-NN accuracy, N=3 enrolled sessions, {RUNS} runs per cell:")
     res = sweep(1, [3], [100, 1_000, 10_000, 100_000], RUNS,

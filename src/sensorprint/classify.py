@@ -411,6 +411,8 @@ def run_protocol(
         raise ValueError("classifier must be 'knn' or 'rf'")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if train_per_device < 1:
+        raise ValueError("train_per_device must be >= 1")
     if not isinstance(dataset, FeatureTable):
         dataset = featurize_dataset(dataset, fs_target)
     table = dataset.eligible(train_per_device + 1)

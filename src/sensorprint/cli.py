@@ -174,24 +174,25 @@ def cmd_distfit(args) -> int:
 
     table = load_features_csv(args.features)
     model = load_metric_model(args.metric_model) if args.metric_model else standardizer(table.X)
-    intra_pop, inter_pop = pairwise_distances(table.X, table.device_ids, model)
+    intra, inter = pairwise_distances(table.X, table.device_ids, model)
     report = {"command": "distfit", "config": _config_echo(args)}
-    for pop, out_path in ((intra_pop, args.intra_out), (inter_pop, args.inter_out)):
-        ranking = rank_families(pop.values)
-        report[pop.kind] = {
-            "n_distances": pop.n,
+    for kind, values, out_path in (("intra", intra, args.intra_out),
+                                   ("inter", inter, args.inter_out)):
+        ranking = rank_families(values)
+        report[kind] = {
+            "n_distances": len(values),
             "ranking": [
                 {"family": f.family, "params": f.params, "log_likelihood": f.log_likelihood,
-                 "aic": f.aic, "ks": ks_statistic(pop.values, f)}
+                 "aic": f.aic, "ks": ks_statistic(values, f)}
                 for f in ranking
             ],
         }
         if out_path:
-            save_fitted(ranking[0], pop.kind, out_path)
+            save_fitted(ranking[0], kind, out_path)
     _write_json(report, args.out)
     log.info("distfit: intra n=%d best %s, inter n=%d best %s -> %s",
-             intra_pop.n, report["intra"]["ranking"][0]["family"],
-             inter_pop.n, report["inter"]["ranking"][0]["family"], args.out)
+             len(intra), report["intra"]["ranking"][0]["family"],
+             len(inter), report["inter"]["ranking"][0]["family"], args.out)
     return 0
 
 

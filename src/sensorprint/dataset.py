@@ -273,7 +273,14 @@ def load_dataset(path) -> Dataset:
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset in the JSONL record format (round-trips with load_dataset)."""
+    """Write a dataset in the JSONL record format (round-trips with load_dataset).
+
+    A non-finite reading is refused before the file is opened: the record
+    format has no NaN or infinity, and load_dataset would refuse it.
+    """
+    for s in dataset.samples:
+        if not all(np.isfinite(a).all() for a in (s.timestamps, s.accel, s.gyro)):
+            raise ValueError(f"sample {s.device_id}/{s.sample_id} has a non-finite reading")
     with open(path, "w") as fh:
         for s in dataset.samples:
             rec = {

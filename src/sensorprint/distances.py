@@ -51,23 +51,6 @@ EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass
-class DistancePopulation:
-    kind: str  # "intra" | "inter"
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("intra", "inter"):
-            raise ValueError("kind must be 'intra' or 'inter'")
-        self.values = np.asarray(self.values, dtype=float)
-        if np.any(self.values < 0):
-            raise ValueError("distances must be >= 0")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
-@dataclass
 class FittedDistribution:
     family: str
     params: dict[str, float]
@@ -92,8 +75,8 @@ class FittedDistribution:
             raise ValueError(f"{self.family} params outside domain: {self.params}")
 
 
-def pairwise_distances(X, device_ids, model=None) -> tuple[DistancePopulation, DistancePopulation]:
-    """Split all unordered pairwise distances into intra/inter populations.
+def pairwise_distances(X, device_ids, model=None) -> tuple[np.ndarray, np.ndarray]:
+    """Split all unordered pairwise distances into ``(intra, inter)`` arrays.
 
     Row i of ``X`` is a capture of ``device_ids[i]``; devices come in
     first-seen order, each with its rows in ``X`` order. When a metric model
@@ -125,14 +108,11 @@ def pairwise_distances(X, device_ids, model=None) -> tuple[DistancePopulation, D
         inter.extend(blk.ravel() for blk in np.split(d, starts[a + 2:-1] - starts[a + 1], axis=1))
     if not intra:
         raise ValueError("no eligible pairs: no device has >= 2 samples")
-    return (
-        DistancePopulation("intra", np.concatenate(intra)),
-        DistancePopulation("inter", np.concatenate(inter)),
-    )
+    return np.concatenate(intra), np.concatenate(inter)
 
 
 # ---------------------------------------------------------------------------
-# The family table: densities, CDFs, analytic means, samplers and fitting.
+# The family table: densities, CDFs, samplers and fitting.
 
 
 @dataclass(frozen=True)
@@ -147,7 +127,6 @@ class _Family:
     valid: Callable[..., bool]
     logpdf: Callable[..., np.ndarray]
     cdf: Callable[..., np.ndarray]
-    mean: Callable[..., float]
     sample: Callable[..., np.ndarray]
     positive: bool = False  # support x > 0; fits require strictly positive samples
     estimate: Callable[[np.ndarray], dict] | None = None
@@ -202,14 +181,6 @@ def _gev_cdf(x, mu, sigma, xi):
     return out
 
 
-def _gev_mean(mu, sigma, xi):
-    if xi >= 1:
-        return float("nan")
-    if abs(xi) < 1e-12:
-        return mu + sigma * EULER_GAMMA
-    return mu + sigma * (gamma_fn(1 - xi) - 1) / xi
-
-
 def _gev_sample(rng, n, mu, sigma, xi):
     u = rng.random(n)
     if abs(xi) < 1e-12:
@@ -246,7 +217,6 @@ _FAMILIES = {
         valid=lambda mu, lam: mu > 0 and lam > 0,
         logpdf=_ig_logpdf,
         cdf=_ig_cdf,
-        mean=lambda mu, lam: mu,
         sample=_ig_sample,
         positive=True,
         estimate=_ig_estimate,
@@ -256,7 +226,6 @@ _FAMILIES = {
         valid=lambda mu, sigma, xi: sigma > 0,
         logpdf=_gev_logpdf,
         cdf=_gev_cdf,
-        mean=_gev_mean,
         sample=_gev_sample,
         starts=_gev_starts,
         log_params=("sigma",),
@@ -266,7 +235,6 @@ _FAMILIES = {
         valid=lambda mu, sigma: sigma > 0,
         logpdf=_lognormal_logpdf,
         cdf=lambda x, mu, sigma: ndtr((np.log(x) - mu) / sigma),
-        mean=lambda mu, sigma: float(np.exp(mu + sigma**2 / 2)),
         sample=lambda rng, n, mu, sigma: np.exp(mu + sigma * rng.standard_normal(n)),
         positive=True,
         estimate=lambda x: {"mu": float(np.mean(np.log(x))), "sigma": float(np.std(np.log(x)))},
@@ -278,7 +246,6 @@ _FAMILIES = {
             (shape - 1) * np.log(x) - x / scale - shape * np.log(scale) - gammaln(shape)
         ),
         cdf=lambda x, shape, scale: gammainc(shape, x / scale),
-        mean=lambda shape, scale: shape * scale,
         sample=lambda rng, n, shape, scale: rng.gamma(shape, scale, size=n),
         positive=True,
         starts=_gamma_starts,
@@ -291,7 +258,6 @@ _FAMILIES = {
             np.log(shape) - np.log(scale) + (shape - 1) * np.log(x / scale) - (x / scale) ** shape
         ),
         cdf=lambda x, shape, scale: 1.0 - np.exp(-((x / scale) ** shape)),
-        mean=lambda shape, scale: scale * float(gamma_fn(1 + 1 / shape)),
         sample=lambda rng, n, shape, scale: scale * (-np.log1p(-rng.random(n))) ** (1.0 / shape),
         positive=True,
         starts=_weibull_starts,
@@ -302,7 +268,6 @@ _FAMILIES = {
         valid=lambda lo, hi: lo < hi,
         logpdf=lambda x, lo, hi: np.where((x >= lo) & (x <= hi), -np.log(hi - lo), -np.inf),
         cdf=lambda x, lo, hi: np.clip((x - lo) / (hi - lo), 0.0, 1.0),
-        mean=lambda lo, hi: 0.5 * (lo + hi),
         sample=lambda rng, n, lo, hi: rng.uniform(lo, hi, size=n),
     ),
     DEGENERATE: _Family(
@@ -311,7 +276,6 @@ _FAMILIES = {
         # point mass: log-density 0 on the atom under the counting measure
         logpdf=lambda x, value: np.where(x == value, 0.0, -np.inf),
         cdf=lambda x, value: np.where(x >= value, 1.0, 0.0),
-        mean=lambda value: value,
         sample=lambda rng, n, value: np.full(n, value),
     ),
 }
@@ -330,11 +294,6 @@ def distribution_logpdf(dist: FittedDistribution, x) -> np.ndarray:
 
 def distribution_cdf(dist: FittedDistribution, x) -> np.ndarray:
     return _evaluate(dist, _FAMILIES[dist.family].cdf, x, 0.0)
-
-
-def distribution_mean(dist: FittedDistribution) -> float:
-    """Analytic mean; nan when the family/params leave it undefined."""
-    return _FAMILIES[dist.family].mean(**dist.params)
 
 
 # ---------------------------------------------------------------------------
@@ -403,53 +362,6 @@ def rank_families(samples, families=FAMILIES) -> list[FittedDistribution]:
     if not fits:
         raise ValueError("all family fits failed")
     return sorted(fits, key=lambda f: f.aic)
-
-
-@dataclass
-class SubsetStability:
-    kind: str
-    subsets: list[list[str]]
-    rankings: list[list[FittedDistribution]]
-    full_ranking: list[FittedDistribution]
-    agreement: bool
-
-
-def subset_stability(
-    X,
-    device_ids,
-    model=None,
-    n_subsets: int = 4,
-    families=FAMILIES,
-    seed: int = 0,
-    kind: str = "inter",
-) -> SubsetStability:
-    """Random equal split of the devices; check the top family holds per subset.
-
-    ``X`` and ``device_ids`` are as for ``pairwise_distances``. ``kind``
-    selects which distance population ("intra" or "inter") is fit.
-    """
-    from .features import rows_by_device
-
-    X, device_ids = np.asarray(X, dtype=float), np.asarray(device_ids, dtype=str)
-    groups = rows_by_device(device_ids)
-    devs = list(groups)
-    if n_subsets > len(devs):
-        raise ValueError("more subsets than devices")
-    if len(devs) < 2 * n_subsets:
-        raise ValueError(f"need >= {2 * n_subsets} devices for {n_subsets} subsets")
-    which = {"intra": 0, "inter": 1}[kind]
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(devs))
-    full = rank_families(pairwise_distances(X, device_ids, model)[which].values, families)
-    subsets, rankings = [], []
-    for g in np.array_split(order, n_subsets):
-        subsets.append([devs[i] for i in g])
-        rows = np.concatenate([groups[d] for d in subsets[-1]])
-        pop = pairwise_distances(X[rows], device_ids[rows], model)[which]
-        rankings.append(rank_families(pop.values, families))
-    top = full[0].family
-    agreement = all(r[0].family == top for r in rankings)
-    return SubsetStability(kind, subsets, rankings, full, agreement)
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,6 @@ N_SUBFRAMES = 8
 BLOCK_CAPTURES = 16
 
 
-def feature_names() -> list[str]:
-    """The 100 feature labels in vector order, e.g. 'A_MAG.centroid'."""
-    per_stream = TEMPORAL_NAMES + SPECTRAL_NAMES
-    return [f"{key}.{name}" for key in STREAM_KEYS for name in per_stream]
-
-
 def rows_by_device(device_ids) -> dict[str, np.ndarray]:
     """Device -> the indices of its rows; devices in first-seen order."""
     rows: dict[str, list[int]] = {}

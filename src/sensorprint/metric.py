@@ -1,7 +1,7 @@
 """The space feature rows are compared in: a ``MetricModel`` that ``transform``
 applies, either plain standardization (``standardizer``, L = I) or a learned
-Mahalanobis metric (``train_ldml``); ``cross_distances``, the one Euclidean
-kernel between rows; and a per-feature mutual-information diagnostic.
+Mahalanobis metric (``train_ldml``); and ``cross_distances``, the one
+Euclidean kernel between rows.
 
 The metric is learned by logistic discriminant metric learning: same-device
 pairs should score small distances, cross-device pairs large ones, with
@@ -278,34 +278,3 @@ def load_metric_model(path) -> MetricModel:
         raise ValueError(f"malformed metric model: {e!r}") from None
     return model
 
-
-def feature_mutual_information(features, labels, bins: int = 10) -> np.ndarray:
-    """Plug-in histogram MI (bits) between each feature and the device label.
-
-    Each dimension is binned into `bins` equal-width bins over its observed
-    range; constant dimensions get MI 0.
-    """
-    X, y = _as_matrix(features, labels)
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
-    label_set, y_idx = np.unique(y, return_inverse=True)
-    if len(label_set) < 2:
-        raise ValueError("mutual information needs >= 2 labels")
-    n = len(X)
-    n_labels = len(label_set)
-    out = np.zeros(X.shape[1])
-    for dim in range(X.shape[1]):
-        v = X[:, dim]
-        lo, hi = v.min(), v.max()
-        if hi == lo:
-            continue
-        edges = np.linspace(lo, hi, bins + 1)
-        b_idx = np.clip(np.searchsorted(edges[1:-1], v, side="right"), 0, bins - 1)
-        joint = np.zeros((bins, n_labels))
-        np.add.at(joint, (b_idx, y_idx), 1.0)
-        joint /= n
-        pb = joint.sum(axis=1, keepdims=True)
-        pl = joint.sum(axis=0, keepdims=True)
-        nz = joint > 0
-        out[dim] = np.sum(joint[nz] * np.log2(joint[nz] / (pb @ pl)[nz]))
-    return out

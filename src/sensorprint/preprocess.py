@@ -45,8 +45,8 @@ def interpolate_uniform(timestamps, values, fs_target: float) -> np.ndarray:
         raise ValueError(f"need >= 4 points for cubic interpolation, got {len(t)}")
     if np.any(np.diff(t) <= 0):
         raise ValueError("non-monotone timestamps")
-    if fs_target <= 0:
-        raise ValueError("fs_target must be positive")
+    if not 0 < fs_target < np.inf:  # NaN fails it too
+        raise ValueError("fs_target must be positive and finite")
     spline = CubicSpline(t, v, bc_type="natural")
     span = t[-1] - t[0]
     n_out = int(np.floor(span * fs_target + 1e-9)) + 1

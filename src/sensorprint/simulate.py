@@ -63,17 +63,17 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, floa
 
 
 def _run_is_correct(intra_d: np.ndarray, inter_d: np.ndarray, k: int) -> bool:
-    """Count imposters among the k nearest; ties at the k-th distance are
-    filled in draw order, intra before inter."""
-    if k == 1:
-        return intra_d.min() <= inter_d.min()
-    kth = np.partition(np.concatenate([intra_d, inter_d]), k - 1)[k - 1]
-    less_intra = int(np.count_nonzero(intra_d < kth))
-    less_inter = int(np.count_nonzero(inter_d < kth))
-    slots = k - less_intra - less_inter
-    take_intra = min(int(np.count_nonzero(intra_d == kth)), slots)
-    imposters = less_inter + (slots - take_intra)
-    return imposters < k / 2
+    """Fewer than k/2 imposters among the k nearest, ties at the k-th distance
+    filled intra first. With j = (k+1)/2 that holds exactly when the j-th
+    smallest intra draw is <= the j-th smallest inter draw, and never with
+    fewer than j intra draws (David & Nagaraja, Order Statistics, 2.1)."""
+    j = (k + 1) // 2
+    if j == 1:
+        return bool(intra_d.min() <= inter_d.min())
+    if len(intra_d) < j:
+        return False
+    intra_j = np.partition(intra_d, j - 1)[j - 1]
+    return bool(intra_j <= np.partition(inter_d, j - 1)[j - 1])
 
 
 def simulate_knn(config: SimConfig) -> SimResult:
@@ -227,9 +227,9 @@ def validate_against_empirical(
     rows = np.concatenate(list(eligible.device_rows().values()))
     X, ids = eligible.X[rows], eligible.device_ids[rows]
     model = train_ldml(X, ids, seed=seed) if use_ldml else standardizer(X)
-    intra_pop, inter_pop = pairwise_distances(X, ids, model)
-    intra_fit = fit_top(intra_pop.values)
-    inter_fit = fit_top(inter_pop.values)
+    intra_d, inter_d = pairwise_distances(X, ids, model)
+    intra_fit = fit_top(intra_d)
+    inter_fit = fit_top(inter_d)
 
     sim = simulate_knn(SimConfig(
         k=k, N=train_per_device, D=emp.n_devices, runs=runs,

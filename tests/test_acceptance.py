@@ -106,9 +106,9 @@ def test_c04_population_scale_trend(feats50):
     # identification accuracy out to populations far beyond the dataset
     t0 = time.monotonic()
     model = train_ldml(feats50.X, feats50.device_ids, seed=0)
-    intra_pop, inter_pop = pairwise_distances(feats50.X, feats50.device_ids, model=model)
-    intra_fit = rank_families(intra_pop.values)[0]
-    inter_fit = rank_families(inter_pop.values)[0]
+    intra_d, inter_d = pairwise_distances(feats50.X, feats50.device_ids, model=model)
+    intra_fit = rank_families(intra_d)[0]
+    inter_fit = rank_families(inter_d)[0]
     res = sweep(1, [3], [100, 1_000, 10_000, 100_000], 10_000,
                 intra_fit, inter_fit, seed=0)
     dt = time.monotonic() - t0

@@ -92,6 +92,25 @@ def test_synth_refuses_bad_prior(tmp_path, capsys, prior):
     assert "device prior" in capsys.readouterr().err
 
 
+def test_synth_refuses_prior_that_overflows_readings(tmp_path, capsys):
+    p, out = tmp_path / "prior.json", tmp_path / "o.jsonl"
+    p.write_text('{"accel_gain": [1e308, 1e308]}')
+    rc = main(["synth", "--prior", str(p), "--devices", "2", "--samples", "2",
+               "--out", str(out)])
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fs", ["inf", "nan"])
+def test_featurize_refuses_bad_fs_target(workdir, tmp_path, capsys, fs):
+    out = tmp_path / "f.csv"
+    assert main(["featurize", "--in", str(workdir / "data.jsonl"), "--fs-target", fs,
+                 "--out", str(out)]) == 3
+    assert "fs_target" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_same_in_and_out_path_exits_3(workdir):
     path = str(workdir / "data.jsonl")
     assert main(["ingest", "--in", path, "--out", path]) == 3
@@ -221,18 +240,21 @@ def test_distfit_without_model_uses_standardized_space(workdir, tmp_path):
     assert main(["distfit", "--features", str(workdir / "feat.csv"), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     table = load_features_csv(workdir / "feat.csv")
-    for pop in pairwise_distances(table.X, table.device_ids, standardizer(table.X)):
-        assert rep[pop.kind]["n_distances"] == pop.n
-        assert rep[pop.kind]["ranking"] == [
+    pops = pairwise_distances(table.X, table.device_ids, standardizer(table.X))
+    for kind, values in zip(("intra", "inter"), pops):
+        assert rep[kind]["n_distances"] == len(values)
+        assert rep[kind]["ranking"] == [
             {"family": f.family, "params": f.params, "log_likelihood": f.log_likelihood,
-             "aic": f.aic, "ks": ks_statistic(pop.values, f)}
-            for f in rank_families(pop.values)]
+             "aic": f.aic, "ks": ks_statistic(values, f)}
+            for f in rank_families(values)]
 
 
 @pytest.mark.parametrize("command, flags", [
     ("classify", ["--k", "-1"]),
     ("classify", ["--ldml-step", "nan"]),
     ("evaluate", ["--repeats", "0"]),
+    ("evaluate", ["--train-per-device", "-1"]),
+    ("classify", ["--fs-target", "inf"]),
 ])
 def test_protocol_refuses_bad_values(workdir, tmp_path, capsys, command, flags):
     out = tmp_path / "report.json"
@@ -333,6 +355,9 @@ def test_countermeasure_refused_impact_settings_leave_no_files(workdir, tmp_path
     ("obfuscate", ["--offset-range", "nan", "1"]),
     ("obfuscate", ["--gain-range", "0.5", "inf"]),
     ("quantize", ["--angle-bin", "nan"]),
+    # finite settings whose readings overflow to infinity or NaN
+    ("obfuscate", ["--gain-range", "1e308", "1e308"]),
+    ("quantize", ["--angle-bin", "1e-320"]),
 ])
 def test_countermeasure_refuses_non_finite_settings(workdir, tmp_path, capsys, scheme, flags):
     out = tmp_path / "cm.jsonl"

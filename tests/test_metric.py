@@ -10,7 +10,6 @@ from sensorprint.metric import (
     _build_pairs,
     _mm,
     cross_distances,
-    feature_mutual_information,
     load_metric_model,
     save_metric_model,
     standardize_fit,
@@ -281,42 +280,3 @@ def test_model_json_round_trip(tmp_path):
 def test_metric_model_rejects_nonpositive_std():
     with pytest.raises(ValueError, match="stds"):
         MetricModel(np.zeros(3), np.array([1.0, 0.0, 1.0]), np.eye(3), 0.0, 0)
-
-
-def test_mi_perfectly_informative_binary_feature():
-    X = np.array([[0.0]] * 50 + [[1.0]] * 50)
-    y = np.array(["a"] * 50 + ["b"] * 50)
-    mi = feature_mutual_information(X, y, bins=2)
-    assert mi[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_mi_independent_feature_near_zero():
-    rng = np.random.default_rng(4)
-    n = 10_000
-    X = rng.uniform(size=(n, 1))
-    y = rng.choice(["a", "b"], size=n)
-    mi = feature_mutual_information(X, y, bins=10)
-    assert mi[0] < 0.05
-
-
-def test_mi_constant_feature_is_zero():
-    X = np.column_stack([np.full(40, 2.5), np.arange(40.0)])
-    y = np.array(["a", "b"] * 20)
-    mi = feature_mutual_information(X, y, bins=4)
-    assert mi[0] == 0.0
-
-
-def test_mi_rejects_single_label():
-    X = np.random.default_rng(0).normal(size=(10, 2))
-    with pytest.raises(ValueError, match="labels"):
-        feature_mutual_information(X, np.array(["a"] * 10))
-
-
-def test_mi_informative_beats_noise_on_ranking():
-    rng = np.random.default_rng(6)
-    n = 400
-    y = np.repeat(["a", "b", "c", "d"], n // 4)
-    informative = np.repeat([0.0, 3.0, 6.0, 9.0], n // 4) + rng.normal(0, 0.3, n)
-    noise = rng.normal(0, 1.0, n)
-    mi = feature_mutual_information(np.column_stack([informative, noise]), y, bins=10)
-    assert mi[0] > mi[1] + 0.5

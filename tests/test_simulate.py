@@ -88,6 +88,30 @@ def test_run_is_correct_counts_imposters():
     assert not _run_is_correct(np.array([1.0, 1.0]), np.array([0.5, 0.6, 9.0]), k=3)
 
 
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+def test_run_is_correct_matches_brute_force_ranking(k):
+    from sensorprint.simulate import _run_is_correct
+
+    def brute_force(intra, inter):
+        # rank every draw, ties in draw order (intra before inter), and
+        # count the imposters among the k nearest
+        order = np.argsort(np.concatenate([intra, inter]), kind="stable")
+        return np.count_nonzero(order[:k] >= len(intra)) < k / 2
+
+    rng = np.random.default_rng(k)
+    n_short = 0
+    for _ in range(2000):
+        N, D = rng.integers(1, 8), rng.integers(2, 6)
+        if k > N * D:
+            continue
+        n_short += N < (k + 1) // 2
+        # few distinct values: most runs tie at the k-th distance
+        intra = rng.integers(0, 4, N).astype(float)
+        inter = rng.integers(0, 4, N * (D - 1)).astype(float)
+        assert _run_is_correct(intra, inter, k) == brute_force(intra, inter), (intra, inter)
+    assert n_short > 0 or k == 1
+
+
 def test_determinism():
     cfg = dict(k=1, N=2, D=20, runs=500, intra=ig(1.0, 3.0), inter=ig(3.0, 5.0))
     a = simulate_knn(SimConfig(seed=7, **cfg))
