@@ -116,11 +116,15 @@ def quantize_value(val: float, bin_size: float) -> float:
 
     Implemented as floored division with a floored (always non-negative)
     remainder, so negative inputs behave consistently: -3.1 with bin 6 sits
-    in bin -1 with remainder 2.9 and stays at -6.
+    in bin -1 with remainder 2.9 and stays at -6. A quotient by the bin that
+    is not finite (a subnormal bin overflows it) is a ValueError.
     """
     if bin_size <= 0:
         raise ValueError("bin_size must be > 0")
-    b = np.floor(np.asarray(val, dtype=float) / bin_size)
+    with np.errstate(over="ignore"):
+        b = np.floor(np.asarray(val, dtype=float) / bin_size)
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"bin size {bin_size!r} gives a non-finite bin index")
     rem = val - b * bin_size
     b = np.where(rem >= bin_size / 2, b + 1, b)
     out = b * bin_size

@@ -3,8 +3,9 @@
 Distances between transformed feature vectors of the same device form one
 population (intra), cross-device pairs another (inter). Each population is
 fit by maximum likelihood against five candidate families and the fits are
-ranked by AIC. Densities, CDFs, and samplers are written out explicitly so
-the fitted objects are self-contained and cheap to draw from in bulk.
+ranked by AIC. Densities, CDFs and quantile functions are written out
+explicitly so the fitted objects are self-contained; a draw is the quantile
+function of a uniform, so one function serves sampling and order statistics.
 
 Each family is described in one place, its ``_Family`` record in
 ``_FAMILIES``: adding a family is adding one record (and its name to
@@ -28,9 +29,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammainc, gammaln, log_ndtr, ndtr
+from scipy.special import gammainc, gammaincinv, gammaln, log_ndtr, ndtr, ndtri
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +41,7 @@ GAMMA = "GAMMA"
 WEIBULL = "WEIBULL"
 FAMILIES = (INVERSE_GAUSSIAN, GEV, LOG_NORMAL, GAMMA, WEIBULL)
 
-# injectable distributions: samplable and evaluable but never fit candidates.
+# injectable distributions: drawable and evaluable but never fit candidates.
 # DEGENERATE (a point mass) is the honest limit for zero-dispersion
 # populations, e.g. intra distances of exactly repeated samples.
 UNIFORM = "UNIFORM"
@@ -112,13 +112,14 @@ def pairwise_distances(X, device_ids, model=None) -> tuple[np.ndarray, np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# The family table: densities, CDFs, samplers and fitting.
+# The family table: densities, CDFs, quantile functions and fitting.
 
 
 @dataclass(frozen=True)
 class _Family:
     """One family; every function takes the parameters by name, and
-    ``sample(rng, n, **params)`` draws n values. A fit candidate has either a
+    ``ppf(u, **params)`` is the quantile function, non-decreasing in u on
+    [0, 1]. A fit candidate has either a
     closed-form ``estimate(x) -> params`` or three Nelder-Mead ``starts(mean,
     std)`` over ``params``, with each name in ``log_params`` fit as its log.
     """
@@ -127,7 +128,7 @@ class _Family:
     valid: Callable[..., bool]
     logpdf: Callable[..., np.ndarray]
     cdf: Callable[..., np.ndarray]
-    sample: Callable[..., np.ndarray]
+    ppf: Callable[..., np.ndarray]
     positive: bool = False  # support x > 0; fits require strictly positive samples
     estimate: Callable[[np.ndarray], dict] | None = None
     starts: Callable[[float, float], list] | None = None
@@ -147,11 +148,16 @@ def _ig_cdf(x, mu, lam):
     return ndtr(s * (x / mu - 1)) + np.exp(2 * lam / mu + log_ndtr(-s * (x / mu + 1)))
 
 
-def _ig_sample(rng, n, mu, lam):
-    y = rng.standard_normal(n) ** 2
-    x = mu + mu**2 * y / (2 * lam) - mu / (2 * lam) * np.sqrt(4 * mu * lam * y + mu**2 * y**2)
-    u = rng.random(n)
-    return np.where(u <= mu / (mu + x), x, mu**2 / x)
+def _ig_ppf(u, mu, lam):
+    # no closed form: 64 halvings of log x in log(mu) +- 60 end below the
+    # spacing of doubles, and the bracket holds for moderate lam / mu
+    lo = np.full(np.shape(u), np.log(mu) - 60.0)
+    hi = lo + 120.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = _ig_cdf(np.exp(mid), mu, lam) < u
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.where(u <= 0, 0.0, np.where(u >= 1, np.inf, np.exp(hi)))
 
 
 def _ig_estimate(x):
@@ -181,11 +187,11 @@ def _gev_cdf(x, mu, sigma, xi):
     return out
 
 
-def _gev_sample(rng, n, mu, sigma, xi):
-    u = rng.random(n)
+def _gev_ppf(u, mu, sigma, xi):
+    t = np.abs(np.log(u))  # -log u, without a -0.0 that would flip an odd power
     if abs(xi) < 1e-12:
-        return mu - sigma * np.log(-np.log(u))
-    return mu + sigma * ((-np.log(u)) ** -xi - 1) / xi
+        return mu - sigma * np.log(t)
+    return mu + sigma * (t**-xi - 1) / xi
 
 
 def _gev_starts(m, s):
@@ -217,7 +223,7 @@ _FAMILIES = {
         valid=lambda mu, lam: mu > 0 and lam > 0,
         logpdf=_ig_logpdf,
         cdf=_ig_cdf,
-        sample=_ig_sample,
+        ppf=_ig_ppf,
         positive=True,
         estimate=_ig_estimate,
     ),
@@ -226,7 +232,7 @@ _FAMILIES = {
         valid=lambda mu, sigma, xi: sigma > 0,
         logpdf=_gev_logpdf,
         cdf=_gev_cdf,
-        sample=_gev_sample,
+        ppf=_gev_ppf,
         starts=_gev_starts,
         log_params=("sigma",),
     ),
@@ -235,7 +241,7 @@ _FAMILIES = {
         valid=lambda mu, sigma: sigma > 0,
         logpdf=_lognormal_logpdf,
         cdf=lambda x, mu, sigma: ndtr((np.log(x) - mu) / sigma),
-        sample=lambda rng, n, mu, sigma: np.exp(mu + sigma * rng.standard_normal(n)),
+        ppf=lambda u, mu, sigma: np.exp(mu + sigma * ndtri(u)),
         positive=True,
         estimate=lambda x: {"mu": float(np.mean(np.log(x))), "sigma": float(np.std(np.log(x)))},
     ),
@@ -246,7 +252,7 @@ _FAMILIES = {
             (shape - 1) * np.log(x) - x / scale - shape * np.log(scale) - gammaln(shape)
         ),
         cdf=lambda x, shape, scale: gammainc(shape, x / scale),
-        sample=lambda rng, n, shape, scale: rng.gamma(shape, scale, size=n),
+        ppf=lambda u, shape, scale: scale * gammaincinv(shape, u),
         positive=True,
         starts=_gamma_starts,
         log_params=("shape", "scale"),
@@ -257,8 +263,8 @@ _FAMILIES = {
         logpdf=lambda x, shape, scale: (
             np.log(shape) - np.log(scale) + (shape - 1) * np.log(x / scale) - (x / scale) ** shape
         ),
-        cdf=lambda x, shape, scale: 1.0 - np.exp(-((x / scale) ** shape)),
-        sample=lambda rng, n, shape, scale: scale * (-np.log1p(-rng.random(n))) ** (1.0 / shape),
+        cdf=lambda x, shape, scale: -np.expm1(-((x / scale) ** shape)),
+        ppf=lambda u, shape, scale: scale * (-np.log1p(-u)) ** (1.0 / shape),
         positive=True,
         starts=_weibull_starts,
         log_params=("shape", "scale"),
@@ -268,7 +274,7 @@ _FAMILIES = {
         valid=lambda lo, hi: lo < hi,
         logpdf=lambda x, lo, hi: np.where((x >= lo) & (x <= hi), -np.log(hi - lo), -np.inf),
         cdf=lambda x, lo, hi: np.clip((x - lo) / (hi - lo), 0.0, 1.0),
-        sample=lambda rng, n, lo, hi: rng.uniform(lo, hi, size=n),
+        ppf=lambda u, lo, hi: lo + (hi - lo) * u,
     ),
     DEGENERATE: _Family(
         params=("value",),
@@ -276,7 +282,7 @@ _FAMILIES = {
         # point mass: log-density 0 on the atom under the counting measure
         logpdf=lambda x, value: np.where(x == value, 0.0, -np.inf),
         cdf=lambda x, value: np.where(x >= value, 1.0, 0.0),
-        sample=lambda rng, n, value: np.full(n, value),
+        ppf=lambda u, value: np.full(np.shape(u), value),
     ),
 }
 
@@ -294,6 +300,13 @@ def distribution_logpdf(dist: FittedDistribution, x) -> np.ndarray:
 
 def distribution_cdf(dist: FittedDistribution, x) -> np.ndarray:
     return _evaluate(dist, _FAMILIES[dist.family].cdf, x, 0.0)
+
+
+def distribution_ppf(dist: FittedDistribution, u) -> np.ndarray:
+    """Quantile function at u in [0, 1]: ``distribution_ppf(d, rng.random(n))``
+    draws n values, and the ends give the support's bounds."""
+    with np.errstate(divide="ignore"):  # the ends: log(0) and 0 ** -a are infinite
+        return _FAMILIES[dist.family].ppf(np.asarray(u, dtype=float), **dist.params)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +331,8 @@ def fit_family(samples, family: str) -> FittedDistribution:
     Nelder-Mead on the negative log-likelihood from 3 deterministic starts
     (simplex tolerance 1e-8, at most 2000 evaluations per start).
     """
+    from scipy import optimize  # only fits need the optimizer; keep it off import
+
     if family not in FAMILIES:
         raise ValueError(f"family {family!r} is not a fit candidate")
     fam = _FAMILIES[family]
@@ -362,21 +377,6 @@ def rank_families(samples, families=FAMILIES) -> list[FittedDistribution]:
     if not fits:
         raise ValueError("all family fits failed")
     return sorted(fits, key=lambda f: f.aic)
-
-
-# ---------------------------------------------------------------------------
-# Sampling.
-
-
-def sample_distribution(dist: FittedDistribution, rng: np.random.Generator, size=None):
-    """Draw from a fitted family; scalar when size is None, else an array.
-
-    Inverse Gaussian uses the Michael-Schucany-Haas transformation; GEV and
-    Weibull invert their CDFs; log-normal exponentiates a normal; gamma uses
-    the generator's gamma stream.
-    """
-    out = _FAMILIES[dist.family].sample(rng, 1 if size is None else size, **dist.params)
-    return float(out[0]) if size is None else out
 
 
 def ks_statistic(samples, dist: FittedDistribution) -> float:

@@ -33,10 +33,10 @@ from sensorprint.distances import (
     INVERSE_GAUSSIAN,
     UNIFORM,
     FittedDistribution,
+    distribution_ppf,
     fit_family,
     pairwise_distances,
     rank_families,
-    sample_distribution,
 )
 from sensorprint.features import featurize_dataset, featurize_sample, temporal_features
 from sensorprint.metric import train_ldml
@@ -130,10 +130,10 @@ def test_c05_mle_recovery_and_family_ranking():
     gev_true = FittedDistribution(GEV, {"mu": 0.0, "sigma": 1.0, "xi": 0.2},
                                   log_likelihood=0.0, aic=6.0, n=1)
     rng = np.random.default_rng(42)
-    fit_ig = fit_family(sample_distribution(ig_true, rng, size=10_000), INVERSE_GAUSSIAN)
+    fit_ig = fit_family(distribution_ppf(ig_true, rng.random(10_000)), INVERSE_GAUSSIAN)
     ig_ok = (abs(fit_ig.params["mu"] - 2.0) / 2.0 <= 0.05
              and abs(fit_ig.params["lam"] - 6.0) / 6.0 <= 0.05)
-    fit_gev = fit_family(sample_distribution(gev_true, rng, size=10_000), GEV)
+    fit_gev = fit_family(distribution_ppf(gev_true, rng.random(10_000)), GEV)
     # the true location is 0, so its tolerance is absolute, not relative
     gev_ok = (abs(fit_gev.params["mu"]) <= 0.1
               and abs(fit_gev.params["sigma"] - 1.0) <= 0.1
@@ -142,7 +142,7 @@ def test_c05_mle_recovery_and_family_ranking():
     for trial in range(20):
         r = np.random.default_rng([7, trial])
         truth = ig_true if trial % 2 == 0 else gev_true
-        best = rank_families(sample_distribution(truth, r, size=10_000))[0]
+        best = rank_families(distribution_ppf(truth, r.random(10_000)))[0]
         wins += best.family == truth.family
     dt = time.monotonic() - t0
     ok = ig_ok and gev_ok and wins >= 18 and dt < 60.0

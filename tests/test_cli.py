@@ -357,7 +357,10 @@ def test_countermeasure_refused_impact_settings_leave_no_files(workdir, tmp_path
     ("quantize", ["--angle-bin", "nan"]),
     # finite settings whose readings overflow to infinity or NaN
     ("obfuscate", ["--gain-range", "1e308", "1e308"]),
-    ("quantize", ["--angle-bin", "1e-320"]),
+    # a subnormal bin overflows the quotient: refused before any warning
+    pytest.param("quantize", ["--angle-bin", "1e-320"], marks=pytest.mark.filterwarnings("error")),
+    pytest.param("quantize", ["--magnitude-bin", "1e-320"],
+                 marks=pytest.mark.filterwarnings("error")),
 ])
 def test_countermeasure_refuses_non_finite_settings(workdir, tmp_path, capsys, scheme, flags):
     out = tmp_path / "cm.jsonl"

@@ -23,12 +23,12 @@ from sensorprint.distances import (
     FittedDistribution,
     distribution_cdf,
     distribution_logpdf,
+    distribution_ppf,
     fit_family,
     ks_statistic,
     load_fitted,
     pairwise_distances,
     rank_families,
-    sample_distribution,
     save_fitted,
 )
 
@@ -165,7 +165,7 @@ def test_aic_arithmetic():
 
 def test_ig_mle_recovery():
     rng = np.random.default_rng(100)
-    x = sample_distribution(IG26(), rng, size=10_000)
+    x = distribution_ppf(IG26(), rng.random(10_000))
     f = fit_family(x, INVERSE_GAUSSIAN)
     assert abs(f.params["mu"] - 2.0) < 0.05
     assert abs(f.params["lam"] - 6.0) < 0.3
@@ -173,7 +173,7 @@ def test_ig_mle_recovery():
 
 def test_gev_mle_recovery():
     rng = np.random.default_rng(100)
-    x = sample_distribution(GEV02(), rng, size=10_000)
+    x = distribution_ppf(GEV02(), rng.random(10_000))
     f = fit_family(x, GEV)
     assert abs(f.params["mu"]) < 0.1  # true location 0: absolute tolerance
     assert abs(f.params["sigma"] - 1.0) < 0.1
@@ -202,7 +202,7 @@ def test_numeric_mle_gamma_weibull():
 
 def test_rank_ig_data_puts_ig_first():
     rng = np.random.default_rng(100)
-    x = sample_distribution(IG26(), rng, size=10_000)
+    x = distribution_ppf(IG26(), rng.random(10_000))
     ranking = rank_families(x)
     assert ranking[0].family == INVERSE_GAUSSIAN
     assert len(ranking) == 5  # positive data: every family fits
@@ -212,7 +212,7 @@ def test_rank_ig_data_puts_ig_first():
 
 def test_rank_gev_data_puts_gev_first():
     rng = np.random.default_rng(100)
-    x = sample_distribution(GEV02(), rng, size=10_000)
+    x = distribution_ppf(GEV02(), rng.random(10_000))
     ranking = rank_families(x)
     assert ranking[0].family == GEV
     # shifted to positive support: a real 5-way contest, GEV still first
@@ -238,7 +238,7 @@ def test_rank_all_failed():
 def test_local_optimality_of_mle():
     rng = np.random.default_rng(100)
     prng = np.random.default_rng(7)
-    x = sample_distribution(IG26(), rng, size=5_000)
+    x = distribution_ppf(IG26(), rng.random(5_000))
     x_shift = x + 0.5  # keeps all families comfortably in-domain
     for fam in FAMILIES:
         f = fit_family(x_shift, fam)
@@ -262,13 +262,13 @@ def test_sampler_matches_cdf_ks():
         make_dist(GAMMA, shape=3.0, scale=1.5),
         make_dist(WEIBULL, shape=1.7, scale=2.0),
     ]:
-        s = sample_distribution(dist, rng, size=10_000)
+        s = distribution_ppf(dist, rng.random(10_000))
         assert ks_statistic(s, dist) < 0.02
 
 
 def test_ks_detects_wrong_family():
     rng = np.random.default_rng(100)
-    x = sample_distribution(IG26(), rng, size=10_000)
+    x = distribution_ppf(IG26(), rng.random(10_000))
     wrong = fit_family(x, WEIBULL)
     assert ks_statistic(x, wrong) > 0.04  # oracle run: 0.062
 
@@ -285,7 +285,7 @@ def test_sampler_mean_within_3se():
         (make_dist(GAMMA, shape=3.0, scale=1.5), 4.5),
         (make_dist(WEIBULL, shape=1.7, scale=2.0), 2.0 * gamma_fn(1 + 1 / 1.7)),
     ]:
-        s = sample_distribution(dist, rng, size=100_000)
+        s = distribution_ppf(dist, rng.random(100_000))
         se = s.std() / np.sqrt(len(s))
         assert abs(s.mean() - m) < 3 * se, dist.family
 
@@ -297,11 +297,12 @@ def test_gev_median_closed_form():
 
 
 def test_sampler_reproducible():
-    a = sample_distribution(IG26(), np.random.default_rng(3), size=50)
-    b = sample_distribution(IG26(), np.random.default_rng(3), size=50)
+    u = np.random.default_rng(3).random(50)
+    a = distribution_ppf(IG26(), u)
+    b = distribution_ppf(IG26(), np.random.default_rng(3).random(50))
     np.testing.assert_array_equal(a, b)
-    scalar = sample_distribution(IG26(), np.random.default_rng(3))
-    assert scalar == pytest.approx(a[0])
+    # element by element: a scalar u gives the same value as inside an array
+    assert distribution_ppf(IG26(), u[7]) == a[7]
 
 
 def test_fitted_distribution_domain_checks():
@@ -313,7 +314,7 @@ def test_fitted_distribution_domain_checks():
 
 def test_fitted_json_round_trip(tmp_path):
     rng = np.random.default_rng(14)
-    x = sample_distribution(IG26(), rng, size=2_000)
+    x = distribution_ppf(IG26(), rng.random(2_000))
     f = fit_family(x, INVERSE_GAUSSIAN)
     p = tmp_path / "fit.json"
     save_fitted(f, "inter", p)
@@ -344,6 +345,11 @@ PINNED_PARAMS = [
 ]
 
 
+# the ends, both tails and the body of [0, 1]
+U_GRID = np.concatenate([[0.0, 1e-300, 1e-12, 1e-9, 1e-6], np.linspace(0.01, 0.99, 99),
+                         [1 - 1e-9, 1.0]])
+
+
 def _digest(arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -352,6 +358,27 @@ def _digest(arrays) -> str:
         # is not part of any contract
         h.update(np.where(np.isnan(a), np.nan, a).tobytes())
     return h.hexdigest()
+
+
+@pytest.mark.parametrize("family,params", PINNED_PARAMS,
+                         ids=[f"{f}-{i}" for i, (f, _) in enumerate(PINNED_PARAMS)])
+def test_ppf_inverts_cdf(family, params):
+    d = make_dist(family, **params)
+    u = np.array([1e-12, 1e-9, 1e-6, 0.01, 0.5, 0.99, 1 - 1e-9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # also at the ends u = 0 and 1
+        x = distribution_ppf(d, U_GRID)
+        c = distribution_cdf(d, distribution_ppf(d, u))
+    assert np.all(np.diff(x) >= 0)
+    if family == UNIFORM:
+        np.testing.assert_array_equal(x, params["lo"] + (params["hi"] - params["lo"]) * U_GRID)
+    elif family == DEGENERATE:
+        np.testing.assert_array_equal(x, params["value"])
+    else:
+        # u = 1 - 1e-9 holds 1e-9 only to about 1e-7 relative
+        np.testing.assert_array_less(np.abs(c - u), 1e-6 * np.minimum(u, 1 - u))
+    if family in (INVERSE_GAUSSIAN, LOG_NORMAL, GAMMA, WEIBULL):
+        assert (x[0], x[-1]) == (0.0, np.inf)
 
 
 @pytest.mark.parametrize("family,params", [
@@ -387,24 +414,22 @@ def test_gev_logpdf_is_per_point_off_support():
 
 def test_family_table_pinned():
     # sha256 digests recorded from the per-family dispatch implementation;
-    # any change of arithmetic in a density, CDF, sampler or fit moves
-    # them. The grid holds off-support points (x <= 0, beyond the GEV
+    # any change of arithmetic in a density, CDF, quantile function or fit
+    # moves them. The grid holds off-support points (x <= 0, beyond the GEV
     # endpoints and the UNIFORM edges) and the DEGENERATE atom; the inner
     # grid dates from when one off-support point made all of GEV's logpdf
     # -inf. logpdf and cdf were re-recorded when the positive families
     # became -inf and 0 at x < 0 and GEV's logpdf -inf per off-support
-    # point; no other value of theirs moved.
+    # point; no other value of theirs moved. cdf was re-recorded again
+    # when WEIBULL's became -expm1(-t) (31 grid values moved, each by at
+    # most 1.1e-16).
     grid = np.concatenate([np.linspace(-1.0, 6.0, 141), [0.0, 1e-300, 1e6, -1e-3]])
     inner = grid[(grid > 0.05) & (grid < 3.5)]
     dists = [make_dist(f, **p) for f, p in PINNED_PARAMS]
     with np.errstate(all="ignore"):
         logpdf = _digest(distribution_logpdf(d, x) for d in dists for x in (grid, inner))
         cdf = _digest(distribution_cdf(d, grid) for d in dists)
-        draws = _digest(
-            sample_distribution(d, np.random.default_rng(100 + i), size=1000)
-            for i, d in enumerate(dists)
-        )
-        scalar = _digest([[sample_distribution(d, np.random.default_rng(7)) for d in dists]])
+        ppf = _digest(distribution_ppf(d, U_GRID) for d in dists)
     rng = np.random.default_rng(5)
     samples = (rng.gamma(3.0, 0.7, 300), np.exp(rng.normal(0.2, 0.5, 300)))
     fits = hashlib.sha256(repr([
@@ -413,8 +438,7 @@ def test_family_table_pinned():
     ]).encode()).hexdigest()
     order = [f.family for f in rank_families(samples[0])]
     assert logpdf == "cca14686dbd498c0466636bd56739ffb022de0ad75eacfa244a016517517c860", "logpdf"
-    assert cdf == "961fe5306def8439b637658923dc930b3f331cc2635323156c8602ae309d3e79", "cdf"
-    assert draws == "4cf6fd6faa2183197bf66e94ebaeb09c3299c560d50c931ac0b1436c46b56afe", "draws"
-    assert scalar == "515279c891f6e73d194c477daa05377e4515be85ab2083334e0aa69599baf3cb", "scalar draw"
+    assert cdf == "2c94a648e2ab2ba87127f3ebff4859534ecad126ce929dbca6033f50ad0aac18", "cdf"
+    assert ppf == "71801584cb5ff925f5c3735fda6b1d9f7557a67e65c2612e01c0c9ccdab084ab", "ppf"
     assert fits == "2f9c2104fa18bf8ffb8bccae743a006a392127e392b00644385d355d8dadd725", "fit_family"
     assert order == [GAMMA, WEIBULL, GEV, LOG_NORMAL, INVERSE_GAUSSIAN]

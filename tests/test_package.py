@@ -17,22 +17,33 @@ PKG_ROOT = Path(sensorprint.__file__).resolve().parent.parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
+def _child_stdout(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports sensorprint."""
+    pythonpath = os.pathsep.join(filter(None, [str(PKG_ROOT), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_importing_every_module_leaves_scipy_stats_out():
     # scipy.stats adds about a second to every CLI start and no module needs it
-    code = (
+    n_modules, has_stats = _child_stdout(
         "import importlib, pkgutil, sys, sensorprint\n"
         "mods = [m.name for m in pkgutil.iter_modules(sensorprint.__path__)]\n"
         "for m in mods:\n"
         "    importlib.import_module('sensorprint.' + m)\n"
         "print(len(mods), 'scipy.stats' in sys.modules)\n"
-    )
-    pythonpath = os.pathsep.join(filter(None, [str(PKG_ROOT), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    n_modules, has_stats = proc.stdout.split()
+    ).split()
     assert int(n_modules) >= 9
     assert has_stats == "False"
+
+
+def test_simulate_and_cli_leave_the_optimizer_out():
+    # only fit_family needs scipy.optimize; the simulate step never fits
+    out = _child_stdout("import sys, sensorprint.cli, sensorprint.simulate\n"
+                        "print('scipy.optimize' in sys.modules)\n")
+    assert out.split() == ["False"]
 
 
 @pytest.mark.skipif(not TRACER.exists(), reason="perfbench/ is not in this checkout")

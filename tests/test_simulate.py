@@ -5,10 +5,12 @@ import pytest
 
 from sensorprint.dataset import DevicePrior, generate_synthetic
 from sensorprint.distances import (
+    DEGENERATE,
     GEV,
     INVERSE_GAUSSIAN,
     UNIFORM,
     FittedDistribution,
+    distribution_ppf,
 )
 from sensorprint.simulate import (
     SimConfig,
@@ -63,53 +65,59 @@ def test_exchangeability_law():
 
 
 def test_tie_at_kth_prefers_earlier_drawn():
-    # constant equal distances everywhere: all ties. With k=3, slots fill in
-    # draw order (intra first), so with N>=3 no imposter enters the top k.
-    const = uni(1.0, 1.0 + 1e-12)  # effectively degenerate at 1
-    # exact-tie version via a zero-width-ish uniform is still random; build
-    # the decision directly instead
-    from sensorprint.simulate import _run_is_correct
-
-    intra = np.ones(3)
-    inter = np.ones(30)
-    assert _run_is_correct(intra, inter, k=3)
-    # with N=1, the two remaining slots go to imposters: 2 >= 3/2 -> wrong
-    assert not _run_is_correct(np.ones(1), np.ones(30), k=3)
-    # k=1 tie goes to the intra draw
-    assert _run_is_correct(np.ones(1), np.ones(30), k=1)
+    # a point mass for both: every distance ties, the k slots fill in draw
+    # order (intra first), so a run is correct exactly when N >= (k+1)/2
+    at1 = FittedDistribution(DEGENERATE, {"value": 1.0}, 0.0, 2.0, 10)
+    for k in (1, 3, 5, 7):
+        for N in (1, 2, 3, 4):
+            res = simulate_knn(SimConfig(k=k, N=N, D=10, runs=50, intra=at1, inter=at1))
+            assert res.accuracy == (1.0 if N >= (k + 1) // 2 else 0.0), (k, N)
 
 
-def test_run_is_correct_counts_imposters():
-    from sensorprint.simulate import _run_is_correct
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("N,D", [(3, 20), (5, 10)])
+def test_identical_families_follow_the_hypergeometric_law(k, N, D):
+    # intra and inter exchangeable: the intra draws among the k nearest of
+    # all N + M are Hypergeometric(N + M, N, k), and a run is correct when
+    # at least j = (k+1)/2 of them are intra
+    from math import comb
 
-    # 2 intra at 1.0, inter at 0.5: nearest 3 are (0.5, 1.0, 1.0): 1 imposter < 1.5
-    assert _run_is_correct(np.array([1.0, 1.0]), np.array([0.5, 9.0, 9.0]), k=3)
-    # inter at 0.5 and 0.6: nearest 3 have 2 imposters >= 1.5
-    assert not _run_is_correct(np.array([1.0, 1.0]), np.array([0.5, 0.6, 9.0]), k=3)
+    M, j, runs = N * (D - 1), (k + 1) // 2, 20_000
+    p = sum(comb(N, i) * comb(M, k - i) for i in range(j, min(k, N) + 1)) / comb(N + M, k)
+    res = simulate_knn(SimConfig(k=k, N=N, D=D, runs=runs, intra=ig(2.0, 6.0), inter=ig(2.0, 6.0),
+                                 seed=k))
+    assert abs(res.accuracy - p) < 4 * np.sqrt(p * (1 - p) / runs), (res.accuracy, p)
+
+
+def _full_draw_accuracy(intra, inter, k, N, D, runs, seed):
+    """The simulator before order statistics: draw all N + M distances of a
+    run, rank them with ties in draw order (intra first), and count the
+    imposters among the k nearest."""
+    rng = np.random.default_rng(seed)
+    d = np.concatenate([distribution_ppf(intra, rng.random((runs, N))),
+                        distribution_ppf(inter, rng.random((runs, N * (D - 1))))], axis=1)
+    nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+    return np.mean(np.count_nonzero(nearest >= N, axis=1) < k / 2)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
-def test_run_is_correct_matches_brute_force_ranking(k):
-    from sensorprint.simulate import _run_is_correct
+def test_run_is_correct_matches_brute_force_ranking(k, monkeypatch):
+    from sensorprint import distances
 
-    def brute_force(intra, inter):
-        # rank every draw, ties in draw order (intra before inter), and
-        # count the imposters among the k nearest
-        order = np.argsort(np.concatenate([intra, inter]), kind="stable")
-        return np.count_nonzero(order[:k] >= len(intra)) < k / 2
-
-    rng = np.random.default_rng(k)
-    n_short = 0
-    for _ in range(2000):
-        N, D = rng.integers(1, 8), rng.integers(2, 6)
-        if k > N * D:
-            continue
-        n_short += N < (k + 1) // 2
-        # few distinct values: most runs tie at the k-th distance
-        intra = rng.integers(0, 4, N).astype(float)
-        inter = rng.integers(0, 4, N * (D - 1)).astype(float)
-        assert _run_is_correct(intra, inter, k) == brute_force(intra, inter), (intra, inter)
-    assert n_short > 0 or k == 1
+    # tie-heavy: the integers 0 .. n-1, each with probability 1/n; the
+    # simulator only draws, so no density or CDF is given
+    levels = distances._Family(params=("n",), valid=lambda n: n >= 1, logpdf=None, cdf=None,
+                               ppf=lambda u, n: np.minimum(np.floor(n * u), n - 1))
+    monkeypatch.setitem(distances._FAMILIES, "LEVELS", levels)
+    intra = FittedDistribution("LEVELS", {"n": 3}, 0.0, 2.0, 10)
+    inter = FittedDistribution("LEVELS", {"n": 4}, 0.0, 2.0, 10)
+    runs = 4000
+    for N, D in [(1, 12), (2, 6), (3, 4), (5, 3), (8, 2)]:
+        ref = _full_draw_accuracy(intra, inter, k, N, D, runs, seed=k)
+        res = simulate_knn(SimConfig(k=k, N=N, D=D, runs=runs, intra=intra, inter=inter, seed=k))
+        p = (ref + res.accuracy) / 2
+        # fewer than (k+1)/2 intra draws: both are exactly 0
+        assert abs(res.accuracy - ref) <= 4 * np.sqrt(p * (1 - p) * 2 / runs), (N, D, ref, res)
 
 
 def test_determinism():
@@ -151,6 +159,35 @@ def test_sweep_monotone_in_d():
     assert res.monotone_in_d[2] is True
     accs = [r.accuracy for r in res.rows]
     assert accs[0] > accs[-1]  # clearly decreasing at these scales
+
+
+@pytest.mark.parametrize("intra,inter", [
+    (FittedDistribution(GEV, {"mu": 1.0, "sigma": 1.0, "xi": 0.5}, 0.0, 6.0, 10),
+     FittedDistribution(GEV, {"mu": 3.0, "sigma": 0.5, "xi": 0.3}, 0.0, 6.0, 10)),
+    (ig(1.0, 0.5), ig(3.0, 100.0)),
+], ids=["GEV", "INVERSE_GAUSSIAN"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_sweep_shares_uniforms_across_cells(intra, inter, k):
+    # the cells reuse each run's two uniforms and only the inter order
+    # statistic depends on D, so no run turns correct as D grows. The inter
+    # lower tails are thin, so counts fall by less than their Monte-Carlo
+    # noise per step: fresh uniforms per cell would break the order in 96
+    # of 100 seeds across the four cases.
+    Ds = [10**2, 10**3, 10**4, 10**5]
+    res = sweep(k, [3], Ds, 1000, intra, inter, seed=8)
+    correct = [round(r.accuracy * r.runs) for r in res.rows]
+    assert correct == sorted(correct, reverse=True) and correct[0] > correct[-1], correct
+
+
+def test_population_of_ten_million_costs_two_uniforms_per_run():
+    # the full-draw simulator drew 3e7 inter distances per run here
+    import time
+
+    t0 = time.monotonic()
+    res = simulate_knn(SimConfig(k=3, N=3, D=10**7, runs=10_000, intra=ig(1.0, 5.0),
+                                 inter=ig(3.0, 20.0)))
+    assert time.monotonic() - t0 < 1.0
+    assert 0.0 < res.accuracy < 0.05
 
 
 def test_sweep_monotone_in_n():
