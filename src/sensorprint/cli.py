@@ -206,11 +206,10 @@ def cmd_simulate(args) -> int:
         raise ValueError(
             f"expected an intra and an inter fit, got {kind_a!r} and {kind_b!r}"
         )
-    result = sweep(args.k, args.train_counts, args.device_counts, args.runs,
-                   intra, inter, seed=args.seed)
-    write_sweep_csv(result, args.out)
-    log.info("simulate: %d cell(s) x %d run(s) -> %s",
-             len(result.rows), args.runs, args.out)
+    rows = sweep(args.k, args.train_counts, args.device_counts, args.runs,
+                 intra, inter, seed=args.seed)
+    write_sweep_csv(rows, args.out)
+    log.info("simulate: %d cell(s) x %d run(s) -> %s", len(rows), args.runs, args.out)
     return 0
 
 

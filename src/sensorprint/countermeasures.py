@@ -62,14 +62,19 @@ def obfuscate(sample: RawSample, cfg: ObfuscationConfig) -> RawSample:
 
     Each of the six axes gets its own (gain, offset) pair, drawn uniformly
     from the configured ranges and held constant across the session; every
-    reading maps to ``value * gain + offset``. Timestamps are untouched.
+    reading maps to ``value * gain + offset``. Timestamps are untouched. A
+    reading that overflows is a ValueError naming the sample.
     """
     rng = _session_rng(cfg.seed, sample.device_id, sample.sample_id)
     out = {}
     for name, data in (("accel", sample.accel), ("gyro", sample.gyro)):
         gains = rng.uniform(cfg.gain_range[0], cfg.gain_range[1], size=3)
         offsets = rng.uniform(cfg.offset_range[0], cfg.offset_range[1], size=3)
-        out[name] = data * gains + offsets
+        with np.errstate(over="ignore"):  # refused below
+            out[name] = data * gains + offsets
+        if not np.all(np.isfinite(out[name])):
+            raise ValueError(f"sample {sample.device_id}/{sample.sample_id}: "
+                             f"obfuscated {name} readings are non-finite")
     return RawSample(
         device_id=sample.device_id,
         sample_id=sample.sample_id,

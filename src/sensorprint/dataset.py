@@ -312,18 +312,22 @@ def synthesize_sample(
     Truth is accel (0, 0, 9.81) m/s^2 and gyro (0, 0, 0) rad/s; the measured
     reading is truth * gain + offset + Gaussian noise. Timestamps are nominal
     ``fs_nominal`` with uniform jitter of +/-10% of the period, which keeps
-    them strictly increasing.
+    them strictly increasing. A model whose readings overflow is a ValueError
+    naming the sample.
     """
     period = 1.0 / fs_nominal
     n = int(round(duration * fs_nominal)) + 1
     t = np.arange(n) * period + rng.uniform(-0.1 * period, 0.1 * period, size=n)
     truth_accel = np.array([0.0, 0.0, GRAVITY])
-    accel = (
-        truth_accel * model.accel_gain
-        + model.accel_offset
-        + rng.normal(0.0, model.noise_sigma_accel, size=(n, 3))
-    )
-    gyro = model.gyro_offset + rng.normal(0.0, model.noise_sigma_gyro, size=(n, 3))
+    with np.errstate(over="ignore"):  # refused below
+        accel = (
+            truth_accel * model.accel_gain
+            + model.accel_offset
+            + rng.normal(0.0, model.noise_sigma_accel, size=(n, 3))
+        )
+        gyro = model.gyro_offset + rng.normal(0.0, model.noise_sigma_gyro, size=(n, 3))
+    if not (np.all(np.isfinite(accel)) and np.all(np.isfinite(gyro))):
+        raise ValueError(f"sample {device_id}/{sample_id}: non-finite readings")
     return RawSample(device_id, sample_id, t, accel, gyro)
 
 

@@ -40,8 +40,10 @@ class MetricModel:
         self.L = np.asarray(self.L, dtype=float)
         if self.L.ndim != 2:
             raise ValueError("L must be a 2-d matrix")
-        if np.any(self.stds <= 0):
-            raise ValueError("stds must be positive")
+        if not np.all((self.stds > 0) & (self.stds < np.inf)):  # NaN fails it too
+            raise ValueError("stds must be positive and finite")
+        if not (np.all(np.isfinite(self.means)) and np.isfinite(self.bias)):
+            raise ValueError("means and bias must be finite")
         if not np.all(np.isfinite(self.L)):
             raise ValueError("L must be finite")
         if self.L.shape[0] > self.L.shape[1]:

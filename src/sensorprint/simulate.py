@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import betaincinv
 
 from .distances import FittedDistribution, distribution_ppf
+
+if TYPE_CHECKING:
+    from .features import FeatureTable
 
 Z95 = 1.959963984540054
 
@@ -46,13 +50,19 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    accuracy: float
+    """One simulated cell: the configuration and its accuracy with a 95%
+    Wilson interval."""
+    k: int
+    N: int
+    D: int
     runs: int
+    accuracy: float
     ci_low: float
     ci_high: float
 
 
-def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    z = Z95
     p = successes / n
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -82,71 +92,26 @@ def simulate_knn(config: SimConfig) -> SimResult:
         inter_j = distribution_ppf(config.inter, betaincinv(j, n_inter - j + 1, u[:, 1]))
         correct = int(np.count_nonzero(intra_j <= inter_j))
     lo, hi = wilson_interval(correct, config.runs)
-    return SimResult(accuracy=correct / config.runs, runs=config.runs, ci_low=lo, ci_high=hi)
+    return SimResult(config.k, config.N, config.D, config.runs, correct / config.runs, lo, hi)
 
 
-@dataclass
-class SweepRow:
-    k: int
-    N: int
-    D: int
-    runs: int
-    accuracy: float
-    ci_low: float
-    ci_high: float
-
-
-@dataclass
-class SweepResult:
-    rows: list[SweepRow]
-    monotone_in_d: dict[int, bool]  # per N: accuracy non-increasing in D
-    monotone_in_n: dict[int, bool]  # per D: accuracy non-decreasing in N
-
-
-def _step_se(row_a: SweepRow, row_b: SweepRow) -> float:
-    se = lambda r: np.sqrt(max(r.accuracy * (1 - r.accuracy), 1e-12) / r.runs)
-    return float(np.hypot(se(row_a), se(row_b)))
-
-
-def _trend_holds(cells: list[SweepRow], falling: bool) -> bool:
-    """No step along ``cells`` moves accuracy against the expected direction
-    by more than 2 combined std-errors."""
-    for ra, rb in zip(cells, cells[1:]):
-        tol = 2 * _step_se(ra, rb)
-        if (rb.accuracy > ra.accuracy + tol) if falling else (rb.accuracy < ra.accuracy - tol):
-            return False
-    return True
-
-
-def sweep(k, N_values, D_values, runs, intra, inter, seed: int = 0) -> SweepResult:
-    """Grid of simulations over (N, D) at fixed k, with trend diagnostics.
+def sweep(k, N_values, D_values, runs, intra, inter, seed: int = 0) -> list[SimResult]:
+    """Simulate every (N, D) cell at fixed k, N-major.
 
     Every cell uses the same seed, so the same uniforms (common random
-    numbers): at fixed N a run correct at some D is correct at every smaller
-    D. The diagnostics check that accuracy falls as the population D grows
-    and rises with more training samples N, each within 2 combined
-    std-errors per step.
+    numbers): at fixed N only the inter order statistic depends on D, and it
+    can only fall as D grows, so a run correct at some D is correct at every
+    smaller D.
     """
-    rows = []
-    by_cell = {}
-    for N in N_values:
-        for D in D_values:
-            res = simulate_knn(SimConfig(k=k, N=N, D=D, runs=runs, intra=intra, inter=inter, seed=seed))
-            row = SweepRow(k, N, D, runs, res.accuracy, res.ci_low, res.ci_high)
-            rows.append(row)
-            by_cell[(N, D)] = row
-    monotone_in_d = {N: _trend_holds([by_cell[(N, D)] for D in sorted(D_values)], falling=True)
-                     for N in N_values}
-    monotone_in_n = {D: _trend_holds([by_cell[(N, D)] for N in sorted(N_values)], falling=False)
-                     for D in D_values}
-    return SweepResult(rows=rows, monotone_in_d=monotone_in_d, monotone_in_n=monotone_in_n)
+    return [simulate_knn(SimConfig(k=k, N=N, D=D, runs=runs, intra=intra, inter=inter, seed=seed))
+            for N in N_values for D in D_values]
 
 
-def write_sweep_csv(result: SweepResult, path) -> None:
+def write_sweep_csv(rows: list[SimResult], path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "N", "D", "runs", "accuracy", "ci_low", "ci_high"])
-        for r in result.rows:
+        for r in rows:
             w.writerow([r.k, r.N, r.D, r.runs, repr(r.accuracy), repr(r.ci_low), repr(r.ci_high)])
 
 
@@ -154,50 +119,30 @@ def write_sweep_csv(result: SweepResult, path) -> None:
 class ValidationReport:
     empirical_accuracy: float
     simulated_accuracy: float
-    gap: float
     n_devices: int
-    intra_family: str
-    inter_family: str
-    k: int
-    train_per_device: int
-    intra_fit: object = None  # FittedDistribution, reusable for sweeps
-    inter_fit: object = None
-
-    def to_dict(self) -> dict:
-        return {
-            "empirical_accuracy": self.empirical_accuracy,
-            "simulated_accuracy": self.simulated_accuracy,
-            "gap": self.gap,
-            "n_devices": self.n_devices,
-            "intra_family": self.intra_family,
-            "inter_family": self.inter_family,
-            "intra_params": dict(self.intra_fit.params) if self.intra_fit else None,
-            "inter_params": dict(self.inter_fit.params) if self.inter_fit else None,
-            "k": self.k,
-            "train_per_device": self.train_per_device,
-        }
+    intra_fit: FittedDistribution  # reusable for sweeps
+    inter_fit: FittedDistribution
 
 
 def validate_against_empirical(
-    dataset,
+    table: FeatureTable,
     k: int = 1,
     train_per_device: int = 3,
     repeats: int = 10,
     runs: int = 10_000,
     seed: int = 0,
     use_ldml: bool = False,
-    fs_target: float = 100.0,
 ) -> ValidationReport:
     """Compare measured k-NN accuracy against the distribution-driven estimate.
 
-    The empirical arm runs the repeated-split protocol; the simulated arm
-    fits intra/inter distance distributions on the same dataset (standardized
-    space, optionally through the learned metric) and feeds the top-ranked
-    family of each into the simulator with D = eligible device count.
+    The empirical arm runs the repeated-split protocol on the table; the
+    simulated arm fits intra/inter distance distributions on the same rows
+    (standardized space, optionally through the learned metric) and feeds the
+    top-ranked family of each into the simulator with D = eligible device
+    count.
     """
     from .classify import run_protocol
-    from .distances import DEGENERATE, FittedDistribution, pairwise_distances, rank_families
-    from .features import featurize_dataset
+    from .distances import DEGENERATE, pairwise_distances, rank_families
     from .metric import standardizer, train_ldml
 
     def fit_top(values: np.ndarray) -> FittedDistribution:
@@ -210,9 +155,6 @@ def validate_against_empirical(
             )
         return rank_families(values)[0]
 
-    table = featurize_dataset(dataset, fs_target)
-    emp = run_protocol(table, "knn", train_per_device, repeats, seed, k=k, use_ldml=use_ldml)
-
     eligible = table.eligible(train_per_device + 1)
     # rows grouped by device: LDML's pair draws and the standardization
     # sums depend on row order, and the fits have always seen this one
@@ -223,19 +165,9 @@ def validate_against_empirical(
     intra_fit = fit_top(intra_d)
     inter_fit = fit_top(inter_d)
 
+    emp = run_protocol(table, "knn", train_per_device, repeats, seed, k=k, use_ldml=use_ldml)
     sim = simulate_knn(SimConfig(
         k=k, N=train_per_device, D=emp.n_devices, runs=runs,
         intra=intra_fit, inter=inter_fit, seed=seed,
     ))
-    return ValidationReport(
-        empirical_accuracy=emp.accuracy_mean,
-        simulated_accuracy=sim.accuracy,
-        gap=abs(emp.accuracy_mean - sim.accuracy),
-        n_devices=emp.n_devices,
-        intra_family=intra_fit.family,
-        inter_family=inter_fit.family,
-        k=k,
-        train_per_device=train_per_device,
-        intra_fit=intra_fit,
-        inter_fit=inter_fit,
-    )
+    return ValidationReport(emp.accuracy_mean, sim.accuracy, emp.n_devices, intra_fit, inter_fit)

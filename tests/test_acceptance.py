@@ -89,15 +89,16 @@ def test_c02_simulator_disjoint_support_oracle():
              f"accuracy={res.accuracy} (exact 1.0 required), {dt:.1f}s < 5s")
 
 
-def test_c03_simulator_matches_empirical(ds50):
+def test_c03_simulator_matches_empirical(feats50):
     t0 = time.monotonic()
-    rep = validate_against_empirical(ds50, k=1, train_per_device=3,
+    rep = validate_against_empirical(feats50, k=1, train_per_device=3,
                                      repeats=10, runs=10_000, seed=0)
     dt = time.monotonic() - t0
-    ok = rep.gap <= 0.10 and dt < 120.0
+    gap = abs(rep.empirical_accuracy - rep.simulated_accuracy)
+    ok = gap <= 0.10 and dt < 120.0
     _verdict(3, "simulator vs measured accuracy", ok,
              f"empirical={rep.empirical_accuracy:.4f} simulated={rep.simulated_accuracy:.4f} "
-             f"gap={rep.gap:.4f} <= 0.10 ({rep.intra_family}/{rep.inter_family}), "
+             f"gap={gap:.4f} <= 0.10 ({rep.intra_fit.family}/{rep.inter_fit.family}), "
              f"{dt:.1f}s < 120s")
 
 
@@ -109,17 +110,19 @@ def test_c04_population_scale_trend(feats50):
     intra_d, inter_d = pairwise_distances(feats50.X, feats50.device_ids, model=model)
     intra_fit = rank_families(intra_d)[0]
     inter_fit = rank_families(inter_d)[0]
-    res = sweep(1, [3], [100, 1_000, 10_000, 100_000], 10_000,
-                intra_fit, inter_fit, seed=0)
+    rows = sweep(1, [3], [100, 1_000, 10_000, 100_000], 100_000,
+                 intra_fit, inter_fit, seed=0)
     dt = time.monotonic() - t0
-    acc = {row.D: row.accuracy for row in res.rows}
+    acc = {row.D: row.accuracy for row in rows}
+    # the cells share each run's uniforms, so no count may rise with D
+    falling = all(a.accuracy >= b.accuracy for a, b in zip(rows, rows[1:]))
     ok = (acc[100_000] > 0.0
-          and res.monotone_in_d[3]
+          and falling
           and acc[100_000] >= 10.0 / 100_000
           and dt < 300.0)
     _verdict(4, "accuracy trend across population size", ok,
-             f"acc(D)={acc[100]:.4f}/{acc[1_000]:.4f}/{acc[10_000]:.4f}/{acc[100_000]:.4f}, "
-             f"monotone={res.monotone_in_d[3]}, acc(1e5)={acc[100_000]:.4f} >= 1e-3 "
+             f"acc(D)={acc[100]:.4f}/{acc[1_000]:.4f}/{acc[10_000]:.4f}/{acc[100_000]:.5f}, "
+             f"non-increasing in D={falling}, acc(1e5)={acc[100_000]:.5f} >= 1e-3 "
              f"(10x chance), {dt:.1f}s < 300s")
 
 
@@ -199,17 +202,17 @@ def test_c06_evaluation_matches_brute_force():
              f"{checked}/100 random prediction/truth vectors agreed exactly")
 
 
-def test_c07_classifier_trends(ds50):
+def test_c07_classifier_trends(feats50):
     t0 = time.monotonic()
     trend = [
-        run_protocol(ds50, classifier="knn", train_per_device=t,
+        run_protocol(feats50, classifier="knn", train_per_device=t,
                      repeats=10, seed=0, k=1).avg_f_mean
         for t in (1, 3, 5)
     ]
     raw3 = trend[1]
-    ldml3 = run_protocol(ds50, classifier="knn", train_per_device=3,
+    ldml3 = run_protocol(feats50, classifier="knn", train_per_device=3,
                          repeats=10, seed=0, k=1, use_ldml=True).avg_f_mean
-    rf3 = run_protocol(ds50, classifier="rf", train_per_device=3,
+    rf3 = run_protocol(feats50, classifier="rf", train_per_device=3,
                        repeats=10, seed=0, n_trees=100).avg_f_mean
     dt = time.monotonic() - t0
     ok = (trend[0] <= trend[1] <= trend[2]

@@ -92,6 +92,7 @@ def test_synth_refuses_bad_prior(tmp_path, capsys, prior):
     assert "device prior" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 def test_synth_refuses_prior_that_overflows_readings(tmp_path, capsys):
     p, out = tmp_path / "prior.json", tmp_path / "o.jsonl"
     p.write_text('{"accel_gain": [1e308, 1e308]}')
@@ -356,7 +357,8 @@ def test_countermeasure_refused_impact_settings_leave_no_files(workdir, tmp_path
     ("obfuscate", ["--gain-range", "0.5", "inf"]),
     ("quantize", ["--angle-bin", "nan"]),
     # finite settings whose readings overflow to infinity or NaN
-    ("obfuscate", ["--gain-range", "1e308", "1e308"]),
+    pytest.param("obfuscate", ["--gain-range", "1e308", "1e308"],
+                 marks=pytest.mark.filterwarnings("error")),
     # a subnormal bin overflows the quotient: refused before any warning
     pytest.param("quantize", ["--angle-bin", "1e-320"], marks=pytest.mark.filterwarnings("error")),
     pytest.param("quantize", ["--magnitude-bin", "1e-320"],
@@ -540,8 +542,9 @@ def test_non_finite_fit_json_exits_3(tmp_path, capsys, kind, family, params):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("damage", ["truncate", "drop_d_prime", "drop_means", "flat_L"])
-def test_malformed_metric_json_exits_3(workdir, tmp_path, capsys, damage):
+@pytest.mark.parametrize("damage", ["truncate", "drop_d_prime", "drop_means", "flat_L",
+                                    "nan_means", "nan_stds", "nan_bias"])
+def test_malformed_metric_json_exits_3(workdir, tmp_path, capsys, caplog, damage):
     model = tmp_path / "m.json"
     assert main(["train-metric", "--features", str(workdir / "feat.csv"),
                  "--iterations", "2", "--out", str(model)]) == 0
@@ -555,13 +558,24 @@ def test_malformed_metric_json_exits_3(workdir, tmp_path, capsys, damage):
     elif damage == "drop_means":
         del payload["means"]
         model.write_text(json.dumps(payload))
-    else:
+    elif damage == "flat_L":
         payload["L"] = payload["L"][0]
         model.write_text(json.dumps(payload))
+    else:  # json writes NaN literally
+        key = damage.removeprefix("nan_")
+        if key == "bias":
+            payload[key] = float("nan")
+        else:
+            payload[key][1] = float("nan")
+        model.write_text(json.dumps(payload))
+    out = tmp_path / "d.json"
     rc = main(["distfit", "--features", str(workdir / "feat.csv"),
-               "--metric-model", str(model), "--out", str(tmp_path / "d.json")])
+               "--metric-model", str(model), "--out", str(out)])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+    # refused on load, before the distances are fitted
+    assert not any("fit of" in r.getMessage() for r in caplog.records)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("damage", ["truncate", "drop_column", "empty"])

@@ -310,12 +310,10 @@ def test_feature_table_rejects_bad_shape():
         FeatureTable(np.zeros((2, N_TOTAL)), ["d"], ["s0", "s1"])
 
 
-@pytest.mark.parametrize("consumer", ["run_protocol", "validate_against_empirical",
-                                      "privacy_impact"])
+@pytest.mark.parametrize("consumer", ["run_protocol", "privacy_impact"])
 def test_each_consumer_featurizes_each_sample_once(monkeypatch, consumer):
     from sensorprint.classify import run_protocol
     from sensorprint.countermeasures import privacy_impact
-    from sensorprint.simulate import validate_against_empirical
 
     # build_streams is the per-capture step of featurize_dataset, which
     # featurizes the resampled streams in blocks
@@ -330,9 +328,6 @@ def test_each_consumer_featurizes_each_sample_once(monkeypatch, consumer):
     monkeypatch.setattr(features, "build_streams", counting)
     if consumer == "run_protocol":
         run_protocol(ds, repeats=2)
-        expected = len(ds.samples)
-    elif consumer == "validate_against_empirical":
-        validate_against_empirical(ds, repeats=1, runs=20)
         expected = len(ds.samples)
     else:
         privacy_impact(ds, "obfuscate", classifier="knn", repeats=1)

@@ -12,9 +12,9 @@ from sensorprint.distances import (
     FittedDistribution,
     distribution_ppf,
 )
+from sensorprint.features import featurize_dataset
 from sensorprint.simulate import (
     SimConfig,
-    SweepResult,
     simulate_knn,
     sweep,
     validate_against_empirical,
@@ -146,19 +146,17 @@ def test_doubling_runs_shrinks_interval():
 
 
 def test_sweep_single_cell_matches_direct_call():
-    res = sweep(1, [2], [10], 1000, uni(0, 2), uni(1, 3), seed=4)
+    rows = sweep(1, [2], [10], 1000, uni(0, 2), uni(1, 3), seed=4)
     direct = simulate_knn(SimConfig(k=1, N=2, D=10, runs=1000, intra=uni(0, 2), inter=uni(1, 3), seed=4))
-    assert len(res.rows) == 1
-    assert res.rows[0].accuracy == direct.accuracy
-    assert res.rows[0].ci_low == direct.ci_low
+    assert rows == [direct]
 
 
-def test_sweep_monotone_in_d():
-    # overlapping distributions: accuracy must fall (within noise) as D grows
-    res = sweep(1, [2], [10, 100, 1000], 3000, uni(0, 2), uni(1, 3), seed=5)
-    assert res.monotone_in_d[2] is True
-    accs = [r.accuracy for r in res.rows]
-    assert accs[0] > accs[-1]  # clearly decreasing at these scales
+def test_sweep_accuracy_falls_with_d():
+    # overlapping distributions: the shared uniforms make accuracy
+    # non-increasing in D, and it clearly falls at these scales
+    rows = sweep(1, [2], [10, 100, 1000], 3000, uni(0, 2), uni(1, 3), seed=5)
+    accs = [r.accuracy for r in rows]
+    assert accs == sorted(accs, reverse=True) and accs[0] > accs[-1], accs
 
 
 @pytest.mark.parametrize("intra,inter", [
@@ -174,8 +172,8 @@ def test_sweep_shares_uniforms_across_cells(intra, inter, k):
     # noise per step: fresh uniforms per cell would break the order in 96
     # of 100 seeds across the four cases.
     Ds = [10**2, 10**3, 10**4, 10**5]
-    res = sweep(k, [3], Ds, 1000, intra, inter, seed=8)
-    correct = [round(r.accuracy * r.runs) for r in res.rows]
+    rows = sweep(k, [3], Ds, 1000, intra, inter, seed=8)
+    correct = [round(r.accuracy * r.runs) for r in rows]
     assert correct == sorted(correct, reverse=True) and correct[0] > correct[-1], correct
 
 
@@ -190,17 +188,17 @@ def test_population_of_ten_million_costs_two_uniforms_per_run():
     assert 0.0 < res.accuracy < 0.05
 
 
-def test_sweep_monotone_in_n():
-    res = sweep(1, [1, 3, 6], [50], 3000, uni(0, 2), uni(1, 3), seed=6)
-    assert res.monotone_in_n[50] is True
-    accs = {r.N: r.accuracy for r in res.rows}
+def test_sweep_accuracy_rises_with_n():
+    rows = sweep(1, [1, 3, 6], [50], 3000, uni(0, 2), uni(1, 3), seed=6)
+    accs = {r.N: r.accuracy for r in rows}
     assert accs[6] > accs[1]
 
 
 def test_sweep_csv_format(tmp_path):
-    res = sweep(1, [1, 2], [10, 20], 200, uni(0, 2), uni(1, 3), seed=7)
+    rows = sweep(1, [1, 2], [10, 20], 200, uni(0, 2), uni(1, 3), seed=7)
+    assert [(r.N, r.D) for r in rows] == [(1, 10), (1, 20), (2, 10), (2, 20)]  # N-major
     p = tmp_path / "sweep.csv"
-    write_sweep_csv(res, p)
+    write_sweep_csv(rows, p)
     lines = p.read_text().splitlines()
     assert lines[0] == "k,N,D,runs,accuracy,ci_low,ci_high"
     assert len(lines) == 1 + 4
@@ -217,19 +215,19 @@ def test_validate_against_empirical_separable():
         accel_offset=(-0.5, 0.5), gyro_offset=(-0.1, 0.1),
         noise_sigma_accel=0.0, noise_sigma_gyro=0.0,
     )
-    ds = generate_synthetic(12, 5, device_prior=prior, seed=21)
-    rep = validate_against_empirical(ds, k=1, train_per_device=3, repeats=3, runs=3000, seed=0)
+    table = featurize_dataset(generate_synthetic(12, 5, device_prior=prior, seed=21))
+    rep = validate_against_empirical(table, k=1, train_per_device=3, repeats=3, runs=3000, seed=0)
     assert rep.empirical_accuracy == pytest.approx(1.0)
     assert rep.simulated_accuracy >= 0.99
-    assert rep.gap <= 0.01
-    assert rep.intra_family == "DEGENERATE"
+    assert abs(rep.empirical_accuracy - rep.simulated_accuracy) <= 0.01
+    assert rep.intra_fit.family == "DEGENERATE"
 
 
 def test_validate_deterministic():
-    ds = generate_synthetic(8, 5, seed=22)
-    r1 = validate_against_empirical(ds, repeats=2, runs=500, seed=3)
-    r2 = validate_against_empirical(ds, repeats=2, runs=500, seed=3)
-    assert r1.to_dict() == r2.to_dict()
+    table = featurize_dataset(generate_synthetic(8, 5, seed=22))
+    r1 = validate_against_empirical(table, repeats=2, runs=500, seed=3)
+    r2 = validate_against_empirical(table, repeats=2, runs=500, seed=3)
+    assert r1 == r2
 
 
 def test_validate_fits_do_not_depend_on_dataset_row_order():
@@ -242,6 +240,7 @@ def test_validate_fits_do_not_depend_on_dataset_row_order():
     for i in range(5):
         for s in ds.samples[i::5]:
             interleaved.add(s)
-    a = validate_against_empirical(ds, repeats=1, runs=200, use_ldml=True)
-    b = validate_against_empirical(interleaved, repeats=1, runs=200, use_ldml=True)
+    a = validate_against_empirical(featurize_dataset(ds), repeats=1, runs=200, use_ldml=True)
+    b = validate_against_empirical(featurize_dataset(interleaved), repeats=1, runs=200,
+                                   use_ldml=True)
     assert (a.intra_fit, a.inter_fit) == (b.intra_fit, b.inter_fit)
