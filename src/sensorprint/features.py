@@ -14,13 +14,13 @@ capture's (4, n) stream matrix, and ``featurize_dataset`` blocks of captures
 whose streams have equal length. The degenerate rules above are per-row masks
 applied after the arithmetic, which runs under ``np.errstate`` so no warning
 escapes. Each row's features are bit for bit those of the row alone, because
-row sums and means of a C-contiguous matrix reduce exactly as a 1-d array
-does. Two operations would break that and are avoided: numpy's array power
-(``spread ** 3`` over a vector) can differ by 1 ulp from the scalar power
-the moments use, so those go through ``_scalar_pow``; and a boolean column
-index (``p[:, freqs > fs / 8]``) yields a copy whose row sums differ from
-the 1-d sums, so brightness sums a contiguous slice. A norm is the row's
-BLAS dot product with itself, as ``np.linalg.norm`` computes it in 1-d.
+the arithmetic is element-wise and row sums and means of a C-contiguous
+matrix reduce exactly as a 1-d array does. The third and fourth moments are
+products (``dev2 * dev`` and ``dev2 * dev2`` with ``dev2 = dev * dev``), not
+powers. A boolean column index (``p[:, freqs > fs / 8]``) would yield a copy
+whose row sums differ from the 1-d sums, so brightness sums a contiguous
+slice. A norm is the row's BLAS dot product with itself, as
+``np.linalg.norm`` computes it in 1-d.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RawSample
-from .preprocess import DEFAULT_FS, STREAM_KEYS, build_streams
+from .preprocess import DEFAULT_FS, STREAM_KEYS, build_streams, resample_captures
 
 TEMPORAL_NAMES = (
     "mean", "std", "avg_dev", "skewness", "kurtosis",
@@ -50,8 +50,8 @@ N_TOTAL = N_FEATURES * len(STREAM_KEYS)  # 100 per capture
 ROLLOFF_FRACTION = 0.85
 N_SUBFRAMES = 8
 
-# captures featurized together by featurize_dataset: a block of 16 holds 64
-# streams, so each (64, n) temporary of the kernel stays near 0.25 MB
+# captures resampled and featurized together by featurize_dataset: a block
+# of 16 holds 64 streams, so each (64, n) temporary stays near 0.25 MB
 BLOCK_CAPTURES = 16
 
 
@@ -94,12 +94,6 @@ class FeatureTable:
         return FeatureTable(self.X[mask], self.device_ids[mask], self.sample_ids[mask])
 
 
-def _scalar_pow(a: np.ndarray, e: int) -> np.ndarray:
-    """``a ** e`` as one numpy-scalar power per element, which calls the C
-    library's ``pow``; numpy's array power may differ from it by 1 ulp."""
-    return np.array([v**e for v in a])
-
-
 def _row_norms(A: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row: the square root of the row's BLAS dot
     product with itself, which is how the norm of a 1-d array is computed."""
@@ -119,10 +113,12 @@ def _temporal_rows(X) -> np.ndarray:
     n = X.shape[1]
     mu = np.mean(X, axis=1)
     dev = X - mu[:, None]
-    std = np.sqrt(np.mean(dev * dev, axis=1))
+    dev2 = dev * dev
+    std = np.sqrt(np.mean(dev2, axis=1))
+    std2 = std * std
     with np.errstate(divide="ignore", invalid="ignore"):
-        skew = np.mean(dev**3, axis=1) / _scalar_pow(std, 3)
-        kurt = np.mean(dev**4, axis=1) / _scalar_pow(std, 4) - 3.0
+        skew = np.mean(dev2 * dev, axis=1) / (std2 * std)
+        kurt = np.mean(dev2 * dev2, axis=1) / (std2 * std2) - 3.0
     out = np.column_stack([
         mu,
         std,
@@ -180,9 +176,11 @@ def _spectral_rows(X, fs: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         centroid = np.sum(freqs * m, axis=1) / m_sum
         d = freqs - centroid[:, None]
-        spread = np.sqrt(np.sum(d * d * m, axis=1) / m_sum)
-        spec_skew = np.sum(d**3 * m, axis=1) / (m_sum * _scalar_pow(spread, 3))
-        spec_kurt = np.sum(d**4 * m, axis=1) / (m_sum * _scalar_pow(spread, 4)) - 3.0
+        d2 = d * d
+        spread = np.sqrt(np.sum(d2 * m, axis=1) / m_sum)
+        spread2 = spread * spread
+        spec_skew = np.sum(d2 * d * m, axis=1) / (m_sum * (spread2 * spread))
+        spec_kurt = np.sum(d2 * d2 * m, axis=1) / (m_sum * (spread2 * spread2)) - 3.0
 
         pn = p / p_sum[:, None]
         nz = pn > 0
@@ -263,27 +261,20 @@ def featurize_dataset(dataset: Dataset, fs_target: float = DEFAULT_FS) -> Featur
     """One feature row per sample, in dataset order: the one extraction path
     every consumer of features reads from.
 
-    Captures are resampled one at a time and featurized in blocks of up to
-    BLOCK_CAPTURES captures of equal stream length, so memory stays bounded
-    by the block size and the number of distinct lengths.
+    Up to BLOCK_CAPTURES captures are resampled with one spline solve, and
+    the block's captures of equal stream length are featurized in one
+    vectorized pass, so memory stays bounded by the block size.
     """
     samples = dataset.samples
     X = np.empty((len(samples), N_TOTAL))
-    pending: dict[int, tuple[list[int], list[np.ndarray]]] = {}
-
-    def flush(length: int) -> None:
-        idx, mats = pending.pop(length)
-        X[idx] = _stream_features(np.concatenate(mats), fs_target).reshape(len(idx), N_TOTAL)
-
-    for i, s in enumerate(samples):
-        S = build_streams(s, fs_target)
-        idx, mats = pending.setdefault(S.shape[1], ([], []))
-        idx.append(i)
-        mats.append(S)
-        if len(idx) == BLOCK_CAPTURES:
-            flush(S.shape[1])
-    for length in list(pending):
-        flush(length)
+    for start in range(0, len(samples), BLOCK_CAPTURES):
+        streams = resample_captures(samples[start:start + BLOCK_CAPTURES], fs_target)
+        groups: dict[int, list[int]] = {}  # stream length -> block positions
+        for i, S in enumerate(streams):
+            groups.setdefault(S.shape[1], []).append(i)
+        for idx in groups.values():
+            F = _stream_features(np.concatenate([streams[i] for i in idx]), fs_target)
+            X[[start + i for i in idx]] = F.reshape(len(idx), N_TOTAL)
     return FeatureTable(X, [s.device_id for s in samples], [s.sample_id for s in samples])
 
 

@@ -97,7 +97,12 @@ def transform(model: MetricModel, v):
             f"dimension mismatch: model expects {model.L.shape[1]}, got {v.shape[-1]}"
         )
     z = np.atleast_2d((v - model.means) / model.stds)
-    out = _mm(z, model.L.T)
+    if np.array_equal(model.L, np.eye(len(model.means))):
+        # what the matmul gives for L = I, bit for bit: its sums start at +0,
+        # so a -0 coordinate comes out +0
+        out = z + 0.0
+    else:
+        out = _mm(z, model.L.T)
     return out[0] if v.ndim == 1 else out
 
 

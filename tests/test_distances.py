@@ -87,7 +87,9 @@ def test_pairwise_applies_metric_model():
 
 def test_pairwise_distances_pinned():
     # sha256 of the intra and inter values on a featurized 20 x 5 fleet;
-    # rows interleaved across devices give the grouped values. The raw-space digests were recorded from the
+    # rows interleaved across devices give the grouped values. Re-recorded
+    # when the moment features became products instead of powers (their
+    # last bits moved); before that the digests had held since the
     # dict-of-device-matrices implementation. The metric is a fixed seeded
     # map, not a trained one, so its digests pin the grouping and the
     # distances, not LDML's arithmetic.
@@ -107,10 +109,10 @@ def test_pairwise_distances_pinned():
     # the last device keeps only its last capture
     single = np.flatnonzero((ids != ids[-1]) | (np.arange(len(X)) == len(X) - 1))
     full = {
-        "raw": ("af2aa0d1a9122fbef44ab31b76a0ec96cbf344b3deb904aa0949d2cd1916393e",
-                "8070a612da55644eff2a930297a927ecb5f5980ae38713cae31507724151dad8"),
-        "metric": ("110934fc7718b589e0ea78392405a4e17e1f08857e99035cf6387a905b70232c",
-                   "97c86df4052894d9fe8bbf09ea028b5504e39726d818bc0d64bdb5d9b71a01bf"),
+        "raw": ("5b65d4f05993a465a103eda7df0b795e41d10d6dad52ca57896106d72da32a2e",
+                "2ebd09f1f12370638ba54d0e05eef580644dfa710a5c858d0e2ff8637396600b"),
+        "metric": ("9ade02a1d3b5c275b80b592ae393b6561fac4ac60180d2d79ac0afe3a5cc7f49",
+                   "75d97977e3e082d55cd2c0f86912686e4e215f5f7abcad748075cbb1893451b8"),
     }
     expected = {
         ("grouped", "raw"): full["raw"],
@@ -118,11 +120,11 @@ def test_pairwise_distances_pinned():
         ("interleaved", "raw"): full["raw"],
         ("interleaved", "metric"): full["metric"],
         ("single", "raw"): (
-            "efd6365c4dde139165971ecbf183a1737b42317d437d739da9ee02615e30a581",
-            "c978a844db9573e85f29c7b9b695dd9d8e32c962d121f2b1aed3d5de52a16c88"),
+            "300d5d815e72e1fb1718b275fd70aee1abb4723d81cdf863394dae1f52e4d812",
+            "46086bb19f29cdaf0bb652fca13115f3f173229f70ccd86a7f7d5927a60cbe1b"),
         ("single", "metric"): (
-            "6719bd360f1f4d3e8e306bedcafe9259f41e2f282a383b5ede0ef9eb4c802227",
-            "a00b4504d3d08285988ed4cd974cf078773312007b5b5acd4585c4fabcb08e47"),
+            "e3dc3d13cbf7738fc732f6376798ef975237feb9b3d50ca953363fb567f9d907",
+            "7f4d963d3a8e24bbb6d7b6e06e5b4de94d44078062f764dc846f0f01b45b3cbe"),
     }
     cases = {"grouped": np.arange(len(X)), "interleaved": interleaved, "single": single}
     models = {"raw": None, "metric": model}

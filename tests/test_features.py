@@ -212,14 +212,15 @@ def test_featurize_dataset_rows_follow_dataset_order():
 
 
 def test_featurize_dataset_pinned():
-    # sha256 of the feature matrix bytes, recorded from the per-capture,
-    # per-stream implementation; any change of summation order, power or
-    # norm arithmetic in the kernel moves these digests
+    # sha256 of the feature matrix bytes, re-recorded when the third and
+    # fourth moments became products instead of powers (only those 16
+    # columns moved, by under 1e-11 relative); any change of summation
+    # order, product or norm arithmetic in the kernel moves these digests
     ds = generate_synthetic(12, 5, seed=0)
     expected = {
-        None: "c9017824289bd211b225137898258ac91f410f7a165ba7173cd05404a9ea6196",
-        "quantize": "75897e20c04afb74e278da5654f8e63adb9648378dd02c436e50b8481c58f275",
-        "obfuscate": "d7e09131449671a6725e83b6895e15fc0a23e1d93020e3f4369f2cc49eb88f8c",
+        None: "7129a6ed440e0af59b29c7fcd4c5b014a02d3fc7600bf73464a8664be94a448a",
+        "quantize": "828f98616f670ea04c52987ef65a18b9cd450adb996fa19153e9efe7177aa3e4",
+        "obfuscate": "c3ef1c3807dfc2746aa4b09157aeebc91528f941df2ff18a7950e6b0f73a47b2",
     }
     for scheme, digest in expected.items():
         data = ds if scheme is None else apply_countermeasure(ds, scheme)
@@ -263,6 +264,55 @@ def test_featurize_dataset_blocks_match_single_captures():
     flat = table.X[list(table.device_ids).index("flat")]
     assert flat[1] == 0.0  # constant A_MAG: std follows the degenerate rule
     np.testing.assert_array_equal(flat[25 + 10:50], 0.0)  # silent GYRO_X spectrum
+
+
+def _moments_by_powers(S, fs):
+    """Skewness and kurtosis, temporal and spectral, of each row of a stream
+    matrix, written with ``**`` powers and the module's degenerate rules:
+    the oracle for the kernel's products."""
+    mu = S.mean(axis=1)
+    dev = S - mu[:, None]
+    std = np.sqrt(np.mean(dev**2, axis=1))
+    m = np.abs(np.fft.rfft(dev))[:, 1:]
+    freqs = np.arange(1, m.shape[1] + 1) * (fs / S.shape[1])
+    m_sum = m.sum(axis=1)
+    const = std <= np.abs(mu) * 1e-12
+    out = np.zeros((len(S), 4))
+    for i in np.flatnonzero(~const):
+        out[i, :2] = (np.mean(dev[i]**3) / std[i]**3, np.mean(dev[i]**4) / std[i]**4 - 3.0)
+        if m_sum[i] == 0:
+            continue
+        d = freqs - np.sum(freqs * m[i]) / m_sum[i]
+        spread = np.sqrt(np.sum(d**2 * m[i]) / m_sum[i])
+        if spread > 0:
+            out[i, 2:] = (np.sum(d**3 * m[i]) / (m_sum[i] * spread**3),
+                          np.sum(d**4 * m[i]) / (m_sum[i] * spread**4) - 3.0)
+    return out
+
+
+MOMENT_COLUMNS = [3, 4, 12, 13]  # skewness, kurtosis, spec_skewness, spec_kurtosis
+
+
+@pytest.mark.parametrize("scheme", [None, "quantize"])
+def test_moments_match_the_power_oracle(scheme):
+    ds = generate_synthetic(4, 3, seed=0)
+    data = ds if scheme is None else apply_countermeasure(ds, scheme)
+    for s in data.samples:
+        S = build_streams(s)
+        got = featurize(S, 100.0).reshape(len(STREAM_KEYS), -1)[:, MOMENT_COLUMNS]
+        want = _moments_by_powers(S, 100.0)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+        assert np.array_equal(got == 0, want == 0)  # degenerate zeros are exact
+
+
+def test_moments_of_constant_streams_keep_the_degenerate_zeros():
+    n = 300
+    t = np.arange(n) / 100.0 + np.random.default_rng(3).uniform(0, 0.004, n)
+    flat = RawSample("flat", "s0", t, np.tile([0.0, 0.0, 9.81], (n, 1)), np.zeros((n, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fv = featurize_sample(flat).reshape(len(STREAM_KEYS), -1)
+    assert fv[:, MOMENT_COLUMNS].tobytes() == np.zeros((len(STREAM_KEYS), 4)).tobytes()
 
 
 def test_featurize_stream_rows_are_independent():
@@ -315,17 +365,18 @@ def test_each_consumer_featurizes_each_sample_once(monkeypatch, consumer):
     from sensorprint.classify import run_protocol
     from sensorprint.countermeasures import privacy_impact
 
-    # build_streams is the per-capture step of featurize_dataset, which
-    # featurizes the resampled streams in blocks
+    # resample_captures is featurize_dataset's resampling step: each call
+    # takes a block of captures, so count the captures it is handed
     ds = generate_synthetic(4, 4, seed=1)
     calls = []
-    real = features.build_streams
+    real = features.resample_captures
 
-    def counting(sample, *args, **kwargs):
-        calls.append(sample.sample_id)
-        return real(sample, *args, **kwargs)
+    def counting(samples, *args, **kwargs):
+        samples = list(samples)
+        calls.extend(s.sample_id for s in samples)
+        return real(samples, *args, **kwargs)
 
-    monkeypatch.setattr(features, "build_streams", counting)
+    monkeypatch.setattr(features, "resample_captures", counting)
     if consumer == "run_protocol":
         run_protocol(ds, repeats=2)
         expected = len(ds.samples)

@@ -74,6 +74,24 @@ def test_standardizer_is_the_untrained_metric():
     assert np.array_equal(transform(model, X), (X - means) / stds)
 
 
+def test_identity_transform_is_the_matmul_bit_for_bit():
+    # an L = I model skips the matmul; its output bytes are the matmul's,
+    # signed zeros included (a -0 coordinate comes out +0 from both)
+    X, _ = toy_data()
+    model = standardizer(X)
+    X[0, :3] = model.means[:3]  # zero coordinates
+    X[1, 0] = -0.0
+    model.means[0] = 0.0  # so that -0.0 - 0.0 leaves a -0 coordinate
+    z = (X - model.means) / model.stds
+    assert np.signbit(z[1, 0]) and z[1, 0] == 0.0
+    expected = _mm(z, model.L.T)
+    assert transform(model, X).tobytes() == expected.tobytes()
+    assert transform(model, X[1]).tobytes() == expected[1].tobytes()
+    # any other L still takes the matmul
+    model.L = 2.0 * np.eye(X.shape[1])
+    assert transform(model, X).tobytes() == _mm(z, model.L.T).tobytes()
+
+
 def test_cross_distances_match_per_pair_formula_bitwise():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(5, 100))

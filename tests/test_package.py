@@ -46,6 +46,15 @@ def test_simulate_and_cli_leave_the_optimizer_out():
     assert out.split() == ["False"]
 
 
+def test_featurization_leaves_the_interpolators_and_the_optimizer_out():
+    # the spline is solved with LAPACK's gtsv directly; nothing on the
+    # featurize or countermeasure path fits a family
+    out = _child_stdout("import sys, sensorprint.preprocess, sensorprint.features, "
+                        "sensorprint.countermeasures\n"
+                        "print('scipy.interpolate' in sys.modules, 'scipy.optimize' in sys.modules)\n")
+    assert out.split() == ["False", "False"]
+
+
 @pytest.mark.skipif(not TRACER.exists(), reason="perfbench/ is not in this checkout")
 def test_traced_names_exist(monkeypatch):
     # a renamed or deleted function would otherwise break only the traced

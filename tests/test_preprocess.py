@@ -1,15 +1,40 @@
 """Stream construction tests: magnitude, spline resampling, grid geometry."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from sensorprint.countermeasures import apply_countermeasure
 from sensorprint.dataset import RawSample, generate_synthetic
 from sensorprint.preprocess import (
     STREAM_KEYS,
     build_streams,
     interpolate_uniform,
     magnitude,
+    resample_captures,
 )
+from test_features import _mixed_length_dataset
+
+
+def _scipy_streams(sample: RawSample, fs: float = 100.0) -> np.ndarray:
+    """``build_streams`` as scipy's natural ``CubicSpline`` computes it: the
+    reference the resampler must equal bit for bit."""
+    t = sample.timestamps
+    spline = CubicSpline(t, np.column_stack([magnitude(sample.accel), sample.gyro]),
+                         bc_type="natural")
+    n_out = int(np.floor((t[-1] - t[0]) * fs + 1e-9)) + 1
+    rows = spline(t[0] + np.arange(n_out) / fs).T.copy()
+    np.maximum(rows[0], 0.0, out=rows[0])
+    return rows
+
+
+def _assert_scipy_streams(samples, got):
+    assert len(got) == len(samples)
+    for s, S in zip(samples, got):
+        assert S.flags.c_contiguous
+        assert S.tobytes() == _scipy_streams(s).tobytes(), s.sample_id
 
 
 def test_magnitude_gravity():
@@ -41,15 +66,14 @@ def test_interpolate_constant_series():
 
 
 def test_interpolate_reproduces_knots():
+    # knots on multiples of 1/100 s with random gaps: the 100 Hz grid passes
+    # (to within an ulp) through every knot, where the spline takes its value
     rng = np.random.default_rng(2)
-    t = np.sort(rng.uniform(0, 5, size=40))
-    t[0], t[-1] = 0.0, 5.0
+    k = np.sort(rng.choice(500, size=40, replace=False))
+    t = k / 100.0
     v = np.cumsum(rng.normal(size=40))
-    # pick fs so grid points land on no knots, then check knots directly
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(t, v, bc_type="natural")
-    rel_err = np.abs(spline(t) - v) / np.maximum(np.abs(v), 1e-30)
+    out = interpolate_uniform(t, v, 100.0)
+    rel_err = np.abs(out[k - k[0]] - v) / np.maximum(np.abs(v), 1e-30)
     assert np.max(rel_err) < 1e-9
 
 
@@ -173,3 +197,49 @@ def test_build_streams_rows_are_contiguous_column_fits():
             expected = np.maximum(expected, 0.0)
         assert row.flags.c_contiguous
         assert row.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("scheme", [None, "quantize", "obfuscate"])
+def test_resampled_streams_are_scipy_splines_bit_for_bit(scheme):
+    ds = generate_synthetic(6, 3, seed=0)
+    data = ds if scheme is None else apply_countermeasure(ds, scheme)
+    if scheme == "quantize":  # the premise: tied readings, so zero slopes
+        assert any(np.any(np.diff(s.gyro, axis=0) == 0) for s in data.samples)
+    _assert_scipy_streams(data.samples, resample_captures(data.samples))
+    _assert_scipy_streams(data.samples, [build_streams(s) for s in data.samples])
+
+
+def test_mixed_length_block_resamples_each_capture_as_alone():
+    samples = _mixed_length_dataset().samples
+    block = resample_captures(samples)
+    _assert_scipy_streams(samples, block)
+    for s, S in zip(samples, block):
+        assert S.tobytes() == resample_captures([s])[0].tobytes(), s.sample_id
+
+
+def test_four_knot_capture_is_scipys_spline():
+    t = np.array([0.0, 0.013, 0.021, 0.04])
+    accel = np.array([[0.1, 0.2, 9.8], [0.0, -0.3, 9.7], [0.2, 0.1, 9.9], [0.1, 0.0, 9.8]])
+    gyro = np.array([[0.01, 0.0, -0.02], [0.03, -0.01, 0.0], [0.0, 0.02, 0.01], [-0.01, 0.0, 0.0]])
+    sample = RawSample("d", "s", t, accel, gyro)
+    _assert_scipy_streams([sample], [build_streams(sample)])
+    v = gyro[:, 0]
+    expected = CubicSpline(t, v, bc_type="natural")(t[0] + np.arange(5) / 100.0)
+    assert interpolate_uniform(t, v, 100.0).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shift", [0.0, -1.0], ids=["abutting", "overlapping"])
+def test_block_of_touching_captures_resamples_without_warnings(shift):
+    # each capture starts where the previous one ends (or a second before):
+    # the spacing between two captures is 0 or negative, and the rows it
+    # enters are discarded without dividing by it
+    base = generate_synthetic(1, 3, seed=4).samples
+    samples, t0 = [], 0.0
+    for s in base:
+        t = s.timestamps - s.timestamps[0] + t0
+        samples.append(RawSample(s.device_id, s.sample_id, t, s.accel, s.gyro))
+        t0 = t[-1] + shift
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = resample_captures(samples)
+    _assert_scipy_streams(samples, block)
