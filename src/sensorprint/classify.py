@@ -9,7 +9,7 @@ averaged precision and averaged recall (not the mean of per-class F).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import stdtrit
@@ -44,20 +44,7 @@ class EvalReport:
     n_test: int
 
     def to_dict(self) -> dict:
-        return {
-            "per_class": {
-                c: {
-                    "tp": s.tp, "fp": s.fp, "fn": s.fn,
-                    "precision": s.precision, "recall": s.recall, "f_score": s.f_score,
-                }
-                for c, s in self.per_class.items()
-            },
-            "avg_precision": self.avg_precision,
-            "avg_recall": self.avg_recall,
-            "avg_f": self.avg_f,
-            "accuracy": self.accuracy,
-            "n_test": self.n_test,
-        }
+        return asdict(self)
 
 
 def evaluate(predictions, truth) -> EvalReport:
@@ -364,15 +351,10 @@ class ProtocolResult:
     reports: list[EvalReport] = field(repr=False, default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "classifier": self.classifier,
-            "train_per_device": self.train_per_device,
-            "repeats": self.repeats,
-            "n_devices": self.n_devices,
-            "avg_f_mean": self.avg_f_mean,
-            "avg_f_ci": list(self.avg_f_ci),
-            "accuracy_mean": self.accuracy_mean,
-        }
+        """Every field but ``reports``, with the interval as a list."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "reports"}
+        out["avg_f_ci"] = list(self.avg_f_ci)
+        return out
 
 
 def _confidence_interval(values, level: float = 0.95) -> tuple[float, float]:

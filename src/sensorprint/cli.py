@@ -38,24 +38,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json.dump accepts them."""
-    import numpy as np
-
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
 def _write_json(obj, path) -> None:
     # encoded first: a NaN or infinity is refused before the file is opened
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -64,7 +49,7 @@ def _config_echo(args) -> dict:
     # threads is an execution knob, not a pipeline parameter: artifacts must
     # not depend on it, so it stays out of the echo
     skip = {"func", "command", "config", "verbose", "threads", "_required"}
-    return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def _check_distinct(in_path, out_path) -> None:
@@ -123,17 +108,16 @@ def cmd_train_metric(args) -> int:
     return 0
 
 
+def _protocol_kwargs(args) -> dict:
+    """The run_protocol settings among the flags the subcommand defines."""
+    return {k: getattr(args, k) for k in _SPLIT_SETTINGS + _LDML_SETTINGS if hasattr(args, k)}
+
+
 def _protocol(args, repeats: int):
     from .classify import run_protocol
     from .dataset import load_dataset
 
-    ds = load_dataset(args.input)
-    return run_protocol(
-        ds, classifier=args.classifier, train_per_device=args.train_per_device,
-        repeats=repeats, seed=args.seed, k=args.k, use_ldml=args.use_ldml,
-        ldml_iterations=args.ldml_iterations, ldml_step=args.ldml_step,
-        d_prime=args.d_prime, n_trees=args.n_trees, fs_target=args.fs_target,
-    )
+    return run_protocol(load_dataset(args.input), repeats=repeats, **_protocol_kwargs(args))
 
 
 def cmd_classify(args) -> int:
@@ -229,11 +213,7 @@ def cmd_countermeasure(args) -> int:
     out_ds = apply_countermeasure(ds, args.scheme, obfuscation=obf, quantization=quant)
     rep = None
     if args.impact_out:  # before any write: settings it refuses must leave no file behind
-        rep = _impact(
-            ds, out_ds, args.scheme, classifier=args.classifier,
-            train_per_device=args.train_per_device, repeats=args.repeats,
-            seed=args.seed, k=args.k, n_trees=args.n_trees,
-        )
+        rep = _impact(ds, out_ds, args.scheme, repeats=args.repeats, **_protocol_kwargs(args))
     write_dataset(out_ds, args.out)
     log.info("countermeasure: %s on %d sample(s) -> %s", args.scheme, len(ds.samples), args.out)
     if rep is not None:
@@ -249,14 +229,22 @@ def cmd_countermeasure(args) -> int:
 # Parser assembly.
 
 
-def _add_protocol_flags(p) -> None:
-    p.add_argument("--classifier", choices=("knn", "rf"), default="knn",
-                   help="classifier to run (default knn)")
+_SPLIT_SETTINGS = ("classifier", "train_per_device", "k", "n_trees", "seed")
+_LDML_SETTINGS = ("use_ldml", "ldml_iterations", "ldml_step", "d_prime", "fs_target")
+
+
+def _add_split_flags(p, classifier: str = "knn") -> None:
+    p.add_argument("--classifier", choices=("knn", "rf"), default=classifier,
+                   help=f"classifier to run (default {classifier})")
     p.add_argument("--train-per-device", type=int, default=3,
                    help="training samples held out per device (count, default 3)")
     p.add_argument("--k", type=int, default=1, help="neighbors for knn (odd count, default 1)")
     p.add_argument("--n-trees", type=int, default=100,
                    help="trees in the forest (count, default 100)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (integer, default 0)")
+
+
+def _add_ldml_flags(p) -> None:
     p.add_argument("--use-ldml", action="store_true",
                    help="learn a distance metric on the training split")
     p.add_argument("--ldml-iterations", type=int, default=200,
@@ -267,7 +255,6 @@ def _add_protocol_flags(p) -> None:
                    help="projected metric dimension (count, default: full)")
     p.add_argument("--fs-target", type=float, default=100.0,
                    help="resampling rate before featurization (Hz, default 100)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (integer, default 0)")
 
 
 def _build_parser() -> _Parser:
@@ -318,13 +305,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="single split: train, predict, report per-class scores")
     p.add_argument("--in", dest="input", help="input dataset path (JSONL, required)")
-    _add_protocol_flags(p)
+    _add_split_flags(p)
+    _add_ldml_flags(p)
     p.add_argument("--out", help="output report path (JSON, required)")
     p.set_defaults(func=cmd_classify, _required=("input", "out"))
 
     p = sub.add_parser("evaluate", help="repeated-split protocol with confidence intervals")
     p.add_argument("--in", dest="input", help="input dataset path (JSONL, required)")
-    _add_protocol_flags(p)
+    _add_split_flags(p)
+    _add_ldml_flags(p)
     p.add_argument("--repeats", type=int, default=10,
                    help="independent splits to average (count, default 10)")
     p.add_argument("--out", help="output report path (JSON, required)")
@@ -372,17 +361,10 @@ def _build_parser() -> _Parser:
                    help="quantization bin for accel magnitude (m/s^2, default 1)")
     p.add_argument("--impact-out", default=None,
                    help="also measure the identification cost, report here (JSON, optional)")
-    p.add_argument("--classifier", choices=("knn", "rf"), default="rf",
-                   help="classifier for the impact report (default rf)")
-    p.add_argument("--train-per-device", type=int, default=3,
-                   help="training samples per device for the impact report (count, default 3)")
+    # the impact report's protocol; its --seed also seeds the obfuscation
+    _add_split_flags(p, classifier="rf")
     p.add_argument("--repeats", type=int, default=10,
                    help="protocol repeats for the impact report (count, default 10)")
-    p.add_argument("--k", type=int, default=1,
-                   help="neighbors for the impact report's knn (odd count, default 1)")
-    p.add_argument("--n-trees", type=int, default=100,
-                   help="trees for the impact report's forest (count, default 100)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (integer, default 0)")
     p.add_argument("--out", help="output dataset path (JSONL, required)")
     p.set_defaults(func=cmd_countermeasure, _required=("input", "scheme", "out"))
 

@@ -10,7 +10,7 @@ identification pipeline on the same data.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -191,23 +191,13 @@ class PrivacyReport:
     protected_accuracy: float
 
     def to_dict(self) -> dict:
-        return {
-            "countermeasure": self.countermeasure,
-            "baseline_avg_f": self.baseline_avg_f,
-            "protected_avg_f": self.protected_avg_f,
-            "relative_drop": self.relative_drop,
-            "baseline_accuracy": self.baseline_accuracy,
-            "protected_accuracy": self.protected_accuracy,
-        }
+        return asdict(self)
 
 
 def privacy_impact(
     dataset: Dataset,
     scheme: str,
     classifier: str = "rf",
-    train_per_device: int = 3,
-    repeats: int = 10,
-    seed: int = 0,
     obfuscation: ObfuscationConfig | None = None,
     quantization: QuantizationConfig | None = None,
     **protocol_kwargs,
@@ -216,14 +206,14 @@ def privacy_impact(
 
     Runs the identical repeated-split protocol on the raw dataset and on
     the transformed one (the transform precedes all preprocessing) and
-    reports both mean AvgF scores plus the relative drop.
+    reports both mean AvgF scores plus the relative drop. ``protocol_kwargs``
+    (train_per_device, repeats, seed, k, ...) go to ``run_protocol`` as they
+    are, so its defaults hold for the rest.
     """
     protected_ds = apply_countermeasure(
         dataset, scheme, obfuscation=obfuscation, quantization=quantization
     )
-    return _impact(dataset, protected_ds, scheme, classifier=classifier,
-                   train_per_device=train_per_device, repeats=repeats, seed=seed,
-                   **protocol_kwargs)
+    return _impact(dataset, protected_ds, scheme, classifier=classifier, **protocol_kwargs)
 
 
 def _impact(dataset: Dataset, protected_ds: Dataset, scheme: str, **protocol_kwargs) -> PrivacyReport:

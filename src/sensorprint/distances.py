@@ -41,9 +41,9 @@ GAMMA = "GAMMA"
 WEIBULL = "WEIBULL"
 FAMILIES = (INVERSE_GAUSSIAN, GEV, LOG_NORMAL, GAMMA, WEIBULL)
 
-# injectable distributions: drawable and evaluable but never fit candidates.
-# DEGENERATE (a point mass) is the honest limit for zero-dispersion
-# populations, e.g. intra distances of exactly repeated samples.
+# drawable and evaluable but never fit candidates. DEGENERATE (a point mass)
+# is the honest limit for zero-dispersion populations, e.g. intra distances
+# of exactly repeated samples, and what rank_families returns for them.
 UNIFORM = "UNIFORM"
 DEGENERATE = "DEGENERATE"
 
@@ -84,8 +84,7 @@ def pairwise_distances(X, device_ids, model=None) -> tuple[np.ndarray, np.ndarra
     the learned space. Devices with a single sample contribute only
     cross-device pairs.
     """
-    from .features import rows_by_device
-    from .metric import cross_distances, transform
+    from .metric import cross_distances, rows_by_device, transform
 
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) != len(device_ids):
@@ -367,11 +366,20 @@ def fit_family(samples, family: str) -> FittedDistribution:
 
 
 def rank_families(samples, families=FAMILIES) -> list[FittedDistribution]:
-    """Fit each family and sort ascending by AIC; failed fits are dropped."""
+    """Fit each family and sort ascending by AIC; failed fits are dropped.
+
+    A population whose spread is float residue, ptp <= 1e-9 * max(1, max|x|)
+    (the intra distances of exactly repeated captures), fits no continuous
+    family: it ranks as one DEGENERATE point mass at its median.
+    """
+    x = np.asarray(samples, dtype=float)
+    if len(x) and np.ptp(x) <= 1e-9 * max(1.0, float(np.max(np.abs(x)))):
+        return [FittedDistribution(DEGENERATE, {"value": float(np.median(x))},
+                                   log_likelihood=0.0, aic=2.0, n=len(x))]
     fits = []
     for fam in families:
         try:
-            fits.append(fit_family(samples, fam))
+            fits.append(fit_family(x, fam))
         except (ValueError, RuntimeError) as e:
             log.warning("fit of %s excluded: %s", fam, e)
     if not fits:
@@ -380,8 +388,15 @@ def rank_families(samples, families=FAMILIES) -> list[FittedDistribution]:
 
 
 def ks_statistic(samples, dist: FittedDistribution) -> float:
-    """Two-sided Kolmogorov-Smirnov statistic of samples against the fitted CDF."""
+    """Two-sided Kolmogorov-Smirnov statistic of samples against the fitted CDF.
+
+    Against a DEGENERATE point mass it is the larger share of samples strictly
+    below or strictly above the atom, so 0 for exact repeats of it.
+    """
     x = np.sort(np.asarray(samples, dtype=float))
+    if dist.family == DEGENERATE:
+        value = dist.params["value"]
+        return float(max(np.mean(x < value), np.mean(x > value)))
     n = len(x)
     c = distribution_cdf(dist, x)
     upper = np.arange(1, n + 1) / n

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, RawSample
+from .metric import rows_by_device
 from .preprocess import DEFAULT_FS, STREAM_KEYS, build_streams, resample_captures
 
 TEMPORAL_NAMES = (
@@ -53,14 +54,6 @@ N_SUBFRAMES = 8
 # captures resampled and featurized together by featurize_dataset: a block
 # of 16 holds 64 streams, so each (64, n) temporary stays near 0.25 MB
 BLOCK_CAPTURES = 16
-
-
-def rows_by_device(device_ids) -> dict[str, np.ndarray]:
-    """Device -> the indices of its rows; devices in first-seen order."""
-    rows: dict[str, list[int]] = {}
-    for i, dev in enumerate(np.asarray(device_ids, dtype=str).tolist()):
-        rows.setdefault(dev, []).append(i)
-    return {dev: np.array(idx) for dev, idx in rows.items()}
 
 
 @dataclass

@@ -62,6 +62,14 @@ def _as_matrix(features, labels) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def rows_by_device(device_ids) -> dict[str, np.ndarray]:
+    """Device -> the indices of its rows; devices in first-seen order."""
+    rows: dict[str, list[int]] = {}
+    for i, dev in enumerate(np.asarray(device_ids, dtype=str).tolist()):
+        rows.setdefault(dev, []).append(i)
+    return {dev: np.array(idx) for dev, idx in rows.items()}
+
+
 def standardize_fit(features) -> tuple[np.ndarray, np.ndarray]:
     """Per-dimension mean and population std; zero stds become 1 so constant
     dimensions pass through frozen instead of dividing by zero."""
@@ -156,6 +164,9 @@ def train_ldml(
 ):
     """Learn a MetricModel by gradient ascent on the pairwise log-likelihood.
 
+    The rows are grouped by device first (devices in first-seen order, each
+    device's rows in input order), so interleaving the input leaves the model
+    unchanged; permuting the rows within a device still moves the pair draw.
     Standardization is fit internally on the given vectors. Each iteration
     takes one ascent step on (L, b) with step halving until the objective
     does not decrease; training stops early once no halved step helps.
@@ -174,6 +185,10 @@ def train_ldml(
     label_set, counts = np.unique(y, return_counts=True)
     if np.count_nonzero(counts >= 2) < 2:
         raise ValueError("need >= 2 devices with >= 2 samples each")
+    # rows grouped by device, devices in first-seen order: the standardization
+    # sums and the pair draw see one order however the rows were interleaved
+    rows = np.concatenate(list(rows_by_device(y).values()))
+    X, y = X[rows], y[rows]
     means, stds = standardize_fit(X)
     Z = (X - means) / stds
     n, d = Z.shape

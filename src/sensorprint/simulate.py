@@ -142,28 +142,19 @@ def validate_against_empirical(
     count.
     """
     from .classify import run_protocol
-    from .distances import DEGENERATE, pairwise_distances, rank_families
+    from .distances import pairwise_distances, rank_families
     from .metric import standardizer, train_ldml
 
-    def fit_top(values: np.ndarray) -> FittedDistribution:
-        if np.ptp(values) <= 1e-9 * max(1.0, float(np.max(np.abs(values)))):
-            # repeated samples collapse the population to a point (up to
-            # float residue); no continuous family applies, use a point mass
-            return FittedDistribution(
-                DEGENERATE, {"value": float(np.median(values))},
-                log_likelihood=0.0, aic=2.0, n=len(values),
-            )
-        return rank_families(values)[0]
-
     eligible = table.eligible(train_per_device + 1)
-    # rows grouped by device: LDML's pair draws and the standardization
-    # sums depend on row order, and the fits have always seen this one
+    # rows grouped by device: the standardization sums depend on row order,
+    # and the fits have always seen this one (train_ldml and
+    # pairwise_distances group the rows themselves)
     rows = np.concatenate(list(eligible.device_rows().values()))
     X, ids = eligible.X[rows], eligible.device_ids[rows]
     model = train_ldml(X, ids, seed=seed) if use_ldml else standardizer(X)
     intra_d, inter_d = pairwise_distances(X, ids, model)
-    intra_fit = fit_top(intra_d)
-    inter_fit = fit_top(inter_d)
+    intra_fit = rank_families(intra_d)[0]
+    inter_fit = rank_families(inter_d)[0]
 
     emp = run_protocol(table, "knn", train_per_device, repeats, seed, k=k, use_ldml=use_ldml)
     sim = simulate_knn(SimConfig(

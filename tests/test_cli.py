@@ -343,6 +343,55 @@ def test_countermeasure_impact_applies_the_countermeasure_once(workdir, tmp_path
     assert calls == ["quantize"]
 
 
+def test_countermeasure_impact_takes_the_protocol_flags(workdir, tmp_path):
+    from sensorprint.countermeasures import privacy_impact
+
+    imp = tmp_path / "imp.json"
+    assert main(["countermeasure", "--in", str(workdir / "data.jsonl"), "--scheme", "quantize",
+                 "--out", str(tmp_path / "q.jsonl"), "--impact-out", str(imp),
+                 "--classifier", "knn", "--k", "3", "--seed", "4", "--repeats", "2"]) == 0
+    expected = privacy_impact(load_dataset(workdir / "data.jsonl"), "quantize", classifier="knn",
+                              k=3, seed=4, repeats=2)
+    report = json.loads(imp.read_text())
+    assert report["result"] == expected.to_dict()
+    # the split flags only: the impact report takes no metric-learning knobs
+    assert "use_ldml" not in report["config"]
+
+
+def test_countermeasure_help_names_its_classifier_default(capsys):
+    assert main(["countermeasure", "--help"]) == 0
+    assert "classifier to run (default rf)" in " ".join(capsys.readouterr().out.split())
+    assert main(["evaluate", "--help"]) == 0
+    assert "classifier to run (default knn)" in " ".join(capsys.readouterr().out.split())
+
+
+def test_repeated_captures_fit_a_point_mass_and_simulate(tmp_path):
+    # each device records one capture four times: every intra distance is 0,
+    # which no continuous family fits, so distfit ranks one DEGENERATE atom
+    # and the simulator identifies every probe
+    import dataclasses
+
+    from sensorprint.dataset import Dataset, generate_synthetic, write_dataset
+
+    ds = Dataset()
+    for s in generate_synthetic(6, 1, seed=3).samples:
+        for i in range(4):
+            ds.add(dataclasses.replace(s, sample_id=f"r{i}"))
+    write_dataset(ds, tmp_path / "rep.jsonl")
+    p = {name: str(tmp_path / name) for name in
+         ("rep.jsonl", "f.csv", "fi.json", "fe.json", "dist.json", "sweep.csv")}
+    assert main(["featurize", "--in", p["rep.jsonl"], "--out", p["f.csv"]]) == 0
+    assert main(["distfit", "--features", p["f.csv"], "--intra-out", p["fi.json"],
+                 "--inter-out", p["fe.json"], "--out", p["dist.json"]]) == 0
+    intra = json.loads(Path(p["dist.json"]).read_text())["intra"]["ranking"]
+    assert [(r["family"], r["params"], r["ks"]) for r in intra] == [
+        ("DEGENERATE", {"value": 0.0}, 0.0)]
+    assert main(["simulate", "--intra", p["fi.json"], "--inter", p["fe.json"],
+                 "--device-counts", "6", "1000", "--runs", "500", "--out", p["sweep.csv"]]) == 0
+    rows = Path(p["sweep.csv"]).read_text().splitlines()[1:]
+    assert [float(r.split(",")[4]) for r in rows] == [1.0, 1.0]
+
+
 def test_countermeasure_refused_impact_settings_leave_no_files(workdir, tmp_path, capsys):
     out, imp = tmp_path / "q.jsonl", tmp_path / "imp.json"
     rc = main(["countermeasure", "--in", str(workdir / "data.jsonl"), "--scheme", "quantize",

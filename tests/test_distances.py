@@ -237,6 +237,27 @@ def test_rank_all_failed():
         rank_families(x, families=(GAMMA, WEIBULL))
 
 
+def test_rank_zero_dispersion_is_one_point_mass():
+    # exactly repeated captures: no continuous family applies, so the ranking
+    # is a single DEGENERATE atom at the median, loglik 0 and AIC 2
+    for x in (np.zeros(10), np.full(3, 2.5), 7.0 + np.array([0.0, 1e-12, -1e-12, 2e-12])):
+        ranking = rank_families(x)
+        assert ranking == [FittedDistribution(DEGENERATE, {"value": float(np.median(x))},
+                                              log_likelihood=0.0, aic=2.0, n=len(x))]
+    x = np.random.default_rng(2).gamma(2.0, size=500)
+    assert [f.family for f in rank_families(x, families=(GAMMA,))] == [GAMMA]
+    with pytest.raises(ValueError, match="failed"):
+        rank_families(np.array([]))
+
+
+def test_ks_against_a_point_mass_is_exact():
+    atom = FittedDistribution(DEGENERATE, {"value": 1.0}, 0.0, 2.0, 8)
+    assert ks_statistic(np.ones(8), atom) == 0.0
+    # 1 of 8 below, 3 of 8 above: the larger share
+    assert ks_statistic([0.5, 1, 1, 1, 1, 2, 3, 4], atom) == 3 / 8
+    assert ks_statistic([0.0, 0.1, 1.0], atom) == 2 / 3
+
+
 def test_local_optimality_of_mle():
     rng = np.random.default_rng(100)
     prng = np.random.default_rng(7)

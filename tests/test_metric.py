@@ -196,6 +196,23 @@ def test_training_is_deterministic():
     assert m1.bias == m2.bias
 
 
+def test_interleaved_rows_train_the_grouped_model_bit_for_bit():
+    # train_ldml groups the rows by device (first-seen order) before it
+    # standardizes and draws pairs, so interleaving the devices' captures
+    # changes no bit of the model
+    from sensorprint.dataset import generate_synthetic
+    from sensorprint.features import featurize_dataset
+
+    table = featurize_dataset(generate_synthetic(8, 5, seed=2))
+    interleaved = np.concatenate(list(table.device_rows().values())).reshape(8, 5).T.ravel()
+    assert not np.array_equal(interleaved, np.arange(40))
+    a = train_ldml(table.X, table.device_ids, iterations=50)
+    b = train_ldml(table.X[interleaved], table.device_ids[interleaved], iterations=50)
+    for name in ("means", "stds", "L"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.bias, a.trained_on) == (b.bias, b.trained_on)
+
+
 def test_objective_monotone_over_accepted_steps():
     X, y = toy_data()
     _, history = train_ldml(X, y, iterations=50, return_history=True)

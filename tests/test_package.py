@@ -71,6 +71,10 @@ def test_traced_names_exist(monkeypatch):
         if not callable(getattr(importlib.import_module(f"sensorprint.{mod}"), name, None))
     ]
     assert missing == []
+    # the tracer rebinds every namespace that holds a wrapped function
+    features = importlib.import_module("sensorprint.features")
+    preprocess = importlib.import_module("sensorprint.preprocess")
+    assert features.build_streams is preprocess.build_streams
 
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
