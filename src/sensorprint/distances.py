@@ -6,6 +6,7 @@ fit by maximum likelihood against five candidate families and the fits are
 ranked by AIC. Densities, CDFs and quantile functions are written out
 explicitly so the fitted objects are self-contained; a draw is the quantile
 function of a uniform, so one function serves sampling and order statistics.
+Each candidate has one estimator; only GEV's needs an optimizer.
 
 Each family is described in one place, its ``_Family`` record in
 ``_FAMILIES``: adding a family is adding one record (and its name to
@@ -29,8 +30,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammainc, gammaincinv, gammaln, log_ndtr, ndtr, ndtri
+from scipy.special import digamma, gammainc, gammaincinv, gammaln, log_ndtr, ndtr, ndtri
 
 log = logging.getLogger(__name__)
 
@@ -118,9 +118,7 @@ def pairwise_distances(X, device_ids, model=None) -> tuple[np.ndarray, np.ndarra
 class _Family:
     """One family; every function takes the parameters by name, and
     ``ppf(u, **params)`` is the quantile function, non-decreasing in u on
-    [0, 1]. A fit candidate has either a
-    closed-form ``estimate(x) -> params`` or three Nelder-Mead ``starts(mean,
-    std)`` over ``params``, with each name in ``log_params`` fit as its log.
+    [0, 1]. A fit candidate's ``estimate(x)`` returns its MLE params.
     """
 
     params: tuple[str, ...]
@@ -130,8 +128,6 @@ class _Family:
     ppf: Callable[..., np.ndarray]
     positive: bool = False  # support x > 0; fits require strictly positive samples
     estimate: Callable[[np.ndarray], dict] | None = None
-    starts: Callable[[float, float], list] | None = None
-    log_params: tuple[str, ...] = ()
 
 
 def _ig_logpdf(x, mu, lam):
@@ -147,21 +143,28 @@ def _ig_cdf(x, mu, lam):
     return ndtr(s * (x / mu - 1)) + np.exp(2 * lam / mu + log_ndtr(-s * (x / mu + 1)))
 
 
+def _bisect(below, lo, hi):
+    """[lo, hi] halved 64 times toward where ``below`` turns false; returns hi."""
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        b = below(mid)
+        lo, hi = np.where(b, mid, lo), np.where(b, hi, mid)
+    return hi
+
+
 def _ig_ppf(u, mu, lam):
     # no closed form: 64 halvings of log x in log(mu) +- 60 end below the
     # spacing of doubles, and the bracket holds for moderate lam / mu
     lo = np.full(np.shape(u), np.log(mu) - 60.0)
-    hi = lo + 120.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = _ig_cdf(np.exp(mid), mu, lam) < u
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    hi = _bisect(lambda t: _ig_cdf(np.exp(t), mu, lam) < u, lo, lo + 120.0)
     return np.where(u <= 0, 0.0, np.where(u >= 1, np.inf, np.exp(hi)))
 
 
 def _ig_estimate(x):
+    # 1/lam = mean(1/x - 1/mu) = mean(w^2 / (1 + w)) / mu, as mean(w) = 0
     mu = float(np.mean(x))
-    return {"mu": mu, "lam": float(1.0 / np.mean(1.0 / x - 1.0 / mu))}
+    w = x / mu - 1.0
+    return {"mu": mu, "lam": mu / float(np.mean(w * w / (1.0 + w)))}
 
 
 def _gev_logpdf(x, mu, sigma, xi):
@@ -193,11 +196,24 @@ def _gev_ppf(u, mu, sigma, xi):
     return mu + sigma * (t**-xi - 1) / xi
 
 
-def _gev_starts(m, s):
-    sigma0 = s * np.sqrt(6) / np.pi
-    mu0 = m - EULER_GAMMA * sigma0
-    return [np.array([mu0 + a * sigma0, np.log(sigma0 * b), xi])
-            for a, b, xi in ((0.0, 1.0, 0.1), (-0.3, 0.7, -0.1), (0.3, 1.4, 0.3))]
+def _gev_estimate(x):
+    """Nelder-Mead on the standardized sample from the Gumbel moment fit."""
+    from scipy import optimize  # the only fit that needs the optimizer; keep it off import
+    m, s = float(np.mean(x)), float(np.std(x))
+
+    def nll(theta):
+        lp = _gev_logpdf((x - m) / s, theta[0], np.exp(theta[1]), theta[2])
+        # off the support: a large finite value keeps the simplex sane
+        return -np.sum(lp) if np.all(np.isfinite(lp)) else 1e300
+
+    sigma0 = np.sqrt(6) / np.pi  # xi = 0: the support is the whole line
+    with np.errstate(over="ignore"):  # t ** (-1/xi) overflows only off the support
+        res = optimize.minimize(nll, [-EULER_GAMMA * sigma0, np.log(sigma0), 0.0],
+                                method="Nelder-Mead",
+                                options={"xatol": 1e-8, "fatol": 1e-8, "maxfev": 2000})
+    if not (res.success and res.fun < 1e300):
+        raise RuntimeError(f"GEV MLE did not converge: {res.message}")
+    return {"mu": m + s * res.x[0], "sigma": s * np.exp(res.x[1]), "xi": res.x[2]}
 
 
 def _lognormal_logpdf(x, mu, sigma):
@@ -205,15 +221,50 @@ def _lognormal_logpdf(x, mu, sigma):
     return -lx - np.log(sigma) - 0.5 * np.log(2 * np.pi) - (lx - mu) ** 2 / (2 * sigma**2)
 
 
-def _gamma_starts(m, s):
-    k0 = max(m * m / (s * s), 1e-3)
-    return [np.log([k, m / k]) for k in (k0, k0 * 0.5, k0 * 2.0)]
+# log k - digamma(k) and k log k - k - lgamma(k) cancel: for k >= 10, series in 1/k
+def _log_minus_digamma(k):
+    if k < 10:
+        return np.log(k) - digamma(k)
+    r2 = 1.0 / (k * k)
+    return 0.5 / k + r2 * (1 / 12 - r2 * (1 / 120 - r2 * (1 / 252 - r2 * (
+        1 / 240 - r2 * (1 / 132 - r2 * 691 / 32760)))))
 
 
-def _weibull_starts(m, s):
-    k0 = max((s / m) ** -1.086, 1e-2) if m > 0 else 1.0
-    lam0 = m / gamma_fn(1 + 1 / k0)
-    return [np.log([k0 * a, lam0 * b]) for a, b in ((1.0, 1.0), (0.6, 0.8), (1.8, 1.2))]
+def _gamma_norm(k):
+    if k < 10:
+        return k * np.log(k) - k - gammaln(k)
+    r2 = 1.0 / (k * k)
+    return 0.5 * np.log(k / (2 * np.pi)) - (1 / 12 - r2 * (1 / 360 - r2 * (
+        1 / 1260 - r2 * (1 / 1680 - r2 / 1188)))) / k
+
+
+def _gamma_logpdf(x, shape, scale):
+    # (k-1) log x - x/theta - k log theta - lgamma(k) around the mean: no terms of order k
+    y = x / (shape * scale)
+    return (shape - 1) * np.log(y) - shape * (y - 1) - np.log(shape * scale) + _gamma_norm(shape)
+
+
+def _gamma_estimate(x):
+    """Shape k solves log k - digamma(k) = log mean - mean(log x) = s (Minka,
+    "Estimating a Gamma distribution", 2002); the scale is mean / k."""
+    w = x / np.mean(x) - 1.0  # s without the rounding of the mean: mean(w) = 0
+    s = -float(np.mean(np.log1p(w) - w))
+    k = float(np.exp(_bisect(lambda t: _log_minus_digamma(np.exp(t)) > s, -20.0, 100.0)))
+    return {"shape": k, "scale": float(np.mean(x)) / k}
+
+
+def _weibull_estimate(x):
+    """Shape c solves sum(y^c ly) / sum(y^c) - mean(ly) = 1/c (Cohen, Technometrics
+    7, 1965) on ly = log(x / max x), where y^c <= 1; scale max x * mean(y^c)^(1/c)."""
+    top = float(np.max(x))
+    ly = np.log(x / top)
+
+    def below(t):
+        yc = np.exp(np.exp(t) * ly)
+        return np.sum(yc * ly) / np.sum(yc) - np.mean(ly) < np.exp(-t)
+
+    c = float(np.exp(_bisect(below, -20.0, 100.0)))
+    return {"shape": c, "scale": top * float(np.mean(np.exp(c * ly))) ** (1.0 / c)}
 
 
 _FAMILIES = {
@@ -232,8 +283,7 @@ _FAMILIES = {
         logpdf=_gev_logpdf,
         cdf=_gev_cdf,
         ppf=_gev_ppf,
-        starts=_gev_starts,
-        log_params=("sigma",),
+        estimate=_gev_estimate,
     ),
     LOG_NORMAL: _Family(
         params=("mu", "sigma"),
@@ -247,14 +297,11 @@ _FAMILIES = {
     GAMMA: _Family(
         params=("shape", "scale"),
         valid=lambda shape, scale: shape > 0 and scale > 0,
-        logpdf=lambda x, shape, scale: (
-            (shape - 1) * np.log(x) - x / scale - shape * np.log(scale) - gammaln(shape)
-        ),
+        logpdf=_gamma_logpdf,
         cdf=lambda x, shape, scale: gammainc(shape, x / scale),
         ppf=lambda u, shape, scale: scale * gammaincinv(shape, u),
         positive=True,
-        starts=_gamma_starts,
-        log_params=("shape", "scale"),
+        estimate=_gamma_estimate,
     ),
     WEIBULL: _Family(
         params=("shape", "scale"),
@@ -265,8 +312,7 @@ _FAMILIES = {
         cdf=lambda x, shape, scale: -np.expm1(-((x / scale) ** shape)),
         ppf=lambda u, shape, scale: scale * (-np.log1p(-u)) ** (1.0 / shape),
         positive=True,
-        starts=_weibull_starts,
-        log_params=("shape", "scale"),
+        estimate=_weibull_estimate,
     ),
     UNIFORM: _Family(
         params=("lo", "hi"),
@@ -324,43 +370,18 @@ def _check_samples(x, family):
 
 
 def fit_family(samples, family: str) -> FittedDistribution:
-    """Maximum-likelihood fit of one family.
+    """Maximum-likelihood fit of one family, and the sample's loglik under it.
 
-    Inverse Gaussian and log-normal have closed-form estimators; the rest run
-    Nelder-Mead on the negative log-likelihood from 3 deterministic starts
-    (simplex tolerance 1e-8, at most 2000 evaluations per start).
+    Inverse Gaussian and log-normal have closed forms, gamma and Weibull bisect
+    a one-dimensional likelihood equation, and GEV runs Nelder-Mead once
+    (tolerance 1e-8, at most 2000 evaluations; RuntimeError if not converged).
     """
-    from scipy import optimize  # only fits need the optimizer; keep it off import
-
     if family not in FAMILIES:
         raise ValueError(f"family {family!r} is not a fit candidate")
     fam = _FAMILIES[family]
     x = _check_samples(samples, family)
-    if fam.estimate is not None:
-        params = fam.estimate(x)
-        ll = float(np.sum(fam.logpdf(x, **params)))
-    else:
-        def unpack(theta):
-            return {k: float(np.exp(t) if k in fam.log_params else t)
-                    for k, t in zip(fam.params, theta)}
-
-        def nll(theta):
-            lp = fam.logpdf(x, **unpack(theta))
-            # off-support (GEV): large finite penalty keeps the simplex sane
-            return -np.sum(lp) if np.all(np.isfinite(lp)) else 1e300
-
-        best = None
-        for theta0 in fam.starts(np.mean(x), np.std(x)):
-            res = optimize.minimize(
-                nll, theta0, method="Nelder-Mead",
-                options={"xatol": 1e-8, "fatol": 1e-8, "maxfev": 2000},
-            )
-            if np.isfinite(res.fun) and res.success and (best is None or res.fun < best.fun):
-                best = res
-        if best is None:
-            raise RuntimeError(f"{family} MLE did not converge from any start")
-        params = unpack(best.x)
-        ll = float(-best.fun)
+    params = fam.estimate(x)
+    ll = float(np.sum(fam.logpdf(x, **params)))
     aic = 2 * len(fam.params) - 2 * ll
     return FittedDistribution(family=family, params=params, log_likelihood=ll, aic=aic, n=len(x))
 

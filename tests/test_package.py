@@ -40,7 +40,7 @@ def test_importing_every_module_leaves_scipy_stats_out():
 
 
 def test_simulate_and_cli_leave_the_optimizer_out():
-    # only fit_family needs scipy.optimize; the simulate step never fits
+    # only the GEV fit needs scipy.optimize; the simulate step never fits
     out = _child_stdout("import sys, sensorprint.cli, sensorprint.simulate\n"
                         "print('scipy.optimize' in sys.modules)\n")
     assert out.split() == ["False"]
