@@ -131,107 +131,180 @@ class RandomForest:
     seed: int
 
 
-def _best_cuts(X, rank, n_ranks, y_idx, n_classes, node_rows, feats):
+# splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment
+# and the output mix, elementwise on uint64 with wrapping arithmetic
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _splitmix64(z):
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _draw_features(key, trees, nodes, d, m):
+    """The m features node ``nodes[b]`` of tree ``trees[b]`` draws, first drawn first.
+
+    Feature f of (tree t, node i) hashes to mix(mix(mix(key + t g) + i g) +
+    f g), with mix splitmix64's output function and g its increment; a node
+    takes the m features of smallest hash, in ascending hash order. A draw
+    depends on nothing but (key, t, i), so neither the order nodes are grown
+    in nor how trees are grouped can move it (counter-based draws: Salmon et
+    al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+    """
+    with np.errstate(over="ignore"):
+        h = _splitmix64(key + trees.astype(np.uint64) * _GOLDEN)
+        h = _splitmix64(h + nodes.astype(np.uint64) * _GOLDEN)
+        h = _splitmix64(h[:, None] + np.arange(d, dtype=np.uint64) * _GOLDEN)
+    return np.argsort(h, axis=1)[:, :m]  # a node's hashes are distinct: mix is a bijection
+
+
+def _class_gains(group, w):
+    """w (2K + w) of each entry of weight w: what it adds to its segment's
+    sum of squared class weights, K being its class's weight to its left.
+
+    ``group`` numbers each entry's (segment, class) pair in segment order;
+    entries are in value order within segments. One sort of (group,
+    position) keys lists each pair's entries in value order.
+    """
+    n_flat = len(w)
+    i_bits = (n_flat - 1).bit_length()
+    grouped = (group << i_bits) | np.arange(n_flat)
+    grouped.sort()
+    at = grouped & ((1 << i_bits) - 1)  # value-order position of each grouped place
+    wg = w[at]
+    before = np.cumsum(wg) - wg
+    grouped >>= i_bits
+    first = np.empty(n_flat, dtype=bool)
+    first[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=first[1:])
+    k = before - np.maximum.accumulate(before * first)
+    gain = np.empty_like(k)
+    gain[at] = wg * (2 * k + wg)
+    return gain
+
+
+def _best_cuts(values, rank, y_slot, w_slot, n_classes, slots, sizes, feats):
     """Best cut of every node of one step, all scored together.
 
-    Node b holds rows ``node_rows[b]`` of ``X`` (a bootstrap multiset) and
-    draws features ``feats[b]``. Each (node, drawn feature) pair is one
-    segment of flat arrays, segments in (node, draw) order, each in value
-    order: one sort of (segment, value rank, row) keys, where ``rank`` maps
-    equal values of ``X`` to one of ``n_ranks`` ranks in value order. Cuts
-    fall only between distinct consecutive values, at their midpoint (at
-    the lower value when the midpoint rounds onto the upper one), so the
-    order of equal values changes nothing and both sides keep rows.
+    A slot is one (tree, row) pair of the trees grown together, numbered
+    tree * n + row; it has class ``y_slot[slot]`` and was drawn
+    ``w_slot[slot]`` times by its tree's bootstrap. Node b holds ``sizes[b]``
+    distinct slots, its part of ``slots``, and draws features ``feats[b]``.
+    Each (node, drawn feature) pair is one segment of flat arrays, segments
+    in (node, draw) order, each in value order: one sort of bit-packed
+    (node, draw, value rank, slot) keys, where ``rank`` maps equal values of
+    X to one rank and ``values[rank]`` is the value. Cuts fall only between
+    distinct consecutive values, at their midpoint (at the lower value when
+    the midpoint rounds onto the upper one), so the order of equal values
+    changes nothing and both sides keep rows.
 
-    A cut that leaves class counts L_c of the node's totals T_c on the left
-    decreases Gini by a constant plus (SL/nl + SR/nr)/n, with SL = sum L_c^2
-    and SR = sum (T_c - L_c)^2 = sum T_c^2 - 2 sum T_c L_c + SL. Scanning a
-    segment, a row whose class already appeared k times adds 2k + 1 to SL and
-    T_c to sum T_c L_c; k is the row's place in one sort by (segment, class,
-    position). Counts stay int64 and the score is one correctly rounded
-    division of SL nr + SR nl by nl nr, so equal decreases give equal floats
-    (distinct ones stay distinct below about 2 000 rows) and the first drawn
-    feature, then the first cut, wins an exact tie.
+    A cut that leaves class weights L_c of the node's totals T_c on the left
+    decreases Gini by a constant plus (SL/nl + SR/nr)/(nl + nr), with nl and
+    nr the weights of the two sides, SL = sum L_c^2 and SR = sum (T_c -
+    L_c)^2 = sum T_c^2 - 2 sum T_c L_c + SL (Louppe, *Understanding Random
+    Forests*, 2014, ch. 5). Scanning a segment, a slot of weight w adds w to
+    nl, T_c w to sum T_c L_c and ``_class_gains``' w (2K + w) to SL. A row
+    drawn w times falls on one side of every cut, so these are the sums
+    over the bootstrap multiset. Counts stay int64 and the score is one
+    correctly rounded division of SL nr + SR nl by nl nr, so equal
+    decreases give equal floats (distinct ones stay distinct below about
+    2 000 rows) and the first drawn feature, then the first cut, wins an
+    exact tie.
 
     Returns the split nodes' indices into the step and, per split node, its
-    feature, threshold, size and left count, its rows with the left part
-    first (all split nodes' rows in one array), and each child's label if
-    the child is pure, -1 if not.
+    feature, threshold, slot count and left slot count, its slots with the
+    left part first (all split nodes' slots in one array), and each child's
+    label if the child is pure, -1 if not.
     """
-    n, d = X.shape
+    n, d = rank.shape
     B, m = feats.shape
-    sizes = np.array([len(r) for r in node_rows])
+    # key bits, high to low: node, draw, value rank, slot
+    slot_bits, rank_bits, m_bits = ((x - 1).bit_length() for x in (len(y_slot), len(values), m))
+    low_bits = rank_bits + slot_bits
+    node = np.repeat(np.arange(B), sizes)
     seg_len = np.repeat(sizes, m)
-    seg_end = np.cumsum(seg_len)
-    seg_start = seg_end - seg_len
-    seg = np.repeat(np.arange(B * m), seg_len)
-    pos = np.arange(seg_end[-1]) - seg_start[seg]
-    rows = np.concatenate(node_rows)[(np.cumsum(sizes) - sizes)[seg // m] + pos]
-    f = feats.ravel()[seg]
-    key = (seg * n_ranks + rank.ravel()[rows * d + f]) * n + rows
+    seg_start = np.cumsum(seg_len) - seg_len
+    seg_key = ((np.arange(B)[:, None] << m_bits) | np.arange(m)) << low_bits
+    key = feats[node]
+    key += (slots % n * d)[:, None]
+    key = np.take(rank, key) << slot_bits
+    key |= seg_key[node]
+    key |= slots[:, None]
+    key = key.ravel()
     key.sort()
-    rows = key % n
-    v = X.ravel()[rows * d + f]
-    c = y_idx[rows]
+    slot = key & ((1 << slot_bits) - 1)
+    q = key >> slot_bits  # segment and value rank
+    del key
+    w = w_slot[slot]
+    gain = _class_gains((q >> rank_bits) * n_classes + y_slot[slot], w)
 
-    n_flat = len(seg)
-    grouped = (seg * n_classes + c) * n_flat + np.arange(n_flat)
-    grouped.sort()
-    group_id = grouped // n_flat
-    at = grouped - group_id * n_flat  # value-order position of each grouped place
-    first = np.ones(n_flat, dtype=bool)
-    first[1:] = group_id[1:] != group_id[:-1]
-    starts = np.flatnonzero(first)
-    group = np.cumsum(first) - 1
-    k, total = np.empty_like(at), np.empty_like(at)
-    k[at] = np.arange(n_flat) - starts[group]
-    total[at] = np.diff(np.append(starts, n_flat))[group]
-    sl = np.cumsum(2 * k + 1)
-    tl = np.cumsum(total)
-    sl -= np.append(0, sl)[seg_start][seg]
-    tl -= np.append(0, tl)[seg_start][seg]
-    sq_total = sl[seg_end - 1]  # sum T_c^2 per segment
-    right_sq = lambda i: sq_total[seg[i]] - 2 * tl[i] + sl[i]  # SR after position i
+    y, w_rows = y_slot[slots], w_slot[slots]
+    total = np.bincount(node * n_classes + y, weights=w_rows, minlength=B * n_classes).astype(np.int64)
+    t_w = np.empty(len(y_slot), dtype=np.int64)
+    t_w[slots] = total[node * n_classes + y] * w_rows  # T_c w of each of the step's slots
+    total = total.reshape(B, n_classes)
+    node_w, sq_total = total.sum(axis=1), (total * total).sum(axis=1)
+    t_w = t_w[slot]
+    # a segment sums gain and t_w to sum T_c^2 and w to the node weight:
+    # take the previous segment's sums off each segment's first entry, and
+    # the running sums restart at every segment
+    restart, prev = seg_start[1:], np.repeat(sq_total, m)[:-1]
+    gain[restart] -= prev
+    t_w[restart] -= prev
+    w[restart] -= np.repeat(node_w, m)[:-1]
+    sl, tl, nl = (np.cumsum(a, out=a) for a in (gain, t_w, w))
+    node_len = sizes * m
+    nr = np.repeat(node_w, node_len) - nl
+    sr = np.repeat(sq_total, node_len) - 2 * tl + sl
 
-    cand = np.flatnonzero((v[1:] > v[:-1]) & (seg[1:] == seg[:-1]))  # cut after cand
-    nl = pos[cand] + 1
-    nr = seg_len[seg[cand]] - nl
-    score = (sl[cand] * nr + right_sq(cand) * nl) / (nl * nr)
-    node = seg[cand] // m
-    lead = np.flatnonzero(np.diff(node, prepend=-1))
-    best = np.repeat(np.maximum.reduceat(score, lead), np.diff(np.append(lead, len(cand))))
-    hit = np.flatnonzero(score == best)
-    hit = hit[np.diff(node[hit], prepend=-1) != 0]  # first best per node
-    p, won = cand[hit], node[hit]
-    lo, hi = seg_start[seg[p]], seg_end[seg[p]]
-    mid = 0.5 * (v[p] + v[p + 1])
-    thr = np.where(mid < v[p + 1], mid, v[p])  # two adjacent doubles: cut at the lower
-    n_left = p - lo + 1
-    n_right = hi - p - 1
-    split = np.zeros(B * m, dtype=bool)
-    split[seg[p]] = True
-    left_label = np.where(sl[p] == n_left * n_left, c[lo], -1)
-    right_label = np.where(right_sq(p) == n_right * n_right, c[hi - 1], -1)
-    return won, f[p], thr, hi - lo, n_left, rows[split[seg]], left_label, right_label
+    cut = np.empty(len(q), dtype=bool)  # cut after this entry
+    np.not_equal(q[1:], q[:-1], out=cut[:-1])
+    cut[seg_start + seg_len - 1] = False  # not across segments
+    score = np.divide(sl * nr + sr * nl, nl * nr, out=np.full(len(q), np.nan), where=cut)
+    node_start = seg_start[::m]
+    best = np.fmax.reduceat(score, node_start)  # NaN: the node has no cut
+    p = np.flatnonzero(score == np.repeat(best, node_len))
+    won = np.flatnonzero(~np.isnan(best))
+    p = p[np.searchsorted(p, node_start[won])]  # first best per node
+    draw = (q[p] >> rank_bits) & ((1 << m_bits) - 1)
+    v, v_next = values[q[p] & ((1 << rank_bits) - 1)], values[q[p + 1] & ((1 << rank_bits) - 1)]
+    mid = 0.5 * (v + v_next)
+    thr = np.where(mid < v_next, mid, v)  # two adjacent doubles: cut at the lower
+    lo, size = seg_start[won * m + draw], sizes[won]
+    offset = np.cumsum(size) - size
+    kept = slot[np.repeat(lo - offset, size) + np.arange(size.sum())]
+    left_label = np.where(sl[p] == nl[p] ** 2, y_slot[slot[lo]], -1)
+    right_label = np.where(sr[p] == nr[p] ** 2, y_slot[slot[lo + size - 1]], -1)
+    return won, feats[won, draw], thr, size, p - lo + 1, kept, left_label, right_label
 
 
-def _grow_trees(X, rank, n_ranks, y_idx, n_classes, max_feats, seed, trees, bootstrap):
-    """Grow ``trees`` together; returns their flat node arrays and node counts.
+def _grow_trees(values, rank, y_idx, n_classes, max_feats, seed, trees, bootstrap):
+    """Grow ``trees`` together; returns their flat node arrays, node counts,
+    growth steps and scored (node, feature, row) entries.
 
-    Each tree keeps its own ``default_rng([seed, t])`` and resample. Its
-    nodes are numbered as they are made and expanded depth first, right
-    child first, so each split search's feature draw comes off its tree's
-    stream in a fixed order. A pure child is a leaf as soon as it is made;
-    at every step each unfinished tree pops its next impure node, and those
+    Tree t resamples with ``default_rng([seed, t])`` and grows on its
+    distinct resampled rows, each weighted by how often it was drawn; node
+    i of tree t draws its features by ``_draw_features`` from a key of
+    ``seed``. Nodes are numbered as they are made and expanded depth first,
+    right child first. A pure child is a leaf as soon as it is made; at
+    every step each unfinished tree pops its next impure node, and those
     nodes are scored in one ``_best_cuts`` call. A node whose drawn features
-    are all constant is a leaf with the majority label, the smallest class
-    index on ties. Arrays are (trees, 2n): feature, threshold, left, right,
-    label and depth per node; a leaf's children are itself.
+    are all constant is a leaf with the majority label by weight, the
+    smallest class index on ties. Arrays are (trees, 2n): feature,
+    threshold, left, right, label and depth per node; a leaf's children are
+    itself.
     """
-    n, d = X.shape
+    n, d = rank.shape
+    trees = np.asarray(trees)
     G, width = len(trees), 2 * n
-    rngs = [np.random.default_rng([seed, t]) for t in trees]
-    boot = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs]
+    key = np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
+    if bootstrap:
+        weight = np.array([np.bincount(np.random.default_rng([seed, t]).integers(0, n, size=n),
+                                       minlength=n) for t in trees])
+    else:
+        weight = np.ones((G, n), dtype=np.intp)
+    w_slot, y_slot = weight.ravel(), np.tile(y_idx, G)
     feature = np.zeros((G, width), dtype=np.intp)
     threshold = np.zeros((G, width))
     left = np.zeros((G, width), dtype=np.intp)
@@ -240,24 +313,32 @@ def _grow_trees(X, rank, n_ranks, y_idx, n_classes, max_feats, seed, trees, boot
     depth = np.zeros((G, width), dtype=np.intp)
     count = np.ones(G, dtype=np.intp)
     stacks = [[] for _ in trees]
-    for t, rows in enumerate(boot):
-        if np.all(y_idx[rows] == y_idx[rows[0]]):
-            label[t, 0] = y_idx[rows[0]]
+    for t in range(G):
+        slots = np.flatnonzero(weight[t]) + t * n
+        if np.all(y_slot[slots] == y_slot[slots[0]]):
+            label[t, 0] = y_slot[slots[0]]
         else:
-            stacks[t].append((rows, 0))
+            stacks[t].append((slots, 0))
+    steps = entries = 0
     while True:
-        busy = [t for t, stack in enumerate(stacks) if stack]
-        if not busy:
-            return feature, threshold, left, right, label, depth, count
+        busy = np.array([t for t, stack in enumerate(stacks) if stack], dtype=np.intp)
+        if not len(busy):
+            return feature, threshold, left, right, label, depth, count, steps, entries
         step = [stacks[t].pop() for t in busy]
-        feats = np.array([rngs[t].choice(d, size=max_feats, replace=False) for t in busy])
-        won, feat, thr, size, n_left, rows, left_label, right_label = _best_cuts(
-            X, rank, n_ranks, y_idx, n_classes, [r for r, _ in step], feats)
-        for b in np.setdiff1d(np.arange(len(step)), won):  # all drawn features constant
-            rows_b, node = step[b]
-            label[busy[b], node] = np.argmax(np.bincount(y_idx[rows_b], minlength=n_classes))
-        t = np.array(busy)[won]
-        node = np.array([node for _, node in step])[won]
+        node = np.array([i for _, i in step])
+        sizes = np.array([len(slots) for slots, _ in step])
+        steps += 1
+        entries += int(sizes.sum()) * max_feats
+        won, feat, thr, size, n_left, slots, left_label, right_label = _best_cuts(
+            values, rank, y_slot, w_slot, n_classes, np.concatenate([s for s, _ in step]), sizes,
+            _draw_features(key, trees[busy], node, d, max_feats))
+        constant = np.ones(len(step), dtype=bool)  # all drawn features constant
+        constant[won] = False
+        for b in np.flatnonzero(constant):
+            at = step[b][0]
+            label[busy[b], node[b]] = np.argmax(
+                np.bincount(y_slot[at], weights=w_slot[at], minlength=n_classes))
+        t, node = busy[won], node[won]
         kid = count[t]
         count[t] += 2
         feature[t, node], threshold[t, node], left[t, node], right[t, node] = feat, thr, kid, kid + 1
@@ -265,26 +346,32 @@ def _grow_trees(X, rank, n_ranks, y_idx, n_classes, max_feats, seed, trees, boot
             left[t, j] = right[t, j] = j
             label[t, j] = lab
             depth[t, j] = depth[t, node] + 1
-        start = np.cumsum(size) - size
-        for w, (lo, cut, hi) in enumerate(zip(start, start + n_left, start + size)):
-            if left_label[w] < 0:
-                stacks[t[w]].append((rows[lo:cut].copy(), kid[w]))
-            if right_label[w] < 0:
-                stacks[t[w]].append((rows[cut:hi].copy(), kid[w] + 1))
+        hi = np.cumsum(size)
+        lo = hi - size
+        for tree, i, a, cut, b, pure_left, pure_right in zip(*(x.tolist() for x in (
+                t, kid, lo, lo + n_left, hi, left_label >= 0, right_label >= 0))):
+            if not pure_left:
+                stacks[tree].append((slots[a:cut], i))
+            if not pure_right:
+                stacks[tree].append((slots[cut:b], i + 1))
 
 
 def rf_train(train_X, train_y, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -> RandomForest:
     """Train a forest of CART trees, each on its own bootstrap resample.
 
-    Per-tree RNG streams are keyed (seed, tree index) so training order,
-    tree grouping and thread count cannot change the result.
-    ``bootstrap=False`` is a test hook that trains every tree on the full
-    sample. Trees grow together in groups sized by ``_FOREST_ENTRIES`` (see
-    ``_grow_trees``). The forest is flat: one array each of feature,
-    threshold, left child, right child and leaf label over the nodes of all
-    trees, tree by tree, plus each tree's root index (see ``RandomForest``).
+    Tree t resamples with ``default_rng([seed, t])``; node i of tree t
+    draws its features from a hash of (seed, t, i) (see
+    ``_draw_features``), so training order, tree grouping and thread count
+    cannot change the result. Each tree grows on its distinct resampled
+    rows weighted by their multiplicity, which gives the same tree as
+    growing on the resample itself. ``bootstrap=False`` is a test hook that
+    trains every tree on the full sample. Trees grow together in groups
+    sized by ``_FOREST_ENTRIES`` (see ``_grow_trees``). The forest is flat:
+    one array each of feature, threshold, left child, right child and leaf
+    label over the nodes of all trees, tree by tree, plus each tree's root
+    index (see ``RandomForest``).
     """
-    X = np.ascontiguousarray(train_X, dtype=float)
+    X = np.asarray(train_X, dtype=float)
     classes, y_idx = np.unique(np.asarray(train_y), return_inverse=True)
     if len(classes) < 2:
         raise ValueError("need >= 2 classes")
@@ -294,19 +381,23 @@ def rf_train(train_X, train_y, n_trees: int = 100, seed: int = 0, bootstrap: boo
     max_feats = int(np.ceil(np.sqrt(d)))
     values, rank = np.unique(X, return_inverse=True)
     rank = rank.reshape(n, d)
-    # per tree: about two dozen step arrays of up to max_feats * n entries, six node arrays of 2n
-    group = max(1, _FOREST_ENTRIES // (n * (24 * max_feats + 12)))
-    parts = [_grow_trees(X, rank, len(values), y_idx, len(classes), max_feats, seed,
+    # per tree: about a dozen live step arrays of up to max_feats * n entries (one per drawn
+    # feature and distinct row; a bootstrap holds about 0.63 n), six node arrays of 2n and
+    # three slot tables of n
+    group = max(1, _FOREST_ENTRIES // (n * (12 * max_feats + 15)))
+    parts = [_grow_trees(values, rank, y_idx, len(classes), max_feats, seed,
                          range(t0, min(t0 + group, n_trees)), bootstrap)
              for t0 in range(0, n_trees, group)]
+    feature, threshold, left, right, label, depth, count, steps, entries = zip(*parts)
     feature, threshold, left, right, label, depth, count = (
-        np.concatenate(col) for col in zip(*parts))
+        np.concatenate(col) for col in (feature, threshold, left, right, label, depth, count))
     roots = np.cumsum(count) - count
     keep = np.arange(feature.shape[1]) < count[:, None]
     left, right = left + roots[:, None], right + roots[:, None]
     feature, threshold, left, right, label = (a[keep] for a in (feature, threshold, left, right, label))
-    log.debug("forest: %d tree(s), %d node(s), %d leaves, max depth %d",
-              n_trees, len(label), int(np.count_nonzero(label >= 0)), int(depth.max()))
+    log.debug("forest: %d tree(s), %d node(s), %d leaves, max depth %d, %d step(s), "
+              "%d scored entries", n_trees, len(label), int(np.count_nonzero(label >= 0)),
+              int(depth.max()), sum(steps), sum(entries))
     return RandomForest(feature=feature, threshold=threshold, left=left, right=right,
                         label=label, roots=roots, n_features=d, classes=classes, seed=seed)
 

@@ -30,7 +30,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammainc, gammaincinv, gammaln, log_ndtr, ndtr, ndtri
+from scipy.special import digamma, gammainc, gammaincinv, gammaln, log_ndtr, ndtr, ndtri, xlogy
 
 log = logging.getLogger(__name__)
 
@@ -239,9 +239,10 @@ def _gamma_norm(k):
 
 
 def _gamma_logpdf(x, shape, scale):
-    # (k-1) log x - x/theta - k log theta - lgamma(k) around the mean: no terms of order k
+    # (k-1) log x - x/theta - k log theta - lgamma(k) around the mean: no terms of order k;
+    # xlogy makes (k-1) log y exactly 0 at k = 1, y = 0 (the exponential density)
     y = x / (shape * scale)
-    return (shape - 1) * np.log(y) - shape * (y - 1) - np.log(shape * scale) + _gamma_norm(shape)
+    return xlogy(shape - 1, y) - shape * (y - 1) - np.log(shape * scale) + _gamma_norm(shape)
 
 
 def _gamma_estimate(x):
@@ -307,7 +308,7 @@ _FAMILIES = {
         params=("shape", "scale"),
         valid=lambda shape, scale: shape > 0 and scale > 0,
         logpdf=lambda x, shape, scale: (
-            np.log(shape) - np.log(scale) + (shape - 1) * np.log(x / scale) - (x / scale) ** shape
+            np.log(shape) - np.log(scale) + xlogy(shape - 1, x / scale) - (x / scale) ** shape
         ),
         cdf=lambda x, shape, scale: -np.expm1(-((x / scale) ** shape)),
         ppf=lambda u, shape, scale: scale * (-np.log1p(-u)) ** (1.0 / shape),
@@ -441,8 +442,7 @@ def save_fitted(dist: FittedDistribution, population_kind: str, path) -> None:
         "n": dist.n,
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")  # C encoder; json.dump runs the Python one
 
 
 def load_fitted(path) -> tuple[str, FittedDistribution]:

@@ -277,8 +277,7 @@ def save_metric_model(model: MetricModel, path) -> None:
         "trained_on": list(model.trained_on),
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")  # C encoder; json.dump runs the Python one
 
 
 def load_metric_model(path) -> MetricModel:

@@ -4,6 +4,7 @@ and byte-level determinism of rerun artifacts."""
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -191,8 +192,14 @@ def test_rf_verbose_logs_each_forest_and_keeps_report_bytes(workdir, tmp_path, c
     lines = [ln for ln in stderr["verbose"].splitlines()
              if ln.startswith("DEBUG sensorprint.classify: forest:")]
     assert len(lines) == repeats
-    for word in ("20 tree(s)", "node(s)", "leaves", "max depth"):
-        assert all(word in ln for ln in lines)
+    for ln in lines:
+        nodes, leaves, depth, steps, entries = map(int, re.fullmatch(
+            r".*: 20 tree\(s\), (\d+) node\(s\), (\d+) leaves, max depth (\d+), "
+            r"(\d+) step\(s\), (\d+) scored entries", ln).groups())
+        # a step splits at most one node per tree, so the deepest leaf took
+        # at least depth steps; each split scored two or more rows
+        assert steps >= depth >= 1
+        assert entries >= 2 * (nodes - leaves) > 0
     assert "forest:" not in stderr["quiet"]
 
 

@@ -426,6 +426,19 @@ def test_positive_families_below_zero(family, params):
     assert c[2] == distribution_cdf(d, [1.0])[0]
 
 
+@pytest.mark.parametrize("family", [GAMMA, WEIBULL])
+def test_gamma_and_weibull_logpdf_at_zero(family):
+    # the (shape - 1) log x term at x = 0: exactly 0 at shape 1, where both
+    # families are the exponential with density 1/scale there; +inf below
+    # shape 1 and -inf above it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exponential = distribution_logpdf(make_dist(family, shape=1.0, scale=2.0), [0.0])[0]
+        assert distribution_logpdf(make_dist(family, shape=0.5, scale=2.0), [0.0])[0] == np.inf
+        assert distribution_logpdf(make_dist(family, shape=2.0, scale=2.0), [0.0])[0] == -np.inf
+    assert exponential == pytest.approx(-np.log(2.0), rel=1e-15)
+
+
 def test_gev_logpdf_is_per_point_off_support():
     d = make_dist(GEV, mu=1.0, sigma=0.8, xi=-0.3)  # upper endpoint 1 + 0.8 / 0.3
     with warnings.catch_warnings():
