@@ -4,7 +4,7 @@ A dataset is a collection of short sensor captures ("samples"), each a burst
 of timestamped 3-axis accelerometer and gyroscope readings from one device.
 The on-disk format is one JSON object per line with keys ``device_id``,
 ``sample_id``, ``t``, ``ax``, ``ay``, ``az``, ``gx``, ``gy``, ``gz`` (all
-arrays of equal length).
+arrays of equal length), read and written with orjson.
 
 The synthetic generator stands in for real data collection: it models a
 stationary device lying flat on a surface, so the only device-to-device
@@ -239,18 +239,21 @@ def load_dataset(path) -> Dataset:
     """Load and validate a JSONL dataset file.
 
     Every RawSample invariant is enforced; errors carry the 1-based line
-    number. Devices with fewer than 2 samples load fine but are logged.
+    number. A line that is not strict JSON is a malformed record, and so is
+    a number beyond the float64 range (``1e400``, a 400-digit integer).
+    Devices with fewer than 2 samples load fine but are logged.
     """
+    import orjson  # on use: a CLI start that reads no dataset skips it
+
     ds = Dataset()
     cm_values = set()
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
+                rec = orjson.loads(line)
+            except orjson.JSONDecodeError as e:
                 raise ValueError(f"line {lineno}: malformed record ({e.msg})") from e
             if not isinstance(rec, dict):
                 raise ValueError(f"line {lineno}: record is not a JSON object")
@@ -275,28 +278,32 @@ def load_dataset(path) -> Dataset:
 def write_dataset(dataset: Dataset, path) -> None:
     """Write a dataset in the JSONL record format (round-trips with load_dataset).
 
+    Records are compact, ids are raw UTF-8, and each float is its shortest
+    round-trip text, so any JSON reader recovers the same doubles.
+
     A non-finite reading is refused before the file is opened: the record
     format has no NaN or infinity, and load_dataset would refuse it.
     """
     for s in dataset.samples:
         if not all(np.isfinite(a).all() for a in (s.timestamps, s.accel, s.gyro)):
             raise ValueError(f"sample {s.device_id}/{s.sample_id} has a non-finite reading")
-    with open(path, "w") as fh:
+    import orjson
+
+    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    with open(path, "wb") as fh:
         for s in dataset.samples:
+            # orjson serializes only C-contiguous arrays; a sample may hold views
+            a, g = s.accel.T.copy(), s.gyro.T.copy()
             rec = {
                 "device_id": s.device_id,
                 "sample_id": s.sample_id,
-                "t": s.timestamps.tolist(),
-                "ax": s.accel[:, 0].tolist(),
-                "ay": s.accel[:, 1].tolist(),
-                "az": s.accel[:, 2].tolist(),
-                "gx": s.gyro[:, 0].tolist(),
-                "gy": s.gyro[:, 1].tolist(),
-                "gz": s.gyro[:, 2].tolist(),
+                "t": np.ascontiguousarray(s.timestamps),
+                "ax": a[0], "ay": a[1], "az": a[2],
+                "gx": g[0], "gy": g[1], "gz": g[2],
             }
             if dataset.countermeasure is not None:
                 rec["countermeasure"] = dataset.countermeasure
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(orjson.dumps(rec, option=option))
 
 
 def synthesize_sample(

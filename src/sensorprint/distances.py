@@ -458,6 +458,6 @@ def load_fitted(path) -> tuple[str, FittedDistribution]:
             n=int(payload["n"]),
         )
         kind = payload["class"]
-    except (KeyError, TypeError, AttributeError) as e:
+    except (KeyError, TypeError, AttributeError, OverflowError) as e:
         raise ValueError(f"malformed distribution fit: {e!r}") from None
     return kind, dist

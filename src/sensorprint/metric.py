@@ -295,7 +295,7 @@ def load_metric_model(path) -> MetricModel:
         )
         if model.d_prime != payload["d_prime"]:
             raise ValueError("d_prime does not match L")
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, OverflowError) as e:
         raise ValueError(f"malformed metric model: {e!r}") from None
     return model
 

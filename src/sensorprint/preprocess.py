@@ -19,7 +19,6 @@ matrix is diagonally dominant, so ``gtsv`` never pivots across captures.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .dataset import RawSample
 
@@ -43,6 +42,8 @@ def _natural_splines(ts: list[np.ndarray], V: np.ndarray,
     at every knot, series after series. Returns the (c, G) values on the
     grids, side by side, and each grid's length.
     """
+    from scipy.linalg.lapack import dgtsv  # on use: scipy.linalg adds about 60 ms to an import
+
     sizes = np.array([len(t) for t in ts])
     if np.any(sizes < 4):
         raise ValueError(f"need >= 4 points for cubic interpolation, got {sizes[sizes < 4][0]}")

@@ -659,6 +659,47 @@ def test_truncated_dataset_jsonl_exits_3(workdir, tmp_path, capsys):
     assert "malformed record" in capsys.readouterr().err
 
 
+# an integer beyond the float range used to reach np.asarray / float() as a
+# Python int and escape as an OverflowError (exit 1 with a traceback)
+HUGE = 10 ** 400
+
+
+def test_oversized_integer_reading_exits_3(workdir, tmp_path, capsys):
+    rec = json.loads((workdir / "data.jsonl").read_text().splitlines()[0])
+    rec["ax"][0] = HUGE
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(rec) + "\n")
+    out = tmp_path / "f.csv"
+    assert main(["featurize", "--in", str(bad), "--out", str(out)]) == 3
+    assert "line 1: malformed record" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oversized_integer_in_metric_model_exits_3(workdir, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    assert main(["train-metric", "--features", str(workdir / "feat.csv"),
+                 "--iterations", "2", "--out", str(model)]) == 0
+    payload = json.loads(model.read_text())
+    payload["means"][0] = HUGE
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "d.json"
+    assert main(["distfit", "--features", str(workdir / "feat.csv"),
+                 "--metric-model", str(model), "--out", str(out)]) == 3
+    assert "malformed metric model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oversized_integer_in_fit_params_exits_3(tmp_path, capsys):
+    fi, fe = tmp_path / "intra.json", tmp_path / "inter.json"
+    _write_fit(fi, "intra", "LOG_NORMAL", {"mu": 0.0, "sigma": 0.5})
+    _write_fit(fe, "inter", "LOG_NORMAL", {"mu": HUGE, "sigma": 0.5})
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--intra", str(fi), "--inter", str(fe),
+                 "--device-counts", "10", "--runs", "10", "--out", str(out)]) == 3
+    assert "malformed distribution fit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diverging_metric_training_exits_3(workdir, tmp_path, monkeypatch, capsys):
     from sensorprint import metric
 

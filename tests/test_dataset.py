@@ -123,6 +123,83 @@ def test_round_trip_record_equivalent(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# doubles whose stdlib json text and shortest round-trip text differ in form
+TRICKY = [1e-05, -3.2e-07, 1e16, 1e22, 5e-324, 2.2250738585072014e-308,
+          1.7976931348623157e308, -0.0, 0.1, 1 / 3, 123456789.12345679]
+
+
+def _tricky_record():
+    rec = make_record()
+    rec["ax"][: len(TRICKY)] = TRICKY
+    rec["gy"][: len(TRICKY)] = [-v for v in TRICKY]
+    return rec
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def test_stdlib_json_file_loads_bit_identical(tmp_path):
+    rec = _tricky_record()
+    p = tmp_path / "old.jsonl"
+    write_jsonl(p, [rec])
+    assert "1e-05" in p.read_text() and "1e+16" in p.read_text()
+    (s,) = load_dataset(p).samples
+    np.testing.assert_array_equal(_bits(s.timestamps), _bits(rec["t"]))
+    for j, k in enumerate(("ax", "ay", "az")):
+        np.testing.assert_array_equal(_bits(s.accel[:, j]), _bits(rec[k]))
+    for j, k in enumerate(("gx", "gy", "gz")):
+        np.testing.assert_array_equal(_bits(s.gyro[:, j]), _bits(rec[k]))
+
+
+def test_written_file_parses_to_the_same_floats_with_stdlib_json(tmp_path):
+    ds = generate_synthetic(2, 2, seed=11)
+    ds.samples[0].accel[: len(TRICKY), 0] = TRICKY
+    ds.countermeasure = "quantization"
+    p = tmp_path / "new.jsonl"
+    write_dataset(ds, p)
+    lines = p.read_bytes().splitlines()
+    assert len(lines) == ds.n_samples
+    for line, s in zip(lines, ds.samples):
+        rec = json.loads(line)
+        assert (rec["device_id"], rec["sample_id"]) == (s.device_id, s.sample_id)
+        assert rec["countermeasure"] == "quantization"
+        np.testing.assert_array_equal(_bits(rec["t"]), _bits(s.timestamps))
+        got = np.column_stack([rec[k] for k in ("ax", "ay", "az", "gx", "gy", "gz")])
+        np.testing.assert_array_equal(_bits(got), _bits(np.hstack([s.accel, s.gyro])))
+
+
+def test_non_ascii_ids_and_strided_arrays_round_trip(tmp_path):
+    # orjson refuses strided arrays; the writer copies them
+    n = 500
+    wide = np.random.default_rng(3).normal(size=(2 * n, 7))
+    t = (np.arange(2 * n) / 200.0)[::2]
+    sample = RawSample("gerät-ü", "s—1 😀", t, wide[::2, ::3], wide[1::2, 1:4])
+    assert not (sample.timestamps.flags.c_contiguous or sample.accel.flags.c_contiguous)
+    ds = Dataset()
+    ds.add(sample)
+    p = tmp_path / "views.jsonl"
+    write_dataset(ds, p)
+    assert "gerät-ü".encode() in p.read_bytes()  # raw UTF-8, not \u escapes
+    (back,) = load_dataset(p).samples
+    assert (back.device_id, back.sample_id) == ("gerät-ü", "s—1 😀")
+    for a, b in ((back.timestamps, t), (back.accel, sample.accel), (back.gyro, sample.gyro)):
+        np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["NaN", "Infinity", "-Infinity", "1e400", "int400"])
+def test_non_finite_literals_are_malformed_records(tmp_path, literal):
+    # stdlib json parsed the first four to non-finite floats ("non-finite
+    # readings") and the integer to an OverflowError; strict JSON has none
+    p = tmp_path / "bad.jsonl"
+    with open(p, "w") as fh:
+        fh.write(json.dumps(make_record(sample_id="s1")) + "\n")
+        fh.write(json.dumps(make_record(sample_id="s2")).replace('"ay": [0.0', '"ay": [' + literal) + "\n")
+    with pytest.raises(ValueError, match="line 2: malformed record"):
+        load_dataset(p)
+
+
 def test_countermeasure_tag_round_trips(tmp_path):
     ds = generate_synthetic(1, 2, seed=0)
     ds.countermeasure = "obfuscation"

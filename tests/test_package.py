@@ -55,6 +55,15 @@ def test_featurization_leaves_the_interpolators_and_the_optimizer_out():
     assert out.split() == ["False", "False"]
 
 
+@pytest.mark.parametrize("module", ["cli", "dataset", "preprocess"])
+def test_entry_modules_leave_orjson_and_linalg_out(module):
+    # both are imported where a dataset is read or written and where a
+    # spline is solved, so a CLI start that does neither skips them
+    out = _child_stdout(f"import sys, sensorprint.{module}\n"
+                        "print('orjson' in sys.modules, 'scipy.linalg' in sys.modules)\n")
+    assert out.split() == ["False", "False"]
+
+
 @pytest.mark.skipif(not TRACER.exists(), reason="perfbench/ is not in this checkout")
 def test_traced_names_exist(monkeypatch):
     # a renamed or deleted function would otherwise break only the traced
