@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 from scipy.special import stdtrit
 
+from .features import DEFAULT_FS, FeatureTable, featurize_dataset
 from .metric import cross_distances, standardizer, train_ldml, transform
 
 log = logging.getLogger(__name__)
@@ -128,10 +129,9 @@ class RandomForest:
     roots: np.ndarray
     n_features: int
     classes: np.ndarray
-    seed: int
 
 
-# splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment
+# splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment g
 # and the output mix, elementwise on uint64 with wrapping arithmetic
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -142,20 +142,24 @@ def _splitmix64(z):
     return z ^ (z >> np.uint64(31))
 
 
+def _hash(key, *counters):
+    """mix(...mix(key + c1 g)... + ck g) of broadcast counters, mix and g as above."""
+    with np.errstate(over="ignore"):
+        for c in counters:
+            key = _splitmix64(key + np.asarray(c, dtype=np.uint64) * _GOLDEN)
+    return key
+
+
 def _draw_features(key, trees, nodes, d, m):
     """The m features node ``nodes[b]`` of tree ``trees[b]`` draws, first drawn first.
 
-    Feature f of (tree t, node i) hashes to mix(mix(mix(key + t g) + i g) +
-    f g), with mix splitmix64's output function and g its increment; a node
+    Feature f of (tree t, node i) hashes to ``_hash(key, t, i, f)``; a node
     takes the m features of smallest hash, in ascending hash order. A draw
     depends on nothing but (key, t, i), so neither the order nodes are grown
     in nor how trees are grouped can move it (counter-based draws: Salmon et
     al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
     """
-    with np.errstate(over="ignore"):
-        h = _splitmix64(key + trees.astype(np.uint64) * _GOLDEN)
-        h = _splitmix64(h + nodes.astype(np.uint64) * _GOLDEN)
-        h = _splitmix64(h[:, None] + np.arange(d, dtype=np.uint64) * _GOLDEN)
+    h = _hash(key, trees[:, None], nodes[:, None], np.arange(d))
     return np.argsort(h, axis=1)[:, :m]  # a node's hashes are distinct: mix is a bijection
 
 
@@ -283,25 +287,26 @@ def _grow_trees(values, rank, y_idx, n_classes, max_feats, seed, trees, bootstra
     """Grow ``trees`` together; returns their flat node arrays, node counts,
     growth steps and scored (node, feature, row) entries.
 
-    Tree t resamples with ``default_rng([seed, t])`` and grows on its
-    distinct resampled rows, each weighted by how often it was drawn; node
-    i of tree t draws its features by ``_draw_features`` from a key of
-    ``seed``. Nodes are numbered as they are made and expanded depth first,
-    right child first. A pure child is a leaf as soon as it is made; at
-    every step each unfinished tree pops its next impure node, and those
-    nodes are scored in one ``_best_cuts`` call. A node whose drawn features
-    are all constant is a leaf with the majority label by weight, the
-    smallest class index on ties. Arrays are (trees, 2n): feature,
-    threshold, left, right, label and depth per node; a leaf's children are
-    itself.
+    With key1, key2 = ``SeedSequence(seed).generate_state(2)``, draw j of
+    tree t's bootstrap is row (h >> 32) n >> 32 of h = ``_hash(key2, t,
+    j)``, a multiply-shift uniform on the rows up to n / 2^32, and node i
+    of tree t draws its features by ``_draw_features`` from key1. A tree
+    grows on its distinct drawn rows, each weighted by its count. Nodes are
+    numbered as they are made and expanded depth first, right child first.
+    A pure child is a leaf as soon as it is made; at every step each
+    unfinished tree pops its next impure node, and those nodes are scored
+    in one ``_best_cuts`` call. A node whose drawn features are all
+    constant is a leaf with the majority label by weight, the smallest
+    class index on ties. Arrays are (trees, 2n): feature, threshold, left,
+    right, label and depth per node; a leaf's children are itself.
     """
     n, d = rank.shape
-    trees = np.asarray(trees)
     G, width = len(trees), 2 * n
-    key = np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
+    key1, key2 = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     if bootstrap:
-        weight = np.array([np.bincount(np.random.default_rng([seed, t]).integers(0, n, size=n),
-                                       minlength=n) for t in trees])
+        h = _hash(key2, trees[:, None], np.arange(n)) >> np.uint64(32)
+        slot = (h * np.uint64(n) >> np.uint64(32)).astype(np.intp) + np.arange(0, G * n, n)[:, None]
+        weight = np.bincount(slot.ravel(), minlength=G * n).reshape(G, n)
     else:
         weight = np.ones((G, n), dtype=np.intp)
     w_slot, y_slot = weight.ravel(), np.tile(y_idx, G)
@@ -331,7 +336,7 @@ def _grow_trees(values, rank, y_idx, n_classes, max_feats, seed, trees, bootstra
         entries += int(sizes.sum()) * max_feats
         won, feat, thr, size, n_left, slots, left_label, right_label = _best_cuts(
             values, rank, y_slot, w_slot, n_classes, np.concatenate([s for s, _ in step]), sizes,
-            _draw_features(key, trees[busy], node, d, max_feats))
+            _draw_features(key1, trees[busy], node, d, max_feats))
         constant = np.ones(len(step), dtype=bool)  # all drawn features constant
         constant[won] = False
         for b in np.flatnonzero(constant):
@@ -356,17 +361,17 @@ def _grow_trees(values, rank, y_idx, n_classes, max_feats, seed, trees, bootstra
                 stacks[tree].append((slots[cut:b], i + 1))
 
 
-def rf_train(train_X, train_y, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -> RandomForest:
+def rf_train(train_X, train_y, n_trees: int = 100, seed=0, bootstrap: bool = True) -> RandomForest:
     """Train a forest of CART trees, each on its own bootstrap resample.
 
-    Tree t resamples with ``default_rng([seed, t])``; node i of tree t
-    draws its features from a hash of (seed, t, i) (see
-    ``_draw_features``), so training order, tree grouping and thread count
-    cannot change the result. Each tree grows on its distinct resampled
-    rows weighted by their multiplicity, which gives the same tree as
-    growing on the resample itself. ``bootstrap=False`` is a test hook that
-    trains every tree on the full sample. Trees grow together in groups
-    sized by ``_FOREST_ENTRIES`` (see ``_grow_trees``). The forest is flat:
+    ``seed`` is anything ``np.random.SeedSequence`` accepts. Tree t's
+    bootstrap and node i's features are drawn by hashes of (seed, t, draw)
+    and (seed, t, i) (see ``_grow_trees``), so training order, tree
+    grouping and thread count cannot change the result. Each tree grows on
+    its distinct resampled rows weighted by their multiplicity, which gives
+    the same tree as growing on the resample itself. ``bootstrap=False`` is
+    a test hook that trains every tree on the full sample. Trees grow
+    together in groups sized by ``_FOREST_ENTRIES``. The forest is flat:
     one array each of feature, threshold, left child, right child and leaf
     label over the nodes of all trees, tree by tree, plus each tree's root
     index (see ``RandomForest``).
@@ -386,7 +391,7 @@ def rf_train(train_X, train_y, n_trees: int = 100, seed: int = 0, bootstrap: boo
     # three slot tables of n
     group = max(1, _FOREST_ENTRIES // (n * (12 * max_feats + 15)))
     parts = [_grow_trees(values, rank, y_idx, len(classes), max_feats, seed,
-                         range(t0, min(t0 + group, n_trees)), bootstrap)
+                         np.arange(t0, min(t0 + group, n_trees)), bootstrap)
              for t0 in range(0, n_trees, group)]
     feature, threshold, left, right, label, depth, count, steps, entries = zip(*parts)
     feature, threshold, left, right, label, depth, count = (
@@ -399,7 +404,7 @@ def rf_train(train_X, train_y, n_trees: int = 100, seed: int = 0, bootstrap: boo
               "%d scored entries", n_trees, len(label), int(np.count_nonzero(label >= 0)),
               int(depth.max()), sum(steps), sum(entries))
     return RandomForest(feature=feature, threshold=threshold, left=left, right=right,
-                        label=label, roots=roots, n_features=d, classes=classes, seed=seed)
+                        label=label, roots=roots, n_features=d, classes=classes)
 
 
 def rf_predict(model: RandomForest, query):
@@ -448,12 +453,12 @@ class ProtocolResult:
         return out
 
 
-def _confidence_interval(values, level: float = 0.95) -> tuple[float, float]:
+def _confidence_interval(values) -> tuple[float, float]:
     v = np.asarray(values, dtype=float)
     m = float(np.mean(v))
     if len(v) < 2:
         return (m, m)
-    half = float(stdtrit(len(v) - 1, 0.5 + level / 2) * v.std(ddof=1) / np.sqrt(len(v)))
+    half = float(stdtrit(len(v) - 1, 0.975) * v.std(ddof=1) / np.sqrt(len(v)))
     return (m - half, m + half)
 
 
@@ -469,17 +474,17 @@ def run_protocol(
     ldml_step: float = 1e-3,
     d_prime: int | None = None,
     n_trees: int = 100,
-    fs_target: float = 100.0,
+    fs_target: float = DEFAULT_FS,
 ) -> ProtocolResult:
     """Repeated random split per device, mean AvgF with a 95% t-interval.
 
     ``dataset`` is a ``FeatureTable``, or a ``Dataset`` featurized once at
     ``fs_target``. Devices need train_per_device + 1 samples (at least one
     held-out test sample); the rest are dropped. Standardization or the
-    learned metric is fit on each repeat's training half only.
+    learned metric is fit on each repeat's training half only. Repeat r
+    splits by ``default_rng([seed, r])`` and seeds the metric and the forest
+    with ``[seed, r, 1]`` and ``[seed, r, 2]``, streams that share no draws.
     """
-    from .features import FeatureTable, featurize_dataset
-
     if classifier not in ("knn", "rf"):
         raise ValueError("classifier must be 'knn' or 'rf'")
     if repeats < 1:
@@ -506,7 +511,7 @@ def run_protocol(
         test_idx = np.asarray(test_idx)
         if use_ldml:
             model = train_ldml(X[train_idx], y[train_idx], d_prime=d_prime,
-                               iterations=ldml_iterations, step=ldml_step, seed=[seed, r])
+                               iterations=ldml_iterations, step=ldml_step, seed=[seed, r, 1])
         else:
             model = standardizer(X[train_idx])
         Ztr = transform(model, X[train_idx])
@@ -514,7 +519,7 @@ def run_protocol(
         if classifier == "knn":
             preds = knn_predict(Ztr, y[train_idx], Zte, k=k)
         else:
-            forest = rf_train(Ztr, y[train_idx], n_trees=n_trees, seed=seed * 100003 + r)
+            forest = rf_train(Ztr, y[train_idx], n_trees=n_trees, seed=[seed, r, 2])  # tag 0 would repeat [seed, r]
             preds = rf_predict(forest, Zte)
         reports.append(evaluate(preds, y[test_idx]))
 

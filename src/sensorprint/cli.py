@@ -52,11 +52,6 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _check_distinct(in_path, out_path) -> None:
-    if os.path.abspath(in_path) == os.path.abspath(out_path):
-        raise ValueError("input and output paths must differ")
-
-
 # ---------------------------------------------------------------------------
 # Handlers. Each returns the process exit code.
 
@@ -74,7 +69,6 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     from .dataset import load_dataset, write_dataset
 
-    _check_distinct(args.input, args.out)
     ds = load_dataset(args.input)
     write_dataset(ds, args.out)
     log.info("ingest: %d sample(s), %d device(s) -> %s",
@@ -86,7 +80,6 @@ def cmd_featurize(args) -> int:
     from .dataset import load_dataset
     from .features import featurize_dataset, write_features_csv
 
-    _check_distinct(args.input, args.out)
     table = featurize_dataset(load_dataset(args.input), args.fs_target)
     write_features_csv(table, args.out)
     log.info("featurize: %d vector(s) at %.1f Hz -> %s", len(table.X), args.fs_target, args.out)
@@ -203,7 +196,6 @@ def cmd_countermeasure(args) -> int:
     )
     from .dataset import load_dataset, write_dataset
 
-    _check_distinct(args.input, args.out)
     ds = load_dataset(args.input)
     obf = ObfuscationConfig(
         offset_range=tuple(args.offset_range), gain_range=tuple(args.gain_range),
@@ -229,6 +221,9 @@ def cmd_countermeasure(args) -> int:
 # Parser assembly.
 
 
+# the flags that name files; an output may be neither an input nor another output
+_INPUTS = ("config", "prior", "input", "features", "metric_model", "intra", "inter")
+_OUTPUTS = ("out", "intra_out", "inter_out", "impact_out")
 _SPLIT_SETTINGS = ("classifier", "train_per_device", "k", "n_trees", "seed")
 _LDML_SETTINGS = ("use_ldml", "ldml_iterations", "ldml_step", "d_prime", "fs_target")
 
@@ -469,6 +464,12 @@ def main(argv=None) -> int:
             print(f"{parser.prog} {args.command}: error: missing required "
                   f"arguments: {', '.join(missing)}", file=sys.stderr)
             return 1
+        named = {}  # absolute path -> the first flag naming it, inputs first
+        for dest in [d for d in _INPUTS + _OUTPUTS if getattr(args, d, None) is not None]:
+            flag, path = actions[dest].option_strings[-1], os.path.abspath(getattr(args, dest))
+            if dest in _OUTPUTS and path in named:
+                raise ValueError(f"{flag} names the same file as {named[path]}")
+            named.setdefault(path, flag)
         log.info("command %s, config: %s", args.command, json.dumps(_config_echo(args), sort_keys=True))
         return args.func(args)
     except _ConfigUsageError as e:

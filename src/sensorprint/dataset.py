@@ -112,17 +112,9 @@ class Dataset:
         ids.append(sample.sample_id)
         self.samples.append(sample)
 
-    @property
-    def n_devices(self) -> int:
-        return len(self.index)
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.samples)
-
-    def underpopulated_devices(self, min_samples: int = 2) -> list[str]:
-        """Devices with fewer than min_samples samples (loadable but flagged)."""
-        return [d for d, ids in self.index.items() if len(ids) < min_samples]
+    def underpopulated_devices(self) -> list[str]:
+        """Devices with fewer than 2 samples (loadable but flagged)."""
+        return [d for d, ids in self.index.items() if len(ids) < 2]
 
 
 @dataclass
@@ -225,6 +217,9 @@ def _sample_from_record(rec: dict, lineno: int) -> tuple[RawSample, str | None]:
     for k, v in zip(RECORD_KEYS[3:], cols):
         if v.shape != t.shape:
             raise ValueError(f"line {lineno}: array {k!r} length differs from t")
+    for k in RECORD_KEYS[:2]:  # not bool, nor float: orjson reads an integer past 64 bits as one
+        if type(rec[k]) not in (str, int):
+            raise ValueError(f"line {lineno}: {k!r} must be a string or an integer, got {rec[k]!r}")
     sample = RawSample(
         device_id=str(rec["device_id"]),
         sample_id=str(rec["sample_id"]),
@@ -311,19 +306,17 @@ def synthesize_sample(
     rng: np.random.Generator,
     device_id: str = "dev",
     sample_id: str = "s0",
-    fs_nominal: float = 100.0,
-    duration: float = 5.0,
 ) -> RawSample:
     """Emit one sample of a stationary device under the given calibration model.
 
     Truth is accel (0, 0, 9.81) m/s^2 and gyro (0, 0, 0) rad/s; the measured
-    reading is truth * gain + offset + Gaussian noise. Timestamps are nominal
-    ``fs_nominal`` with uniform jitter of +/-10% of the period, which keeps
-    them strictly increasing. A model whose readings overflow is a ValueError
-    naming the sample.
+    reading is truth * gain + offset + Gaussian noise. Timestamps span
+    ``NOMINAL_DURATION_S`` at a nominal 100 Hz with uniform jitter of +/-10%
+    of the period, which keeps them strictly increasing. A model whose
+    readings overflow is a ValueError naming the sample.
     """
-    period = 1.0 / fs_nominal
-    n = int(round(duration * fs_nominal)) + 1
+    period = 1.0 / 100.0
+    n = int(round(NOMINAL_DURATION_S * 100.0)) + 1
     t = np.arange(n) * period + rng.uniform(-0.1 * period, 0.1 * period, size=n)
     truth_accel = np.array([0.0, 0.0, GRAVITY])
     with np.errstate(over="ignore"):  # refused below

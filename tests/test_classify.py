@@ -307,17 +307,15 @@ def _identify_sized_problem():
 def test_rf_forest_pinned():
     # every split (feature and threshold bits) and leaf of ten trees on an
     # identify-sized problem, recorded from the integer-Gini forest with
-    # hashed feature draws. The per-tree Generator.choice draws of earlier
-    # versions gave 428 nodes and another digest; their float Gini broke
-    # one exact tie by rounding. Any change to the draw rule, tie rule or
-    # Gini arithmetic moves this digest.
+    # hashed feature draws and hashed bootstrap draws. Any change to the
+    # draw rules, tie rule or Gini arithmetic moves this digest.
     forest = rf_train(*_identify_sized_problem(), n_trees=10, seed=0)
     out = []
     for root in forest.roots:
         _preorder(forest, root, out)
-    assert len(out) == 432
+    assert len(out) == 408
     assert hashlib.sha256(" ".join(out).encode()).hexdigest() == (
-        "26e0e0d70d61e917ab98e98bbbffa2c7d9d11319070b63f7ac8444ba5b69e7a6")
+        "a9562c2696d9978df8fd084fb801a09f992b6fb5c1b99411a51df5dce25b74ed")
 
 
 def _reference_best_cut(X, presorted, member, y_idx, n_classes, idx, feats):
@@ -362,16 +360,26 @@ def _reference_draw(seed, tree, node, d, m):
     return sorted(range(d), key=hashes.__getitem__)[:m]
 
 
+def _reference_bootstrap(seed, tree, n):
+    """The n rows tree ``tree`` resamples, in draw order: draw j maps the
+    splitmix64 hash h of (second key word, tree, j) to row (h >> 32) n >> 32,
+    in Python integers."""
+    key = int(np.random.SeedSequence(seed).generate_state(2, np.uint64)[1])
+    h = _splitmix64((key + tree * _GOLDEN) & _M64)
+    return np.array([(_splitmix64((h + j * _GOLDEN) & _M64) >> 32) * n >> 32 for j in range(n)])
+
+
 def _reference_forest(X, y, n_trees, seed):
     """rf_train one node at a time: each tree grown alone on its whole
-    resample (duplicates included), depth first, right child first, from a
-    stable presort of the resample, each node drawing by ``_reference_draw``;
-    flat arrays as (feature, threshold, left, right, label, roots)."""
+    resample by ``_reference_bootstrap`` (duplicates included), depth first,
+    right child first, from a stable presort of the resample, each node
+    drawing by ``_reference_draw``; flat arrays as (feature, threshold, left,
+    right, label, roots)."""
     classes, y_all = np.unique(y, return_inverse=True)
     n, d = X.shape
     nodes, roots = [], []
     for t in range(n_trees):
-        boot = np.random.default_rng([seed, t]).integers(0, n, size=n)
+        boot = _reference_bootstrap(seed, t, n)
         Xb, yb = X[boot], y_all[boot]
         presorted = np.argsort(Xb, axis=0, kind="stable").T.copy()
         member = np.zeros(n, dtype=bool)
@@ -457,6 +465,47 @@ def test_feature_draws_are_distinct_and_uniform():
         assert list(feats[i]) == _reference_draw(3, int(trees[i]), int(nodes[i]), 100, 10)
 
 
+def test_bootstrap_counts_are_binomial(monkeypatch):
+    # 2 000 trees on 50 rows, two classes split by one cut. The first
+    # scoring step sees every tree's bootstrap counts. If the hashed draws
+    # act as uniform draws, a row's count summed over the trees is
+    # Binomial(10^5, 1/50) (mean 2 000, sd 44.3); the band is 5 sd wide,
+    # which all 50 rows pass by chance with probability above 0.99997.
+    n, n_trees, seed = 50, 2000, 5
+    counts = []
+    best_cuts = classify._best_cuts
+    monkeypatch.setattr(classify, "_best_cuts",
+                        lambda *a: counts.append(a[3].copy()) or best_cuts(*a))
+    rf_train(np.arange(n, dtype=float)[:, None], np.arange(n) < n // 2, n_trees=n_trees, seed=seed)
+    w = counts[0].reshape(n_trees, n)
+    assert np.all(w.sum(axis=1) == n)
+    assert np.all(np.abs(w.sum(axis=0) - 2000) <= 222)
+    for t in (0, 1, 999, 1999):
+        assert list(w[t]) == list(np.bincount(_reference_bootstrap(seed, t, n), minlength=n))
+
+
+def test_protocol_repeats_draw_from_distinct_streams(monkeypatch):
+    # repeat r splits by [seed, r], seeds the metric with [seed, r, 1] and the
+    # forest with [seed, r, 2]; no two of these streams start alike
+    from sensorprint.features import featurize_dataset
+
+    table = featurize_dataset(quiet_dataset(n_dev=3, n_per=3, seed=1))
+    seeds = []
+    default_rng, forest = np.random.default_rng, classify.rf_train
+    # the split and train_ldml each build one Generator per repeat
+    monkeypatch.setattr(np.random, "default_rng", lambda s: seeds.append(s) or default_rng(s))
+    monkeypatch.setattr(classify, "rf_train",
+                        lambda *a, **kw: seeds.append(kw["seed"]) or forest(*a, **kw))
+    for seed in range(4):
+        seeds.clear()
+        run_protocol(table, classifier="rf", train_per_device=2, repeats=10, seed=seed,
+                     use_ldml=True, ldml_iterations=2, n_trees=2)
+        assert seeds == [[seed, r, tag] if tag else [seed, r]
+                         for r in range(10) for tag in (0, 1, 2)]
+        states = {tuple(np.random.SeedSequence(s).generate_state(4)) for s in seeds}
+        assert len(states) == len(seeds)
+
+
 def test_rf_seed_must_be_non_negative():
     X, y = make_separable(n_per=5, seed=1)
     for bootstrap in (True, False):
@@ -477,7 +526,7 @@ def test_rf_thresholds_never_fall_between_duplicate_values():
     forest = rf_train(X, y, n_trees=n_trees, seed=seed)
     splits = 0
     for t in range(n_trees):
-        boot = X[np.random.default_rng([seed, t]).integers(0, len(X), size=len(X))]
+        boot = X[_reference_bootstrap(seed, t, len(X))]
         stack = [(forest.roots[t], boot)]
         while stack:
             node, rows = stack.pop()
@@ -563,9 +612,9 @@ def test_protocol_rf_pinned():
                        train_per_device=3, repeats=2, seed=0, n_trees=30)
     assert res.to_dict() == {
         "classifier": "rf", "train_per_device": 3, "repeats": 2, "n_devices": 12,
-        "avg_f_mean": 0.9617794486215538,
-        "avg_f_ci": [0.4761412976775338, 1.4474175995655738],
-        "accuracy_mean": 0.9583333333333333,
+        "avg_f_mean": 1.0,
+        "avg_f_ci": [1.0, 1.0],
+        "accuracy_mean": 1.0,
     }
 
 

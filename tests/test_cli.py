@@ -104,6 +104,15 @@ def test_synth_refuses_prior_that_overflows_readings(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_float_id_exits_3(workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    line = (workdir / "data.jsonl").read_bytes().splitlines()[0]
+    bad.write_bytes(line.replace(b'"dev0000"', b"18446744073709551617") + b"\n")
+    assert main(["ingest", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 3
+    assert "line 1: 'device_id' must be a string or an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 @pytest.mark.parametrize("fs", ["inf", "nan"])
 def test_featurize_refuses_bad_fs_target(workdir, tmp_path, capsys, fs):
     out = tmp_path / "f.csv"
@@ -116,6 +125,68 @@ def test_featurize_refuses_bad_fs_target(workdir, tmp_path, capsys, fs):
 def test_same_in_and_out_path_exits_3(workdir):
     path = str(workdir / "data.jsonl")
     assert main(["ingest", "--in", path, "--out", path]) == 3
+
+
+# per command: flags it needs besides files, the flags naming files it reads
+# (--config aside, which every command takes) and those naming files it writes
+_FILE_FLAGS = {
+    "synth": (["--devices", "2"], ["--prior"], ["--out"]),
+    "ingest": ([], ["--in"], ["--out"]),
+    "featurize": ([], ["--in"], ["--out"]),
+    "train-metric": (["--iterations", "2"], ["--features"], ["--out"]),
+    "classify": ([], ["--in"], ["--out"]),
+    "evaluate": (["--repeats", "1"], ["--in"], ["--out"]),
+    "distfit": ([], ["--features", "--metric-model"], ["--out", "--intra-out", "--inter-out"]),
+    "simulate": (["--device-counts", "10", "--runs", "10"], ["--intra", "--inter"], ["--out"]),
+    "countermeasure": (["--scheme", "quantize", "--repeats", "1"], ["--in"],
+                       ["--out", "--impact-out"]),
+}
+
+
+def _collisions():
+    for command, (_, inputs, outputs) in _FILE_FLAGS.items():
+        for i, out in enumerate(outputs):
+            for other in ["--config"] + inputs + outputs[:i]:
+                yield pytest.param(command, out, other, id=f"{command} {out}={other}")
+
+
+@pytest.fixture(scope="module")
+def input_files(workdir):
+    """A valid file for every input flag."""
+    d = workdir / "inputs"
+    d.mkdir()
+    (d / "cfg.json").write_text("{}")
+    (d / "prior.json").write_text(json.dumps({"noise_sigma_accel": 0.01}))
+    assert main(["train-metric", "--features", str(workdir / "feat.csv"), "--iterations", "2",
+                 "--out", str(d / "metric.json")]) == 0
+    assert main(["distfit", "--features", str(workdir / "feat.csv"),
+                 "--intra-out", str(d / "intra.json"), "--inter-out", str(d / "inter.json"),
+                 "--out", str(d / "distfit.json")]) == 0
+    return {"--config": d / "cfg.json", "--prior": d / "prior.json",
+            "--in": workdir / "data.jsonl", "--features": workdir / "feat.csv",
+            "--metric-model": d / "metric.json", "--intra": d / "intra.json",
+            "--inter": d / "inter.json"}
+
+
+@pytest.mark.parametrize("command, out, other", _collisions())
+def test_output_naming_an_input_or_another_output_exits_3(input_files, tmp_path, capsys,
+                                                          command, out, other):
+    # refused before any file is read or written: the inputs keep their
+    # bytes and no output appears
+    settings, inputs, outputs = _FILE_FLAGS[command]
+    paths = {flag: tmp_path / path.name for flag, path in input_files.items()
+             if flag == "--config" or flag in inputs}
+    for flag, path in paths.items():
+        path.write_bytes(input_files[flag].read_bytes())
+    paths.update({flag: tmp_path / f"out{i}" for i, flag in enumerate(outputs)})
+    paths[out] = paths[other]
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = ["--config", str(paths.pop("--config")), command, *settings]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 3
+    assert f"{out} names the same file as {other}" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_usage_error_exits_1(capsys):

@@ -42,16 +42,16 @@ def test_load_empty_file(tmp_path):
     p = tmp_path / "empty.jsonl"
     p.write_text("")
     ds = load_dataset(p)
-    assert ds.n_devices == 0
-    assert ds.n_samples == 0
+    assert len(ds.index) == 0
+    assert len(ds.samples) == 0
 
 
 def test_load_two_records_one_device(tmp_path):
     p = tmp_path / "two.jsonl"
     write_jsonl(p, [make_record(sample_id="s1"), make_record(sample_id="s2")])
     ds = load_dataset(p)
-    assert ds.n_devices == 1
-    assert ds.n_samples == 2
+    assert len(ds.index) == 1
+    assert len(ds.samples) == 2
     assert ds.index["d1"] == ["s1", "s2"]
 
 
@@ -159,7 +159,7 @@ def test_written_file_parses_to_the_same_floats_with_stdlib_json(tmp_path):
     p = tmp_path / "new.jsonl"
     write_dataset(ds, p)
     lines = p.read_bytes().splitlines()
-    assert len(lines) == ds.n_samples
+    assert len(lines) == len(ds.samples)
     for line, s in zip(lines, ds.samples):
         rec = json.loads(line)
         assert (rec["device_id"], rec["sample_id"]) == (s.device_id, s.sample_id)
@@ -187,6 +187,25 @@ def test_non_ascii_ids_and_strided_arrays_round_trip(tmp_path):
         np.testing.assert_array_equal(_bits(a), _bits(b))
 
 
+@pytest.mark.parametrize("literal", ["18446744073709551617", "1.5", "true"])
+def test_id_must_be_a_string_or_an_integer(tmp_path, literal):
+    # orjson reads an integer past 64 bits as a float, so two such ids could
+    # merge into one device; floats and booleans are refused as ids
+    p = tmp_path / "ids.jsonl"
+    with open(p, "w") as fh:
+        fh.write(json.dumps(make_record(sample_id="s1")) + "\n")
+        fh.write(json.dumps(make_record(sample_id="s2")).replace('"d1"', literal) + "\n")
+    with pytest.raises(ValueError, match="line 2: 'device_id' must be a string or an integer"):
+        load_dataset(p)
+
+
+def test_integer_id_loads_as_its_digits(tmp_path):
+    p = tmp_path / "ids.jsonl"
+    write_jsonl(p, [make_record(device_id=7, sample_id=8)])
+    (s,) = load_dataset(p).samples
+    assert (s.device_id, s.sample_id) == ("7", "8")
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
                          ids=["NaN", "Infinity", "-Infinity", "1e400", "int400"])
 def test_non_finite_literals_are_malformed_records(tmp_path, literal):
@@ -211,8 +230,8 @@ def test_countermeasure_tag_round_trips(tmp_path):
 
 def test_generate_zero_devices_is_empty():
     ds = generate_synthetic(0, 5, seed=42)
-    assert ds.n_devices == 0
-    assert ds.n_samples == 0
+    assert len(ds.index) == 0
+    assert len(ds.samples) == 0
 
 
 def test_generate_negative_count_rejected():
@@ -238,8 +257,8 @@ def test_generate_different_seeds_differ(tmp_path):
 
 def test_generated_samples_satisfy_invariants():
     ds = generate_synthetic(5, 4, seed=99)
-    assert ds.n_devices == 5
-    assert ds.n_samples == 20
+    assert len(ds.index) == 5
+    assert len(ds.samples) == 20
     for s in ds.samples:
         s.validate()  # raises on any violation
         assert 90.0 <= s.mean_rate <= 110.0
