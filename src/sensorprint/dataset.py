@@ -8,8 +8,8 @@ arrays of equal length), read and written with orjson.
 
 The synthetic generator stands in for real data collection: it models a
 stationary device lying flat on a surface, so the only device-to-device
-signal is the per-device calibration error (gain/offset per axis) plus
-measurement noise.
+signal is the per-device calibration error (accelerometer gain and offset,
+gyroscope offset, per axis) plus measurement noise.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ class DeviceModel:
 
     accel_gain: np.ndarray   # unitless, near 1, per axis
     accel_offset: np.ndarray  # m/s^2, per axis
-    gyro_gain: np.ndarray    # unitless, per axis
     gyro_offset: np.ndarray  # rad/s, per axis
     noise_sigma_accel: float  # m/s^2
     noise_sigma_gyro: float   # rad/s
@@ -131,9 +130,8 @@ class DeviceModel:
     def __post_init__(self):
         self.accel_gain = np.asarray(self.accel_gain, dtype=float)
         self.accel_offset = np.asarray(self.accel_offset, dtype=float)
-        self.gyro_gain = np.asarray(self.gyro_gain, dtype=float)
         self.gyro_offset = np.asarray(self.gyro_offset, dtype=float)
-        if np.any(self.accel_gain <= 0) or np.any(self.gyro_gain <= 0):
+        if np.any(self.accel_gain <= 0):
             raise ValueError("gains must be positive")
         if self.noise_sigma_accel < 0 or self.noise_sigma_gyro < 0:
             raise ValueError("noise sigmas must be >= 0")
@@ -148,7 +146,6 @@ class DevicePrior:
 
     accel_gain: tuple[float, float] = (0.95, 1.05)
     accel_offset: tuple[float, float] = (-0.2, 0.2)
-    gyro_gain: tuple[float, float] = (0.95, 1.05)
     gyro_offset: tuple[float, float] = (-0.05, 0.05)
     noise_sigma_accel: float = 0.02
     noise_sigma_gyro: float = 0.002
@@ -171,10 +168,12 @@ class DevicePrior:
             return cls.from_dict(json.load(fh))
 
     def draw(self, rng: np.random.Generator) -> DeviceModel:
+        accel_gain = rng.uniform(*self.accel_gain, size=3)
+        accel_offset = rng.uniform(*self.accel_offset, size=3)
+        rng.random(3)  # spare draws: each seed keeps the fleet it gave when gyro gains were drawn
         return DeviceModel(
-            accel_gain=rng.uniform(*self.accel_gain, size=3),
-            accel_offset=rng.uniform(*self.accel_offset, size=3),
-            gyro_gain=rng.uniform(*self.gyro_gain, size=3),
+            accel_gain=accel_gain,
+            accel_offset=accel_offset,
             gyro_offset=rng.uniform(*self.gyro_offset, size=3),
             noise_sigma_accel=self.noise_sigma_accel,
             noise_sigma_gyro=self.noise_sigma_gyro,

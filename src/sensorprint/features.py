@@ -8,19 +8,25 @@ so: skewness/kurtosis are 0 when the variance is 0, and all 15 spectral
 features are 0 when the spectrum carries no energy.
 
 A capture's features are one (100,) row; a dataset's are a ``FeatureTable``.
-One batched kernel computes the features of every row of an (m, n) stream
-matrix; the per-series functions pass it one row, ``featurize`` one
-capture's (4, n) stream matrix, and ``featurize_dataset`` blocks of captures
-whose streams have equal length. The degenerate rules above are per-row masks
-applied after the arithmetic, which runs under ``np.errstate`` so no warning
-escapes. Each row's features are bit for bit those of the row alone, because
-the arithmetic is element-wise and row sums and means of a C-contiguous
-matrix reduce exactly as a 1-d array does. The third and fourth moments are
-products (``dev2 * dev`` and ``dev2 * dev2`` with ``dev2 = dev * dev``), not
-powers. A boolean column index (``p[:, freqs > fs / 8]``) would yield a copy
-whose row sums differ from the 1-d sums, so brightness sums a contiguous
-slice. A norm is the row's BLAS dot product with itself, as
-``np.linalg.norm`` computes it in 1-d.
+Featurization has one path: ``featurize_dataset`` passes blocks of up to
+BLOCK_CAPTURES captures through ``preprocess.build_streams`` (one (4, n)
+stream matrix per capture) and ``featurize`` (one row per capture). One
+batched kernel computes the features of every row of an (m, n) stream
+matrix: ``featurize`` passes it the streams of all captures of equal length
+at once, the per-series functions one row. ``run_protocol`` and
+``privacy_impact`` featurize a ``Dataset`` again on every call; a
+``FeatureTable`` passed to ``run_protocol`` is used as it is.
+
+The degenerate rules above are per-row masks applied after the arithmetic,
+which runs under ``np.errstate`` so no warning escapes. Each row's features
+are bit for bit those of the row alone, because the arithmetic is
+element-wise and row sums and means of a C-contiguous matrix reduce exactly
+as a 1-d array does. The third and fourth moments are products
+(``dev2 * dev`` and ``dev2 * dev2`` with ``dev2 = dev * dev``), not powers.
+A boolean column index (``p[:, freqs > fs / 8]``) would yield a copy whose
+row sums differ from the 1-d sums, so brightness sums a contiguous slice. A
+norm is the row's BLAS dot product with itself, as ``np.linalg.norm``
+computes it in 1-d.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from .dataset import Dataset, RawSample
 from .metric import rows_by_device
-from .preprocess import DEFAULT_FS, STREAM_KEYS, build_streams, resample_captures
+from .preprocess import DEFAULT_FS, STREAM_KEYS, build_streams
 
 TEMPORAL_NAMES = (
     "mean", "std", "avg_dev", "skewness", "kurtosis",
@@ -234,40 +240,38 @@ def spectral_features(series, fs: float) -> np.ndarray:
     return _spectral_rows(np.asarray(series, dtype=float)[None], fs)[0]
 
 
-def _stream_features(S, fs: float) -> np.ndarray:
-    """The 25 features of every row of an (m, n) stream matrix, as (m, 25)."""
-    return np.hstack([_temporal_rows(S), _spectral_rows(S, fs)])
-
-
 def featurize(streams, fs: float) -> np.ndarray:
-    """The (100,) feature row of one capture's (4, n) stream matrix sampled
-    at ``fs``: the 25 features of each stream, in stream-major order."""
-    return _stream_features(streams, fs).ravel()
+    """The (k, 100) feature rows of k captures' (4, n) stream matrices
+    sampled at ``fs``: row i holds the 25 features of each of capture i's
+    streams, in stream-major order. Captures of equal stream length go
+    through the kernel in one pass."""
+    X = np.empty((len(streams), N_TOTAL))
+    groups: dict[int, list[int]] = {}  # stream length -> capture positions
+    for i, S in enumerate(streams):
+        groups.setdefault(S.shape[1], []).append(i)
+    for idx in groups.values():
+        S = np.concatenate([streams[i] for i in idx])
+        X[idx] = np.hstack([_temporal_rows(S), _spectral_rows(S, fs)]).reshape(len(idx), N_TOTAL)
+    return X
 
 
 def featurize_sample(sample: RawSample, fs_target: float = DEFAULT_FS) -> np.ndarray:
     """RawSample -> resampled streams -> its (100,) feature row."""
-    return featurize(build_streams(sample, fs_target), fs_target)
+    return featurize(build_streams([sample], fs_target), fs_target)[0]
 
 
 def featurize_dataset(dataset: Dataset, fs_target: float = DEFAULT_FS) -> FeatureTable:
     """One feature row per sample, in dataset order: the one extraction path
     every consumer of features reads from.
 
-    Up to BLOCK_CAPTURES captures are resampled with one spline solve, and
-    the block's captures of equal stream length are featurized in one
-    vectorized pass, so memory stays bounded by the block size.
+    Blocks of up to BLOCK_CAPTURES captures are resampled with one spline
+    solve and featurized together, so memory stays bounded by the block size.
     """
     samples = dataset.samples
     X = np.empty((len(samples), N_TOTAL))
     for start in range(0, len(samples), BLOCK_CAPTURES):
-        streams = resample_captures(samples[start:start + BLOCK_CAPTURES], fs_target)
-        groups: dict[int, list[int]] = {}  # stream length -> block positions
-        for i, S in enumerate(streams):
-            groups.setdefault(S.shape[1], []).append(i)
-        for idx in groups.values():
-            F = _stream_features(np.concatenate([streams[i] for i in idx]), fs_target)
-            X[[start + i for i in idx]] = F.reshape(len(idx), N_TOTAL)
+        block = samples[start:start + BLOCK_CAPTURES]
+        X[start:start + len(block)] = featurize(build_streams(block, fs_target), fs_target)
     return FeatureTable(X, [s.device_id for s in samples], [s.sample_id for s in samples])
 
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import RawSample
-
 STREAM_KEYS = ("A_MAG", "GYRO_X", "GYRO_Y", "GYRO_Z")
 
 DEFAULT_FS = 100.0  # Hz
@@ -150,7 +148,7 @@ def interpolate_uniform(timestamps, values, fs_target: float) -> np.ndarray:
     return out[0] if v.ndim == 1 else np.ascontiguousarray(out.T)
 
 
-def resample_captures(samples, fs_target: float = DEFAULT_FS) -> list[np.ndarray]:
+def build_streams(samples, fs_target: float = DEFAULT_FS) -> list[np.ndarray]:
     """Resample a block of captures with one tridiagonal solve: each
     capture's four streams as the rows of a C-contiguous (4, n) matrix in
     STREAM_KEYS order, one matrix per capture.
@@ -168,10 +166,3 @@ def resample_captures(samples, fs_target: float = DEFAULT_FS) -> list[np.ndarray
     values, n_outs = _natural_splines([s.timestamps for s in samples], V, fs_target)
     np.maximum(values[0], 0.0, out=values[0])
     return [np.ascontiguousarray(m) for m in np.split(values, np.cumsum(n_outs)[:-1], axis=1)]
-
-
-def build_streams(sample: RawSample, fs_target: float = DEFAULT_FS) -> np.ndarray:
-    """Resample one capture into its four canonical streams, as the rows of a
-    C-contiguous (4, n) matrix in STREAM_KEYS order (``resample_captures``
-    of that capture alone)."""
-    return resample_captures([sample], fs_target)[0]

@@ -606,15 +606,16 @@ def test_protocol_rf_runs():
 
 
 def test_protocol_rf_pinned():
-    # exact scores of the forest protocol; a tree change need not move them,
-    # test_rf_forest_pinned checks the trees themselves
-    res = run_protocol(generate_synthetic(12, 5, seed=0), classifier="rf",
+    # exact scores of the forest protocol on a fleet noisy enough that some
+    # predictions are wrong, so a change of trees moves them
+    prior = DevicePrior(noise_sigma_accel=0.5, noise_sigma_gyro=0.05)
+    res = run_protocol(generate_synthetic(12, 5, device_prior=prior, seed=0), classifier="rf",
                        train_per_device=3, repeats=2, seed=0, n_trees=30)
     assert res.to_dict() == {
         "classifier": "rf", "train_per_device": 3, "repeats": 2, "n_devices": 12,
-        "avg_f_mean": 1.0,
-        "avg_f_ci": [1.0, 1.0],
-        "accuracy_mean": 1.0,
+        "avg_f_mean": 0.8464985994397758,
+        "avg_f_ci": [0.5902390081219664, 1.1027581907575852],
+        "accuracy_mean": 0.8333333333333334,
     }
 
 

@@ -80,7 +80,7 @@ def test_scalar_readings_exit_3(tmp_path, capsys):
     '{"noise_sigma_gyro": Infinity}',
     '{"noise_sigma_gyro": -0.1}',
     '{"accel_gain": [1.05, 0.95]}',
-    '{"gyro_gain": [0, 1]}',
+    '{"accel_gain": [0, 1]}',
     '{"accel_offset": [0, Infinity]}',
     '{"gyro_offset": ["0", 1]}',
 ])

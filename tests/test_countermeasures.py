@@ -306,7 +306,7 @@ def test_quantization_collapses_small_offsets_to_chance():
     # offsets well inside half a bin and gains pinned: every quantized
     # stream is bit-identical, so the classifier can only guess
     prior = DevicePrior(
-        accel_gain=(1.0, 1.0), gyro_gain=(1.0, 1.0),
+        accel_gain=(1.0, 1.0),
         accel_offset=(-0.05, 0.05), gyro_offset=(-0.01, 0.01),
     )
     ds = generate_synthetic(12, 5, device_prior=prior, seed=13)

@@ -274,7 +274,6 @@ def test_offset_z_shift_separates_magnitude_means():
     # certainly above 0.5.
     base = dict(
         accel_gain=np.ones(3),
-        gyro_gain=np.ones(3),
         gyro_offset=np.zeros(3),
         noise_sigma_accel=0.01,
         noise_sigma_gyro=0.002,
@@ -299,7 +298,6 @@ def test_device_model_rejects_nonpositive_gain():
         DeviceModel(
             accel_gain=np.array([1.0, 0.0, 1.0]),
             accel_offset=np.zeros(3),
-            gyro_gain=np.ones(3),
             gyro_offset=np.zeros(3),
             noise_sigma_accel=0.02,
             noise_sigma_gyro=0.002,
@@ -307,8 +305,9 @@ def test_device_model_rejects_nonpositive_gain():
 
 
 def test_device_prior_from_dict_rejects_unknown_key():
-    with pytest.raises(ValueError, match="unknown"):
-        DevicePrior.from_dict({"accel_bias": [0, 1]})
+    for key in ("accel_bias", "gyro_gain"):  # gyro truth is 0, so a gyro gain would change nothing
+        with pytest.raises(ValueError, match="unknown"):
+            DevicePrior.from_dict({key: [0, 1]})
 
 
 def test_device_prior_file_round_trip(tmp_path):

@@ -143,12 +143,12 @@ def test_featurize_length_and_blocks():
         "GYRO_Y": rng.normal(0, 0.02, n),
         "GYRO_Z": rng.normal(0, 0.03, n),
     }
-    fv = featurize(np.stack([streams[k] for k in STREAM_KEYS]), 100.0)
+    fv = featurize([np.stack([streams[k] for k in STREAM_KEYS])], 100.0)[0]
     assert fv.shape == (N_TOTAL,)
     # swapping two gyro axes permutes exactly the corresponding 25-blocks
     swapped = dict(streams)
     swapped["GYRO_X"], swapped["GYRO_Z"] = streams["GYRO_Z"], streams["GYRO_X"]
-    fv2 = featurize(np.stack([swapped[k] for k in STREAM_KEYS]), 100.0)
+    fv2 = featurize([np.stack([swapped[k] for k in STREAM_KEYS])], 100.0)[0]
     np.testing.assert_array_equal(fv2[25:50], fv[75:100])
     np.testing.assert_array_equal(fv2[75:100], fv[25:50])
     np.testing.assert_array_equal(fv2[0:25], fv[0:25])
@@ -169,8 +169,8 @@ def test_featurize_deterministic():
     streams = {k: rng.normal(size=n) + 5 for k in ("A_MAG", "GYRO_X", "GYRO_Y", "GYRO_Z")}
     streams["A_MAG"] = np.abs(streams["A_MAG"])
     S = np.stack([streams[k] for k in STREAM_KEYS])
-    a = featurize(S, 100.0)
-    b = featurize(S, 100.0)
+    a = featurize([S], 100.0)[0]
+    b = featurize([S], 100.0)[0]
     np.testing.assert_array_equal(a, b)
 
 
@@ -249,7 +249,7 @@ def _mixed_length_dataset() -> Dataset:
 
 def test_featurize_dataset_blocks_match_single_captures():
     ds = _mixed_length_dataset()
-    lengths = [build_streams(s).shape[1] for s in ds.samples]
+    lengths = [build_streams([s])[0].shape[1] for s in ds.samples]
     # the premise: several length groups, interleaved, one spanning blocks
     assert len(set(lengths)) >= 4
     assert max(lengths.count(n) for n in set(lengths)) > features.BLOCK_CAPTURES
@@ -298,8 +298,8 @@ def test_moments_match_the_power_oracle(scheme):
     ds = generate_synthetic(4, 3, seed=0)
     data = ds if scheme is None else apply_countermeasure(ds, scheme)
     for s in data.samples:
-        S = build_streams(s)
-        got = featurize(S, 100.0).reshape(len(STREAM_KEYS), -1)[:, MOMENT_COLUMNS]
+        S = build_streams([s])[0]
+        got = featurize([S], 100.0)[0].reshape(len(STREAM_KEYS), -1)[:, MOMENT_COLUMNS]
         want = _moments_by_powers(S, 100.0)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
         assert np.array_equal(got == 0, want == 0)  # degenerate zeros are exact
@@ -329,7 +329,7 @@ def test_featurize_stream_rows_are_independent():
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fv = featurize(np.stack([streams[k] for k in STREAM_KEYS]), 100.0)
+        fv = featurize([np.stack([streams[k] for k in STREAM_KEYS])], 100.0)[0]
         for j, key in enumerate(("A_MAG", "GYRO_X", "GYRO_Y", "GYRO_Z")):
             block = np.concatenate([temporal_features(streams[key]),
                                     spectral_features(streams[key], 100.0)])
@@ -365,18 +365,18 @@ def test_each_consumer_featurizes_each_sample_once(monkeypatch, consumer):
     from sensorprint.classify import run_protocol
     from sensorprint.countermeasures import privacy_impact
 
-    # resample_captures is featurize_dataset's resampling step: each call
+    # build_streams is featurize_dataset's resampling step: each call
     # takes a block of captures, so count the captures it is handed
     ds = generate_synthetic(4, 4, seed=1)
     calls = []
-    real = features.resample_captures
+    real = features.build_streams
 
     def counting(samples, *args, **kwargs):
         samples = list(samples)
         calls.extend(s.sample_id for s in samples)
         return real(samples, *args, **kwargs)
 
-    monkeypatch.setattr(features, "resample_captures", counting)
+    monkeypatch.setattr(features, "build_streams", counting)
     if consumer == "run_protocol":
         run_protocol(ds, repeats=2)
         expected = len(ds.samples)
@@ -396,6 +396,6 @@ def test_features_csv_rejects_bad_header(tmp_path):
 def test_build_streams_featurize_pipeline():
     ds = generate_synthetic(2, 2, seed=3)
     for s in ds.samples:
-        fv = featurize(build_streams(s), 100.0)
+        fv = featurize(build_streams([s]), 100.0)[0]
         assert np.all(np.isfinite(fv))
         assert fv[0] == pytest.approx(9.81, abs=0.5)  # near-gravity magnitude

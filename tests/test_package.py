@@ -86,6 +86,22 @@ def test_traced_names_exist(monkeypatch):
     assert features.build_streams is preprocess.build_streams
 
 
+@pytest.mark.skipif(not TRACER.exists(), reason="perfbench/ is not in this checkout")
+def test_tracer_sees_featurization(monkeypatch):
+    # featurize_dataset calls the names the tracer wraps, so a traced run
+    # books resampling and featurization to their own layers
+    from sensorprint.dataset import generate_synthetic
+    from sensorprint.features import featurize_dataset
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    with tracer.Tracer() as t:
+        featurize_dataset(generate_synthetic(2, 2, seed=0))
+    assert {"preprocess.build_streams", "features.featurize"} <= {s[tracer.NAME] for s in t.spans}
+
+
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 

@@ -13,7 +13,6 @@ from sensorprint.preprocess import (
     build_streams,
     interpolate_uniform,
     magnitude,
-    resample_captures,
 )
 from test_features import _mixed_length_dataset
 
@@ -117,7 +116,7 @@ def test_build_streams_stationary_noiseless():
     t = np.arange(n) / 100.0
     accel = np.tile([0.0, 0.0, 9.81], (n, 1))
     gyro = np.zeros((n, 3))
-    S = build_streams(RawSample("d", "s", t, accel, gyro))
+    S = build_streams([RawSample("d", "s", t, accel, gyro)])[0]
     assert S.shape[0] == len(STREAM_KEYS)
     np.testing.assert_allclose(S[0], 9.81, atol=1e-9)  # A_MAG
     for row in S[1:]:  # GYRO_X, GYRO_Y, GYRO_Z
@@ -128,14 +127,14 @@ def test_build_streams_grid_alignment():
     n = 500
     t = np.arange(n) / 100.0
     sample = RawSample("d", "s", t, np.tile([0.0, 0.0, 9.81], (n, 1)), np.zeros((n, 3)))
-    S = build_streams(sample, fs_target=100.0)
+    S = build_streams([sample], fs_target=100.0)[0]
     assert abs(S.shape[1] - n) <= 1
 
 
 def test_build_streams_length_matches_duration():
     ds = generate_synthetic(3, 2, seed=11)
     for s in ds.samples:
-        S = build_streams(s, fs_target=100.0)
+        S = build_streams([s], fs_target=100.0)[0]
         expected = int(np.floor(s.duration * 100.0)) + 1
         assert abs(S.shape[1] - expected) <= 1
 
@@ -151,7 +150,7 @@ def test_build_streams_clamps_negative_magnitude():
     sample = RawSample("d", "s", t, accel, np.zeros((n, 3)))
     raw = interpolate_uniform(t, magnitude(accel), 100.0)
     assert np.min(raw) < 0
-    S = build_streams(sample, fs_target=100.0)
+    S = build_streams([sample], fs_target=100.0)[0]
     assert np.min(S[0]) >= 0  # A_MAG
 
 
@@ -188,7 +187,7 @@ def test_interpolate_matrix_rejects_the_same_bad_input(shape):
 
 def test_build_streams_rows_are_contiguous_column_fits():
     s = generate_synthetic(1, 1, seed=2).samples[0]
-    S = build_streams(s)
+    S = build_streams([s])[0]
     assert S.shape[0] == len(STREAM_KEYS) and S.flags.c_contiguous
     sources = [magnitude(s.accel), s.gyro[:, 0], s.gyro[:, 1], s.gyro[:, 2]]
     for key, row, v in zip(STREAM_KEYS, S, sources):
@@ -205,16 +204,16 @@ def test_resampled_streams_are_scipy_splines_bit_for_bit(scheme):
     data = ds if scheme is None else apply_countermeasure(ds, scheme)
     if scheme == "quantize":  # the premise: tied readings, so zero slopes
         assert any(np.any(np.diff(s.gyro, axis=0) == 0) for s in data.samples)
-    _assert_scipy_streams(data.samples, resample_captures(data.samples))
-    _assert_scipy_streams(data.samples, [build_streams(s) for s in data.samples])
+    _assert_scipy_streams(data.samples, build_streams(data.samples))
+    _assert_scipy_streams(data.samples, [build_streams([s])[0] for s in data.samples])
 
 
 def test_mixed_length_block_resamples_each_capture_as_alone():
     samples = _mixed_length_dataset().samples
-    block = resample_captures(samples)
+    block = build_streams(samples)
     _assert_scipy_streams(samples, block)
     for s, S in zip(samples, block):
-        assert S.tobytes() == resample_captures([s])[0].tobytes(), s.sample_id
+        assert S.tobytes() == build_streams([s])[0].tobytes(), s.sample_id
 
 
 def test_four_knot_capture_is_scipys_spline():
@@ -222,7 +221,7 @@ def test_four_knot_capture_is_scipys_spline():
     accel = np.array([[0.1, 0.2, 9.8], [0.0, -0.3, 9.7], [0.2, 0.1, 9.9], [0.1, 0.0, 9.8]])
     gyro = np.array([[0.01, 0.0, -0.02], [0.03, -0.01, 0.0], [0.0, 0.02, 0.01], [-0.01, 0.0, 0.0]])
     sample = RawSample("d", "s", t, accel, gyro)
-    _assert_scipy_streams([sample], [build_streams(sample)])
+    _assert_scipy_streams([sample], build_streams([sample]))
     v = gyro[:, 0]
     expected = CubicSpline(t, v, bc_type="natural")(t[0] + np.arange(5) / 100.0)
     assert interpolate_uniform(t, v, 100.0).tobytes() == expected.tobytes()
@@ -241,5 +240,5 @@ def test_block_of_touching_captures_resamples_without_warnings(shift):
         t0 = t[-1] + shift
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        block = resample_captures(samples)
+        block = build_streams(samples)
     _assert_scipy_streams(samples, block)
