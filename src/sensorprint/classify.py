@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 from scipy.special import stdtrit
 
-from .features import DEFAULT_FS, FeatureTable, featurize_dataset
+from .features import FeatureTable, featurize_dataset
 from .metric import cross_distances, standardizer, train_ldml, transform
 
 log = logging.getLogger(__name__)
@@ -474,12 +474,12 @@ def run_protocol(
     ldml_step: float = 1e-3,
     d_prime: int | None = None,
     n_trees: int = 100,
-    fs_target: float = DEFAULT_FS,
 ) -> ProtocolResult:
     """Repeated random split per device, mean AvgF with a 95% t-interval.
 
     ``dataset`` is a ``FeatureTable``, or a ``Dataset`` featurized once at
-    ``fs_target``. Devices need train_per_device + 1 samples (at least one
+    ``DEFAULT_FS`` (featurize it with ``featurize_dataset`` for another
+    rate). Devices need train_per_device + 1 samples (at least one
     held-out test sample); the rest are dropped. Standardization or the
     learned metric is fit on each repeat's training half only. Repeat r
     splits by ``default_rng([seed, r])`` and seeds the metric and the forest
@@ -492,7 +492,7 @@ def run_protocol(
     if train_per_device < 1:
         raise ValueError("train_per_device must be >= 1")
     if not isinstance(dataset, FeatureTable):
-        dataset = featurize_dataset(dataset, fs_target)
+        dataset = featurize_dataset(dataset)
     table = dataset.eligible(train_per_device + 1)
     dev_rows = table.device_rows()
     if not dev_rows:

@@ -108,9 +108,10 @@ def _protocol_kwargs(args) -> dict:
 
 def _protocol(args, repeats: int):
     from .classify import run_protocol
-    from .dataset import load_dataset
+    from .features import load_features_csv
 
-    return run_protocol(load_dataset(args.input), repeats=repeats, **_protocol_kwargs(args))
+    return run_protocol(load_features_csv(args.features), repeats=repeats,
+                        **_protocol_kwargs(args))
 
 
 def cmd_classify(args) -> int:
@@ -225,7 +226,7 @@ def cmd_countermeasure(args) -> int:
 _INPUTS = ("config", "prior", "input", "features", "metric_model", "intra", "inter")
 _OUTPUTS = ("out", "intra_out", "inter_out", "impact_out")
 _SPLIT_SETTINGS = ("classifier", "train_per_device", "k", "n_trees", "seed")
-_LDML_SETTINGS = ("use_ldml", "ldml_iterations", "ldml_step", "d_prime", "fs_target")
+_LDML_SETTINGS = ("use_ldml", "ldml_iterations", "ldml_step", "d_prime")
 
 
 def _add_split_flags(p, classifier: str = "knn") -> None:
@@ -248,8 +249,6 @@ def _add_ldml_flags(p) -> None:
                    help="metric-learning initial step size (unitless, default 1e-3)")
     p.add_argument("--d-prime", type=int, default=None,
                    help="projected metric dimension (count, default: full)")
-    p.add_argument("--fs-target", type=float, default=100.0,
-                   help="resampling rate before featurization (Hz, default 100)")
 
 
 def _build_parser() -> _Parser:
@@ -299,20 +298,20 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_train_metric, _required=("features", "out"))
 
     p = sub.add_parser("classify", help="single split: train, predict, report per-class scores")
-    p.add_argument("--in", dest="input", help="input dataset path (JSONL, required)")
+    p.add_argument("--features", help="input feature table path (CSV, required)")
     _add_split_flags(p)
     _add_ldml_flags(p)
     p.add_argument("--out", help="output report path (JSON, required)")
-    p.set_defaults(func=cmd_classify, _required=("input", "out"))
+    p.set_defaults(func=cmd_classify, _required=("features", "out"))
 
     p = sub.add_parser("evaluate", help="repeated-split protocol with confidence intervals")
-    p.add_argument("--in", dest="input", help="input dataset path (JSONL, required)")
+    p.add_argument("--features", help="input feature table path (CSV, required)")
     _add_split_flags(p)
     _add_ldml_flags(p)
     p.add_argument("--repeats", type=int, default=10,
                    help="independent splits to average (count, default 10)")
     p.add_argument("--out", help="output report path (JSON, required)")
-    p.set_defaults(func=cmd_evaluate, _required=("input", "out"))
+    p.set_defaults(func=cmd_evaluate, _required=("features", "out"))
 
     p = sub.add_parser("distfit", help="fit distance distributions to a feature table")
     p.add_argument("--features", help="input feature table path (CSV, required)")

@@ -219,6 +219,9 @@ def _sample_from_record(rec: dict, lineno: int) -> tuple[RawSample, str | None]:
     for k in RECORD_KEYS[:2]:  # not bool, nor float: orjson reads an integer past 64 bits as one
         if type(rec[k]) not in (str, int):
             raise ValueError(f"line {lineno}: {k!r} must be a string or an integer, got {rec[k]!r}")
+    cm = rec.get("countermeasure")
+    if cm is not None and not isinstance(cm, str):
+        raise ValueError(f"line {lineno}: 'countermeasure' must be a string or null, got {cm!r}")
     sample = RawSample(
         device_id=str(rec["device_id"]),
         sample_id=str(rec["sample_id"]),
@@ -226,7 +229,7 @@ def _sample_from_record(rec: dict, lineno: int) -> tuple[RawSample, str | None]:
         accel=np.column_stack(cols[:3]),
         gyro=np.column_stack(cols[3:]),
     )
-    return sample, rec.get("countermeasure")
+    return sample, cm
 
 
 def load_dataset(path) -> Dataset:

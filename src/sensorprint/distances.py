@@ -447,15 +447,17 @@ def save_fitted(dist: FittedDistribution, population_kind: str, path) -> None:
 
 def load_fitted(path) -> tuple[str, FittedDistribution]:
     """Read a save_fitted file; a missing or ill-typed key is a ValueError."""
+    from .metric import _json_number
+
     with open(path) as fh:
         payload = json.load(fh)
     try:
         dist = FittedDistribution(
             family=payload["family"],
-            params={k: float(v) for k, v in payload["params"].items()},
-            log_likelihood=float(payload["loglik"]),
-            aic=float(payload["aic"]),
-            n=int(payload["n"]),
+            params={k: float(_json_number(v, k)) for k, v in payload["params"].items()},
+            log_likelihood=float(_json_number(payload["loglik"], "loglik")),
+            aic=float(_json_number(payload["aic"], "aic")),
+            n=_json_number(payload["n"], "n", min_int=1),
         )
         kind = payload["class"]
     except (KeyError, TypeError, AttributeError, OverflowError) as e:

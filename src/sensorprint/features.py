@@ -11,11 +11,13 @@ A capture's features are one (100,) row; a dataset's are a ``FeatureTable``.
 Featurization has one path: ``featurize_dataset`` passes blocks of up to
 BLOCK_CAPTURES captures through ``preprocess.build_streams`` (one (4, n)
 stream matrix per capture) and ``featurize`` (one row per capture). One
-batched kernel computes the features of every row of an (m, n) stream
-matrix: ``featurize`` passes it the streams of all captures of equal length
-at once, the per-series functions one row. ``run_protocol`` and
-``privacy_impact`` featurize a ``Dataset`` again on every call; a
-``FeatureTable`` passed to ``run_protocol`` is used as it is.
+kernel computes all 25 features of every row of an (m, n) stream matrix in
+one pass, with one mean, deviation, standard deviation and degenerate mask
+for the temporal and spectral features: ``featurize`` passes it the streams
+of all captures of equal length, ``stream_features`` one series.
+``run_protocol`` and ``privacy_impact`` featurize a ``Dataset`` on every
+call; a ``FeatureTable`` is used as it is, and the CLI's ``classify`` and
+``evaluate`` read the table that ``featurize`` wrote.
 
 The degenerate rules above are per-row masks applied after the arithmetic,
 which runs under ``np.errstate`` so no warning escapes. Each row's features
@@ -99,74 +101,42 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(A[:, None, :], A[:, :, None])[:, 0, 0])
 
 
-def _check_rows(X) -> np.ndarray:
-    X = np.ascontiguousarray(X, dtype=float)
-    if X.shape[1] < 8:
-        raise ValueError(f"series too short ({X.shape[1]} < 8)")
-    return X
-
-
-def _temporal_rows(X) -> np.ndarray:
-    """``temporal_features`` of every row of an (m, n) matrix, as (m, 10)."""
-    X = _check_rows(X)
-    n = X.shape[1]
-    mu = np.mean(X, axis=1)
-    dev = X - mu[:, None]
-    dev2 = dev * dev
-    std = np.sqrt(np.mean(dev2, axis=1))
-    std2 = std * std
-    with np.errstate(divide="ignore", invalid="ignore"):
-        skew = np.mean(dev2 * dev, axis=1) / (std2 * std)
-        kurt = np.mean(dev2 * dev2, axis=1) / (std2 * std2) - 3.0
-    out = np.column_stack([
-        mu,
-        std,
-        np.mean(np.abs(dev), axis=1),
-        skew,
-        kurt,
-        np.sqrt(np.mean(X * X, axis=1)),
-        np.min(X, axis=1),
-        np.max(X, axis=1),
-        np.count_nonzero(dev[:, :-1] * dev[:, 1:] < 0, axis=1) / (n - 1),
-        np.count_nonzero(dev >= 0, axis=1) / n,
-    ])
-    # constant series up to rounding: shape stats and sign-based rates take
-    # their degenerate-convention values
-    const = std <= np.abs(mu) * 1e-12
-    out[const, 1:5] = 0.0
-    out[const, 8] = 0.0
-    out[const, 9] = 1.0
-    return out
-
-
-def temporal_features(series) -> np.ndarray:
-    """10 time-domain features, in TEMPORAL_NAMES order.
-
-    Zero-crossing rate counts strict sign changes of the mean-removed series
-    over the n-1 adjacent pairs; the non-negative fraction is also taken on
-    the mean-removed series, so both are shift-invariant.
-    """
-    return _temporal_rows(np.asarray(series, dtype=float)[None])[0]
-
-
 def _half_spectrum(x: np.ndarray) -> np.ndarray:
     """One-sided magnitude spectrum of each row, DC bin dropped."""
     return np.abs(np.fft.rfft(x))[:, 1:]
 
 
-def _spectral_rows(X, fs: float) -> np.ndarray:
-    """``spectral_features`` of every row of an (m, n) matrix, as (m, 15)."""
-    X = _check_rows(X)
+def _feature_rows(X, fs: float) -> np.ndarray:
+    """``stream_features`` of every row of an (m, n) matrix, as (m, 25)."""
+    X = np.ascontiguousarray(X, dtype=float)
+    n = X.shape[1]
+    if n < 8:
+        raise ValueError(f"series too short ({n} < 8)")
     if fs <= 0:
         raise ValueError("fs must be positive")
-    n = X.shape[1]
     mu = np.mean(X, axis=1)
-    x = X - mu[:, None]
-    full_rms = np.sqrt(np.mean(x * x, axis=1))
-    m = _half_spectrum(x)
+    dev = X - mu[:, None]
+    dev2 = dev * dev
+    std = np.sqrt(np.mean(dev2, axis=1))  # also the full-series RMS of dev
+    std2 = std * std
+    with np.errstate(divide="ignore", invalid="ignore"):
+        skew = np.mean(dev2 * dev, axis=1) / (std2 * std)
+        kurt = np.mean(dev2 * dev2, axis=1) / (std2 * std2) - 3.0
+    # the temporal features first: their temporaries are freed before the
+    # spectral ones are allocated, which measured faster per block
+    del dev2
+    temporal = [
+        mu, std, np.mean(np.abs(dev), axis=1), skew, kurt,
+        np.sqrt(np.mean(X * X, axis=1)), np.min(X, axis=1), np.max(X, axis=1),
+        np.count_nonzero(dev[:, :-1] * dev[:, 1:] < 0, axis=1) / (n - 1),
+        np.count_nonzero(dev >= 0, axis=1) / n,
+    ]
+    # constant series up to rounding: shape stats and sign-based rates take
+    # their degenerate-convention values, and the spectrum is silent
+    const = std <= np.abs(mu) * 1e-12
+    m = _half_spectrum(dev)
     m_sum = np.sum(m, axis=1)
-    # constant up to rounding, or no spectral energy: all 15 features are 0
-    silent = (full_rms <= np.abs(mu) * 1e-12) | (m_sum == 0)
+    silent = const | (m_sum == 0)  # no spectral energy: all 15 spectral features are 0
     k = m.shape[1]
     freqs = np.arange(1, k + 1) * (fs / n)
     p = m * m
@@ -205,39 +175,45 @@ def _spectral_rows(X, fs: float) -> np.ndarray:
         irregularity_j = np.sum(np.diff(m, axis=1) ** 2, axis=1) / p_sum
 
         h = n // 2
-        m1 = _half_spectrum(x[:, :h])
-        m2 = _half_spectrum(x[:, -h:])
+        m1 = _half_spectrum(dev[:, :h])
+        m2 = _half_spectrum(dev[:, -h:])
         n1 = _row_norms(m1)
         n2 = _row_norms(m2)
         u1 = m1 / np.where(n1 > 0, n1, 1.0)[:, None]
         u2 = m2 / np.where(n2 > 0, n2, 1.0)[:, None]
         flux = _row_norms(u1 - u2)
 
-    frames = np.array_split(x, N_SUBFRAMES, axis=1)
-    low = sum(np.sqrt(np.mean(f * f, axis=1)) < full_rms for f in frames)
+    frames = np.array_split(dev, N_SUBFRAMES, axis=1)
+    low = sum(np.sqrt(np.mean(f * f, axis=1)) < std for f in frames)
     out = np.column_stack([
+        *temporal,
         centroid, spread, spec_skew, spec_kurt, entropy,
         flatness, crest, rolloff, brightness, spec_rms,
         smoothness, irregularity_k, irregularity_j, flux, low / N_SUBFRAMES,
     ])
-    out[spread == 0, 2:4] = 0.0
-    out[silent] = 0.0
+    out[const, 1:5] = 0.0
+    out[const, 8] = 0.0
+    out[const, 9] = 1.0
+    out[spread == 0, 12:14] = 0.0
+    out[silent, 10:] = 0.0
     return out
 
 
-def spectral_features(series, fs: float) -> np.ndarray:
-    """15 frequency-domain features, in SPECTRAL_NAMES order.
+def stream_features(series, fs: float = DEFAULT_FS) -> np.ndarray:
+    """The 25 features of one series sampled at ``fs``, in TEMPORAL_NAMES +
+    SPECTRAL_NAMES order.
 
-    Moments (centroid, spread, skewness, kurtosis) and crest use magnitude
-    weighting; entropy, flatness, rolloff, and brightness use power. Two of
-    the features are frame-level rather than spectral-bin-level: flux is the
+    Zero-crossing rate (strict sign changes over the n-1 adjacent pairs) and
+    the non-negative fraction are taken on the mean-removed series, so both
+    are shift-invariant. Spectral moments and crest weight by magnitude;
+    entropy, flatness, rolloff and brightness by power. Flux is the
     Euclidean distance between the unit-normalized magnitude spectra of the
-    first and last half-windows, and the low-energy rate is the fraction of
-    8 equal sub-frames whose RMS falls below the full-series RMS. For the
-    log-magnitude smoothness, zero bins are clamped to the smallest positive
-    magnitude present so the log stays finite.
+    first and last half-windows; the low-energy rate is the fraction of 8
+    equal sub-frames whose RMS falls below the full-series RMS. Zero bins
+    are clamped to the smallest positive magnitude for the log-magnitude
+    smoothness, so the log stays finite.
     """
-    return _spectral_rows(np.asarray(series, dtype=float)[None], fs)[0]
+    return _feature_rows(np.asarray(series, dtype=float)[None], fs)[0]
 
 
 def featurize(streams, fs: float) -> np.ndarray:
@@ -251,7 +227,7 @@ def featurize(streams, fs: float) -> np.ndarray:
         groups.setdefault(S.shape[1], []).append(i)
     for idx in groups.values():
         S = np.concatenate([streams[i] for i in idx])
-        X[idx] = np.hstack([_temporal_rows(S), _spectral_rows(S, fs)]).reshape(len(idx), N_TOTAL)
+        X[idx] = _feature_rows(S, fs).reshape(len(idx), N_TOTAL)
     return X
 
 
@@ -287,13 +263,19 @@ def write_features_csv(table: FeatureTable, path) -> None:
 
 
 def load_features_csv(path) -> FeatureTable:
+    """Read a ``write_features_csv`` file; a repeated (device_id, sample_id)
+    row is a ValueError, as a duplicate sample id is in ``load_dataset``."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         if next(r, None) != _CSV_HEADER:
             raise ValueError("bad feature-matrix header")
         rows = list(r)
+    seen = set()
     for row in rows:
         if len(row) != len(_CSV_HEADER):
             raise ValueError(f"row for {row[:2]} has {len(row)} fields")
+        if tuple(row[:2]) in seen:
+            raise ValueError(f"duplicate row for device {row[0]!r}, sample {row[1]!r}")
+        seen.add(tuple(row[:2]))
     X = np.array([[float(x) for x in row[2:]] for row in rows]).reshape(len(rows), N_TOTAL)
     return FeatureTable(X, [row[0] for row in rows], [row[1] for row in rows])

@@ -280,22 +280,36 @@ def save_metric_model(model: MetricModel, path) -> None:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")  # C encoder; json.dump runs the Python one
 
 
+def _json_number(value, what: str, min_int: int | None = None):
+    """``value`` if JSON read it as a number (a boolean is not one) and, when
+    ``min_int`` is given, as an integer of at least ``min_int``; else a
+    TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            min_int is not None and not (isinstance(value, int) and value >= min_int)):
+        kind = "a number" if min_int is None else f"an integer >= {min_int}"
+        raise TypeError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
 def load_metric_model(path) -> MetricModel:
     """Read a save_metric_model file; a missing or ill-typed key is a ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
     try:
+        trained_on = payload.get("trained_on", [0, 0])
+        if not (isinstance(trained_on, list) and len(trained_on) == 2):
+            raise TypeError(f"trained_on must be two integers, got {trained_on!r}")
         model = MetricModel(
             means=payload["means"],
             stds=payload["stds"],
             L=payload["L"],
-            bias=float(payload["bias"]),
-            seed=int(payload["seed"]),
-            trained_on=tuple(payload.get("trained_on", (0, 0))),
+            bias=float(_json_number(payload["bias"], "bias")),
+            seed=_json_number(payload["seed"], "seed", min_int=0),
+            trained_on=tuple(_json_number(v, "trained_on", min_int=0) for v in trained_on),
         )
-        if model.d_prime != payload["d_prime"]:
+        if model.d_prime != _json_number(payload["d_prime"], "d_prime", min_int=0):
             raise ValueError("d_prime does not match L")
-    except (KeyError, TypeError, OverflowError) as e:
+    except (KeyError, TypeError, AttributeError, OverflowError) as e:
         raise ValueError(f"malformed metric model: {e!r}") from None
     return model
 

@@ -574,13 +574,16 @@ def test_protocol_refuses_zero_repeats():
 def test_protocol_on_table_equals_protocol_on_dataset():
     from sensorprint.features import featurize_dataset
 
+    # a Dataset is featurized at DEFAULT_FS; another rate goes through a table
     ds = generate_synthetic(6, 5, seed=5)
-    table = featurize_dataset(ds, 80.0)
+    table = featurize_dataset(ds)
     for kwargs in ({"classifier": "knn", "k": 3}, {"classifier": "rf", "n_trees": 10},
                    {"classifier": "knn", "use_ldml": True, "ldml_iterations": 10}):
         common = dict(train_per_device=2, repeats=2, seed=4, **kwargs)
         assert (run_protocol(table, **common).to_dict()
-                == run_protocol(ds, fs_target=80.0, **common).to_dict()), kwargs
+                == run_protocol(ds, **common).to_dict()), kwargs
+    with pytest.raises(TypeError, match="fs_target"):
+        run_protocol(ds, fs_target=80.0)
 
 
 def test_protocol_deterministic():

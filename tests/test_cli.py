@@ -55,11 +55,20 @@ def test_missing_input_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_malformed_input_exits_3(tmp_path):
+def test_malformed_input_exits_3(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"device_id": "d"}\n')
     rc = main(["ingest", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")])
     assert rc == 3
+    # a countermeasure tag is a string or null: a list or object used to
+    # escape as a TypeError, a number or boolean to load as a tag
+    rec = json.loads((workdir / "data.jsonl").read_text().splitlines()[0])
+    for tag in ([1], {}, 5, True):
+        bad.write_text(json.dumps({**rec, "countermeasure": tag}) + "\n")
+        rc = main(["ingest", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")])
+        assert rc == 3, tag
+        assert "line 1: 'countermeasure' must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
 
 
 def test_scalar_readings_exit_3(tmp_path, capsys):
@@ -134,8 +143,8 @@ _FILE_FLAGS = {
     "ingest": ([], ["--in"], ["--out"]),
     "featurize": ([], ["--in"], ["--out"]),
     "train-metric": (["--iterations", "2"], ["--features"], ["--out"]),
-    "classify": ([], ["--in"], ["--out"]),
-    "evaluate": (["--repeats", "1"], ["--in"], ["--out"]),
+    "classify": ([], ["--features"], ["--out"]),
+    "evaluate": (["--repeats", "1"], ["--features"], ["--out"]),
     "distfit": ([], ["--features", "--metric-model"], ["--out", "--intra-out", "--inter-out"]),
     "simulate": (["--device-counts", "10", "--runs", "10"], ["--intra", "--inter"], ["--out"]),
     "countermeasure": (["--scheme", "quantize", "--repeats", "1"], ["--in"],
@@ -253,7 +262,7 @@ def test_rf_verbose_logs_each_forest_and_keeps_report_bytes(workdir, tmp_path, c
         (tmp_path / name).mkdir()  # the report echoes its --out path: keep it the same
         proc = subprocess.run(
             [sys.executable, "-m", "sensorprint.cli", *flags, command,
-             "--in", str(workdir / "data.jsonl"), "--classifier", "rf", "--n-trees", "20",
+             "--features", str(workdir / "feat.csv"), "--classifier", "rf", "--n-trees", "20",
              *extra, "--out", "report.json"],
             env=env, cwd=tmp_path / name, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -276,7 +285,7 @@ def test_rf_verbose_logs_each_forest_and_keeps_report_bytes(workdir, tmp_path, c
 
 def test_classify_report_shape(workdir, tmp_path):
     out = tmp_path / "report.json"
-    assert main(["classify", "--in", str(workdir / "data.jsonl"),
+    assert main(["classify", "--features", str(workdir / "feat.csv"),
                  "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["command"] == "classify"
@@ -288,12 +297,42 @@ def test_classify_report_shape(workdir, tmp_path):
 
 def test_evaluate_report_has_repeats(workdir, tmp_path):
     out = tmp_path / "eval.json"
-    assert main(["evaluate", "--in", str(workdir / "data.jsonl"),
+    assert main(["evaluate", "--features", str(workdir / "feat.csv"),
                  "--repeats", "2", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert len(rep["result"]["per_repeat"]) == 2
     lo, hi = rep["result"]["avg_f_ci"]
     assert lo <= rep["result"]["avg_f_mean"] <= hi
+
+
+def test_evaluate_reads_the_feature_table(workdir, tmp_path):
+    from sensorprint.classify import run_protocol
+
+    out = tmp_path / "eval.json"
+    assert main(["evaluate", "--features", str(workdir / "feat.csv"), "--classifier", "rf",
+                 "--n-trees", "10", "--repeats", "2", "--seed", "3", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    expected = run_protocol(load_features_csv(workdir / "feat.csv"), classifier="rf",
+                            n_trees=10, repeats=2, seed=3)
+    assert rep["result"]["avg_f_mean"] == expected.avg_f_mean
+    assert rep["result"]["per_repeat"] == [{"avg_f": r.avg_f, "accuracy": r.accuracy}
+                                           for r in expected.reports]
+    assert rep["config"]["features"] == str(workdir / "feat.csv")
+    assert "fs_target" not in rep["config"] and "input" not in rep["config"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("classify", ["--in", "data.jsonl"]),
+    ("classify", ["--fs-target", "100"]),
+    ("evaluate", ["--fs-target", "100"]),
+])
+def test_protocol_commands_take_no_dataset_flags(workdir, tmp_path, capsys, command, flags):
+    # only featurize resamples: classify and evaluate read its table
+    out = tmp_path / "report.json"
+    assert main([command, "--features", str(workdir / "feat.csv"), *flags,
+                 "--out", str(out)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_distfit_ranking_and_fit_files(workdir, tmp_path):
@@ -333,11 +372,12 @@ def test_distfit_without_model_uses_standardized_space(workdir, tmp_path):
     ("classify", ["--ldml-step", "nan"]),
     ("evaluate", ["--repeats", "0"]),
     ("evaluate", ["--train-per-device", "-1"]),
-    ("classify", ["--fs-target", "inf"]),
+    ("classify", ["--train-per-device", "0"]),
 ])
 def test_protocol_refuses_bad_values(workdir, tmp_path, capsys, command, flags):
     out = tmp_path / "report.json"
-    assert main([command, "--in", str(workdir / "data.jsonl"), *flags, "--out", str(out)]) == 3
+    assert main([command, "--features", str(workdir / "feat.csv"), *flags,
+                 "--out", str(out)]) == 3
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
 
@@ -561,22 +601,22 @@ def test_config_numbers_convert_like_flags(workdir, tmp_path):
     # so the reports match apart from their own path; null leaves a flag
     # whose default is None unset
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"fs_target": 100, "repeats": 2, "d_prime": None}))
+    cfg.write_text(json.dumps({"ldml_step": 1, "repeats": 2, "d_prime": None}))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["--config", str(cfg), "evaluate", "--in", str(workdir / "data.jsonl"),
+    assert main(["--config", str(cfg), "evaluate", "--features", str(workdir / "feat.csv"),
                  "--out", str(a)]) == 0
-    assert main(["evaluate", "--in", str(workdir / "data.jsonl"), "--fs-target", "100",
+    assert main(["evaluate", "--features", str(workdir / "feat.csv"), "--ldml-step", "1",
                  "--repeats", "2", "--out", str(b)]) == 0
     ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
     assert ra["config"].pop("out") == str(a) and rb["config"].pop("out") == str(b)
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
-    assert "100.0" in json.dumps(ra["config"]["fs_target"])
+    assert "1.0" in json.dumps(ra["config"]["ldml_step"])
 
 
 def test_rerun_artifacts_byte_identical(workdir, tmp_path):
     # identical invocation twice: the artifact must not change by a byte
     out = tmp_path / "rerun.json"
-    argv = ["evaluate", "--in", str(workdir / "data.jsonl"),
+    argv = ["evaluate", "--features", str(workdir / "feat.csv"),
             "--repeats", "2", "--out", str(out)]
     assert main(argv) == 0
     first = out.read_bytes()
@@ -623,12 +663,21 @@ def _fit_files(workdir, tmp_path):
     return fi, fe
 
 
-@pytest.mark.parametrize("damage", ["truncate", "drop_family", "params_list", "not_object"])
+_MISTYPED_FIT = {"n_string": ("n", "9"), "n_float": ("n", 2.5), "n_negative": ("n", -3),
+                 "n_bool": ("n", True), "loglik_string": ("loglik", "-10")}
+
+
+@pytest.mark.parametrize("damage", ["truncate", "drop_family", "params_list", "not_object",
+                                    *_MISTYPED_FIT])
 def test_malformed_fit_json_exits_3(workdir, tmp_path, capsys, damage):
     fi, fe = _fit_files(workdir, tmp_path)
     text = fi.read_text()
     payload = json.loads(text)
-    if damage == "truncate":
+    if damage in _MISTYPED_FIT:
+        key, value = _MISTYPED_FIT[damage]
+        payload[key] = value
+        fi.write_text(json.dumps(payload))
+    elif damage == "truncate":
         fi.write_text(text[: len(text) // 2])
     elif damage == "drop_family":
         del payload["family"]
@@ -641,7 +690,10 @@ def test_malformed_fit_json_exits_3(workdir, tmp_path, capsys, damage):
     rc = main(["simulate", "--intra", str(fi), "--inter", str(fe),
                "--device-counts", "10", "--runs", "10", "--out", str(tmp_path / "s.csv")])
     assert rc == 3
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if damage in _MISTYPED_FIT:
+        assert "malformed distribution fit" in err
 
 
 def _write_fit(path, kind, family, params, loglik=-10.0, n=50):
@@ -669,15 +721,24 @@ def test_non_finite_fit_json_exits_3(tmp_path, capsys, kind, family, params):
     assert not out.exists()
 
 
+_MISTYPED_METRIC = {"bias_string": ("bias", "0.5"), "seed_float": ("seed", 2.9),
+                    "seed_bool": ("seed", True), "trained_on_string": ("trained_on", "ab"),
+                    "trained_on_floats": ("trained_on", [8.0, 32.0])}
+
+
 @pytest.mark.parametrize("damage", ["truncate", "drop_d_prime", "drop_means", "flat_L",
-                                    "nan_means", "nan_stds", "nan_bias"])
+                                    "nan_means", "nan_stds", "nan_bias", *_MISTYPED_METRIC])
 def test_malformed_metric_json_exits_3(workdir, tmp_path, capsys, caplog, damage):
     model = tmp_path / "m.json"
     assert main(["train-metric", "--features", str(workdir / "feat.csv"),
                  "--iterations", "2", "--out", str(model)]) == 0
     text = model.read_text()
     payload = json.loads(text)
-    if damage == "truncate":
+    if damage in _MISTYPED_METRIC:
+        key, value = _MISTYPED_METRIC[damage]
+        payload[key] = value
+        model.write_text(json.dumps(payload))
+    elif damage == "truncate":
         model.write_text(text[: len(text) // 2])
     elif damage == "drop_d_prime":
         del payload["d_prime"]
@@ -699,17 +760,23 @@ def test_malformed_metric_json_exits_3(workdir, tmp_path, capsys, caplog, damage
     rc = main(["distfit", "--features", str(workdir / "feat.csv"),
                "--metric-model", str(model), "--out", str(out)])
     assert rc == 3
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if damage in _MISTYPED_METRIC:
+        assert "malformed metric model" in err
     # refused on load, before the distances are fitted
     assert not any("fit of" in r.getMessage() for r in caplog.records)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("damage", ["truncate", "drop_column", "empty"])
+@pytest.mark.parametrize("damage", ["truncate", "drop_column", "empty", "repeated_row"])
 def test_malformed_features_csv_exits_3(workdir, tmp_path, capsys, damage):
     text = (workdir / "feat.csv").read_text()
     bad = tmp_path / "bad.csv"
-    if damage == "truncate":
+    if damage == "repeated_row":  # a copied capture would be its own zero-distance neighbour
+        lines = text.splitlines()
+        bad.write_text("\n".join(lines + [lines[2]]) + "\n")
+    elif damage == "truncate":
         bad.write_text(text[: len(text) // 2])
     elif damage == "drop_column":
         bad.write_text("\n".join(",".join(line.split(",")[:-1])

@@ -228,6 +228,12 @@ def test_countermeasure_tag_round_trips(tmp_path):
     assert loaded.countermeasure == "obfuscation"
 
 
+def test_null_countermeasure_is_no_tag(tmp_path):
+    p = tmp_path / "null.jsonl"
+    write_jsonl(p, [{**make_record(), "countermeasure": None}])
+    assert load_dataset(p).countermeasure is None
+
+
 def test_generate_zero_devices_is_empty():
     ds = generate_synthetic(0, 5, seed=42)
     assert len(ds.index) == 0

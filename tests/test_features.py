@@ -17,22 +17,21 @@ from sensorprint.features import (
     featurize_dataset,
     featurize_sample,
     load_features_csv,
-    spectral_features,
-    temporal_features,
+    stream_features,
     write_features_csv,
 )
 from sensorprint.preprocess import STREAM_KEYS, build_streams
 
 
 def test_temporal_constant_series():
-    t = temporal_features(np.full(100, 9.81))
+    t = stream_features(np.full(100, 9.81))[:10]
     expected = [9.81, 0.0, 0.0, 0.0, 0.0, 9.81, 9.81, 9.81, 0.0, 1.0]
     np.testing.assert_allclose(t, expected, atol=1e-12)
 
 
 def test_temporal_alternating_series():
     x = np.tile([1.0, -1.0], 50)
-    t = temporal_features(x)
+    t = stream_features(x)[:10]
     assert t[0] == pytest.approx(0.0, abs=1e-15)  # mean
     assert t[8] == 1.0  # every adjacent pair flips sign
     assert t[5] == pytest.approx(1.0)  # RMS
@@ -40,7 +39,7 @@ def test_temporal_alternating_series():
 
 
 def test_temporal_small_hand_case():
-    t = temporal_features(np.array([0.0, 1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 3.0]))
+    t = stream_features(np.array([0.0, 1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 3.0]))[:10]
     assert t[0] == pytest.approx(1.5)
     assert t[1] == pytest.approx(np.sqrt(1.25))
     assert t[6] == 0.0
@@ -50,7 +49,7 @@ def test_temporal_small_hand_case():
 def test_temporal_matches_reference_stats():
     rng = np.random.default_rng(42)
     x = rng.gamma(2.0, size=1000)
-    t = temporal_features(x)
+    t = stream_features(x)[:10]
     assert t[3] == pytest.approx(stats.skew(x, bias=True), abs=1e-12)
     assert t[4] == pytest.approx(stats.kurtosis(x, bias=True, fisher=True), abs=1e-12)
     assert t[2] == pytest.approx(np.mean(np.abs(x - x.mean())), abs=1e-12)
@@ -60,8 +59,8 @@ def test_temporal_shift_equivariance():
     rng = np.random.default_rng(7)
     x = rng.normal(size=500)
     c = 4.2
-    base = temporal_features(x)
-    shifted = temporal_features(x + c)
+    base = stream_features(x)[:10]
+    shifted = stream_features(x + c)[:10]
     # mean/min/max shift by c, RMS changes analytically, the rest are invariant
     assert shifted[0] == pytest.approx(base[0] + c, abs=1e-9)
     assert shifted[6] == pytest.approx(base[6] + c, abs=1e-9)
@@ -75,12 +74,12 @@ def test_scaling_property():
     rng = np.random.default_rng(8)
     x = rng.normal(size=512) + 3.0
     s = 2.5
-    tb, ts = temporal_features(x), temporal_features(s * x)
+    tb, ts = stream_features(x)[:10], stream_features(s * x)[:10]
     for i in (0, 1, 2, 5, 6, 7):  # mean, std, avg-dev, RMS, min, max scale
         assert ts[i] == pytest.approx(s * tb[i], rel=1e-9)
     for i in (3, 4, 8, 9):  # shape stats and sign-based rates do not
         assert ts[i] == pytest.approx(tb[i], abs=1e-9)
-    sb, ss = spectral_features(x, 100.0), spectral_features(s * x, 100.0)
+    sb, ss = stream_features(x, 100.0)[10:], stream_features(s * x, 100.0)[10:]
     assert ss[4] == pytest.approx(sb[4], abs=1e-9)  # entropy
     assert ss[5] == pytest.approx(sb[5], abs=1e-9)  # flatness
 
@@ -90,7 +89,7 @@ def test_spectral_alternating_hand_vector():
     # bins at 12.5/25/37.5/50 with magnitudes 0,0,0,8). Every value below
     # follows by hand from the definitions.
     x = np.tile([1.0, -1.0], 4)
-    s = spectral_features(x, 100.0)
+    s = stream_features(x, 100.0)[10:]
     expected = [
         50.0,      # centroid: single line at Nyquist
         0.0,       # spread
@@ -112,7 +111,7 @@ def test_spectral_alternating_hand_vector():
 
 def test_spectral_pure_tone():
     t = np.arange(500) / 100.0
-    s = spectral_features(np.sin(2 * np.pi * 10 * t), 100.0)
+    s = stream_features(np.sin(2 * np.pi * 10 * t), 100.0)[10:]
     assert abs(s[0] - 10.0) < 0.5  # centroid
     assert abs(s[7] - 10.0) < 1.0  # rolloff
     assert s[4] < 0.01  # entropy of a line spectrum
@@ -123,15 +122,28 @@ def test_spectral_white_noise_flatness():
     # is e^(-gamma) ~= 0.56. Observed minimum over 10 seeds was 0.52.
     for seed in range(10):
         w = np.random.default_rng(seed).normal(size=2000)
-        s = spectral_features(w, 100.0)
+        s = stream_features(w, 100.0)[10:]
         assert s[5] > 0.5
         assert s[4] > 0.9  # entropy near 1 for a flat spectrum
 
 
 def test_spectral_all_zero_series():
-    np.testing.assert_array_equal(spectral_features(np.zeros(64), 100.0), np.zeros(15))
+    np.testing.assert_array_equal(stream_features(np.zeros(64), 100.0)[10:], np.zeros(15))
     # constant series: mean removal zeroes the spectrum too
-    np.testing.assert_array_equal(spectral_features(np.full(64, 5.0), 100.0), np.zeros(15))
+    np.testing.assert_array_equal(stream_features(np.full(64, 5.0), 100.0)[10:], np.zeros(15))
+
+
+def test_stream_features_checks_its_series_and_rate():
+    x = np.random.default_rng(1).normal(size=64)
+    fv = stream_features(x)
+    assert fv.shape == (len(features.TEMPORAL_NAMES) + len(features.SPECTRAL_NAMES),)
+    assert fv.tobytes() == stream_features(x, 100.0).tobytes()  # DEFAULT_FS
+    with pytest.raises(ValueError, match="too short"):
+        stream_features(x[:7])
+    with pytest.raises(ValueError, match="too short"):
+        featurize([np.zeros((4, 7))], 100.0)
+    with pytest.raises(ValueError, match="fs must be positive"):
+        stream_features(x, 0.0)
 
 
 def test_featurize_length_and_blocks():
@@ -318,7 +330,7 @@ def test_moments_of_constant_streams_keep_the_degenerate_zeros():
 def test_featurize_stream_rows_are_independent():
     # one capture whose streams take different degenerate branches (zero
     # spectral bins and zero spread, silence, a constant): each 25-block
-    # equals the per-stream functions on that stream alone
+    # equals stream_features on that stream alone
     n = 64
     rng = np.random.default_rng(12)
     streams = {
@@ -331,8 +343,7 @@ def test_featurize_stream_rows_are_independent():
         warnings.simplefilter("error")
         fv = featurize([np.stack([streams[k] for k in STREAM_KEYS])], 100.0)[0]
         for j, key in enumerate(("A_MAG", "GYRO_X", "GYRO_Y", "GYRO_Z")):
-            block = np.concatenate([temporal_features(streams[key]),
-                                    spectral_features(streams[key], 100.0)])
+            block = stream_features(streams[key], 100.0)
             assert fv[25 * j:25 * (j + 1)].tobytes() == block.tobytes(), key
 
 
