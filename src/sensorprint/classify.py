@@ -477,13 +477,15 @@ def run_protocol(
 ) -> ProtocolResult:
     """Repeated random split per device, mean AvgF with a 95% t-interval.
 
-    ``dataset`` is a ``FeatureTable``, or a ``Dataset`` featurized once at
-    ``DEFAULT_FS`` (featurize it with ``featurize_dataset`` for another
-    rate). Devices need train_per_device + 1 samples (at least one
-    held-out test sample); the rest are dropped. Standardization or the
-    learned metric is fit on each repeat's training half only. Repeat r
-    splits by ``default_rng([seed, r])`` and seeds the metric and the forest
-    with ``[seed, r, 1]`` and ``[seed, r, 2]``, streams that share no draws.
+    ``dataset`` is a ``FeatureTable``, or a ``Dataset`` featurized at
+    ``DEFAULT_FS`` by ``featurize_dataset`` (call it yourself for another
+    rate), which keeps the table on the dataset, so a later call on the
+    unchanged dataset does not featurize it again. Devices need
+    train_per_device + 1 samples (at least one held-out test sample); the
+    rest are dropped. Standardization or the learned metric is fit on each
+    repeat's training half only. Repeat r splits by
+    ``default_rng([seed, r])`` and seeds the metric and the forest with
+    ``[seed, r, 1]`` and ``[seed, r, 2]``, streams that share no draws.
     """
     if classifier not in ("knn", "rf"):
         raise ValueError("classifier must be 'knn' or 'rf'")

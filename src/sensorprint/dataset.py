@@ -97,11 +97,21 @@ class RawSample:
 
 @dataclass
 class Dataset:
-    """Immutable-after-construction collection of RawSamples with a device index."""
+    """A collection of RawSamples with a device index, grown by ``add``.
+
+    ``features.featurize_dataset`` keeps the feature table in ``_features``
+    with the rate and a digest of the samples: their ids, array shapes and
+    reading bytes, in order. The stored table is handed out only while that
+    digest matches, so editing a sample's arrays in place, or replacing,
+    removing or reordering samples, is detected and featurizes again.
+    ``add`` clears the slot.
+    """
 
     samples: list[RawSample] = field(default_factory=list)
     index: dict[str, list[str]] = field(default_factory=dict)
     countermeasure: str | None = None  # which defense rewrote this dataset, if any
+    # (fs, digest, FeatureTable) of the last featurize_dataset call, or None
+    _features: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def add(self, sample: RawSample) -> None:
         ids = self.index.setdefault(sample.device_id, [])
@@ -111,6 +121,7 @@ class Dataset:
             )
         ids.append(sample.sample_id)
         self.samples.append(sample)
+        self._features = None
 
     def underpopulated_devices(self) -> list[str]:
         """Devices with fewer than 2 samples (loadable but flagged)."""

@@ -15,8 +15,11 @@ kernel computes all 25 features of every row of an (m, n) stream matrix in
 one pass, with one mean, deviation, standard deviation and degenerate mask
 for the temporal and spectral features: ``featurize`` passes it the streams
 of all captures of equal length, ``stream_features`` one series.
-``run_protocol`` and ``privacy_impact`` featurize a ``Dataset`` on every
-call; a ``FeatureTable`` is used as it is, and the CLI's ``classify`` and
+``featurize_dataset`` keeps the table it computes on the dataset, with the
+rate and a sha256 digest of the samples, and hands it out again while both
+match, so ``run_protocol`` and ``privacy_impact`` called again and again on
+one unchanged ``Dataset`` resample and featurize it once. A
+``FeatureTable`` is used as it is, and the CLI's ``classify`` and
 ``evaluate`` read the table that ``featurize`` wrote.
 
 The degenerate rules above are per-row masks applied after the arithmetic,
@@ -33,7 +36,9 @@ computes it in 1-d.
 
 from __future__ import annotations
 
+import copy
 import csv
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +72,9 @@ BLOCK_CAPTURES = 16
 @dataclass
 class FeatureTable:
     """Feature vectors of a dataset: row i of ``X`` is the capture
-    (``device_ids[i]``, ``sample_ids[i]``), rows in dataset order."""
+    (``device_ids[i]``, ``sample_ids[i]``), rows in dataset order. A
+    repeated (device_id, sample_id) row is a ValueError: the copy would be
+    its capture's own nearest neighbour."""
 
     X: np.ndarray
     device_ids: np.ndarray
@@ -83,6 +90,11 @@ class FeatureTable:
             raise ValueError("feature rows and ids must align")
         if not np.all(np.isfinite(self.X)):
             raise ValueError("feature table contains non-finite values")
+        seen = set()
+        for key in zip(self.device_ids.tolist(), self.sample_ids.tolist()):
+            if key in seen:
+                raise ValueError(f"duplicate row for device {key[0]!r}, sample {key[1]!r}")
+            seen.add(key)
 
     def device_rows(self) -> dict[str, np.ndarray]:
         """Device -> its row indices, as ``rows_by_device`` groups them."""
@@ -236,19 +248,45 @@ def featurize_sample(sample: RawSample, fs_target: float = DEFAULT_FS) -> np.nda
     return featurize(build_streams([sample], fs_target), fs_target)[0]
 
 
+def _samples_digest(samples) -> bytes:
+    """sha256 over each sample's ids, array dtypes and shapes, and the raw
+    bytes of its timestamps, accel and gyro, in sample order."""
+    h = hashlib.sha256()
+    for s in samples:
+        arrays = [np.ascontiguousarray(a) for a in (s.timestamps, s.accel, s.gyro)]
+        h.update(repr((s.device_id, s.sample_id,
+                       [(a.dtype.str, a.shape) for a in arrays])).encode())
+        for a in arrays:
+            h.update(a)
+    return h.digest()
+
+
 def featurize_dataset(dataset: Dataset, fs_target: float = DEFAULT_FS) -> FeatureTable:
     """One feature row per sample, in dataset order: the one extraction path
     every consumer of features reads from.
 
     Blocks of up to BLOCK_CAPTURES captures are resampled with one spline
     solve and featurized together, so memory stays bounded by the block size.
+
+    The table is kept on the dataset with ``fs_target`` and a digest of its
+    samples; a later call at the same rate on unchanged samples returns it
+    without resampling. Its ``X``, ``device_ids`` and ``sample_ids`` are
+    read-only, and each call returns its own ``FeatureTable`` around them,
+    so no caller can change what a later call gets.
     """
     samples = dataset.samples
-    X = np.empty((len(samples), N_TOTAL))
-    for start in range(0, len(samples), BLOCK_CAPTURES):
-        block = samples[start:start + BLOCK_CAPTURES]
-        X[start:start + len(block)] = featurize(build_streams(block, fs_target), fs_target)
-    return FeatureTable(X, [s.device_id for s in samples], [s.sample_id for s in samples])
+    digest = _samples_digest(samples)
+    memo = dataset._features
+    if memo is None or memo[0] != fs_target or memo[1] != digest:
+        X = np.empty((len(samples), N_TOTAL))
+        for start in range(0, len(samples), BLOCK_CAPTURES):
+            block = samples[start:start + BLOCK_CAPTURES]
+            X[start:start + len(block)] = featurize(build_streams(block, fs_target), fs_target)
+        table = FeatureTable(X, [s.device_id for s in samples], [s.sample_id for s in samples])
+        for a in (table.X, table.device_ids, table.sample_ids):
+            a.flags.writeable = False
+        memo = dataset._features = (fs_target, digest, table)
+    return copy.copy(memo[2])
 
 
 _CSV_HEADER = ["device_id", "sample_id"] + [f"f{i:03d}" for i in range(N_TOTAL)]
@@ -264,18 +302,15 @@ def write_features_csv(table: FeatureTable, path) -> None:
 
 def load_features_csv(path) -> FeatureTable:
     """Read a ``write_features_csv`` file; a repeated (device_id, sample_id)
-    row is a ValueError, as a duplicate sample id is in ``load_dataset``."""
+    row is a ValueError from ``FeatureTable``, as a duplicate sample id is
+    in ``load_dataset``."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         if next(r, None) != _CSV_HEADER:
             raise ValueError("bad feature-matrix header")
         rows = list(r)
-    seen = set()
     for row in rows:
         if len(row) != len(_CSV_HEADER):
             raise ValueError(f"row for {row[:2]} has {len(row)} fields")
-        if tuple(row[:2]) in seen:
-            raise ValueError(f"duplicate row for device {row[0]!r}, sample {row[1]!r}")
-        seen.add(tuple(row[:2]))
     X = np.array([[float(x) for x in row[2:]] for row in rows]).reshape(len(rows), N_TOTAL)
     return FeatureTable(X, [row[0] for row in rows], [row[1] for row in rows])

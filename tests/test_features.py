@@ -371,30 +371,114 @@ def test_feature_table_rejects_bad_shape():
         FeatureTable(np.zeros((2, N_TOTAL)), ["d"], ["s0", "s1"])
 
 
+def test_feature_table_refuses_a_repeated_row():
+    # a copied row is its capture's own nearest neighbour: refused in code
+    # as it is in load_features_csv
+    table = featurize_dataset(generate_synthetic(2, 2, seed=3))
+    with pytest.raises(ValueError, match="duplicate row for device 'dev0000', sample 's000'"):
+        FeatureTable(np.vstack([table.X, table.X[:1]]),
+                     [*table.device_ids, table.device_ids[0]],
+                     [*table.sample_ids, table.sample_ids[0]])
+
+
+def _count_build_streams(monkeypatch) -> list:
+    """Every sample handed to ``featurize_dataset``'s resampling step, in
+    order (``build_streams`` takes a block of captures per call)."""
+    handed = []
+    real = features.build_streams
+
+    def counting(samples, *args, **kwargs):
+        samples = list(samples)
+        handed.extend(samples)
+        return real(samples, *args, **kwargs)
+
+    monkeypatch.setattr(features, "build_streams", counting)
+    return handed
+
+
+def _fresh_copy(ds: Dataset) -> Dataset:
+    out = Dataset()
+    for s in ds.samples:
+        out.add(RawSample(s.device_id, s.sample_id, s.timestamps.copy(),
+                          s.accel.copy(), s.gyro.copy()))
+    return out
+
+
+def _assert_same_table(a: FeatureTable, b: FeatureTable):
+    np.testing.assert_array_equal(a.X, b.X)
+    np.testing.assert_array_equal(a.device_ids, b.device_ids)
+    np.testing.assert_array_equal(a.sample_ids, b.sample_ids)
+
+
 @pytest.mark.parametrize("consumer", ["run_protocol", "privacy_impact"])
 def test_each_consumer_featurizes_each_sample_once(monkeypatch, consumer):
     from sensorprint.classify import run_protocol
     from sensorprint.countermeasures import privacy_impact
 
-    # build_streams is featurize_dataset's resampling step: each call
-    # takes a block of captures, so count the captures it is handed
     ds = generate_synthetic(4, 4, seed=1)
-    calls = []
-    real = features.build_streams
-
-    def counting(samples, *args, **kwargs):
-        samples = list(samples)
-        calls.extend(s.sample_id for s in samples)
-        return real(samples, *args, **kwargs)
-
-    monkeypatch.setattr(features, "build_streams", counting)
+    handed = _count_build_streams(monkeypatch)
     if consumer == "run_protocol":
         run_protocol(ds, repeats=2)
-        expected = len(ds.samples)
+        run_protocol(ds, repeats=2, use_ldml=True, ldml_iterations=5)
+        run_protocol(ds, classifier="rf", repeats=2, n_trees=5)
+        protected = 0
     else:
         privacy_impact(ds, "obfuscate", classifier="knn", repeats=1)
-        expected = 2 * len(ds.samples)  # the raw and the protected dataset
-    assert len(calls) == expected
+        privacy_impact(ds, "quantize", classifier="knn", repeats=1)
+        protected = 2  # each call's protected dataset is a new one
+    raw = [s for s in handed if any(s is r for r in ds.samples)]
+    assert sorted(map(id, raw)) == sorted(map(id, ds.samples))
+    assert len(handed) == (1 + protected) * len(ds.samples)
+
+
+def test_featurize_dataset_sees_an_in_place_edit():
+    ds = generate_synthetic(3, 3, seed=2)
+    before = featurize_dataset(ds)
+    ds.samples[0].accel[:, 0] += 0.5
+    after = featurize_dataset(ds)
+    _assert_same_table(after, featurize_dataset(_fresh_copy(ds)))
+    assert not np.array_equal(after.X[0], before.X[0])
+    np.testing.assert_array_equal(after.X[1:], before.X[1:])
+
+
+def test_featurize_dataset_after_add_has_the_new_row():
+    ds = generate_synthetic(2, 3, seed=4)
+    featurize_dataset(ds)
+    extra = generate_synthetic(3, 3, seed=4).samples[-1]
+    ds.add(extra)
+    assert ds._features is None
+    table = featurize_dataset(ds)
+    assert len(table.X) == 7
+    assert (table.device_ids[-1], table.sample_ids[-1]) == (extra.device_id, extra.sample_id)
+    np.testing.assert_array_equal(table.X[-1], featurize_sample(extra))
+
+
+def test_featurize_dataset_recomputes_at_another_rate(monkeypatch):
+    ds = generate_synthetic(2, 3, seed=6)
+    handed = _count_build_streams(monkeypatch)
+    at_100 = featurize_dataset(ds)
+    at_80 = featurize_dataset(ds, 80.0)
+    featurize_dataset(ds, 80.0)  # the same rate again: the stored table
+    assert len(handed) == 2 * len(ds.samples)
+    assert not np.array_equal(at_80.X, at_100.X)
+    _assert_same_table(at_80, featurize_dataset(_fresh_copy(ds), 80.0))
+
+
+def test_stored_table_is_read_only_and_a_hit_gives_the_fresh_result(monkeypatch):
+    from sensorprint.classify import run_protocol
+
+    ds = generate_synthetic(4, 4, seed=5)
+    handed = _count_build_streams(monkeypatch)
+    table = featurize_dataset(ds)
+    for a in (table.X, table.device_ids, table.sample_ids):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.X[0, 0] = 1.0
+    table.X = np.zeros_like(table.X)  # rebinding a returned table leaves the stored one
+    hit = run_protocol(ds, repeats=2, seed=3)
+    assert len(handed) == len(ds.samples)
+    fresh = run_protocol(generate_synthetic(4, 4, seed=5), repeats=2, seed=3)
+    assert hit.to_dict() == fresh.to_dict()
 
 
 def test_features_csv_rejects_bad_header(tmp_path):
