@@ -97,7 +97,9 @@ class RawSample:
 
 @dataclass
 class Dataset:
-    """A collection of RawSamples with a device index, grown by ``add``.
+    """A collection of RawSamples with a device index, grown by ``add``;
+    samples given to the constructor go through ``add`` too, so a repeated
+    (device, sample id) pair is refused however it arrives.
 
     ``features.featurize_dataset`` keeps the feature table in ``_features``
     with the rate and a digest of the samples: their ids, array shapes and
@@ -108,10 +110,15 @@ class Dataset:
     """
 
     samples: list[RawSample] = field(default_factory=list)
-    index: dict[str, list[str]] = field(default_factory=dict)
+    index: dict[str, list[str]] = field(default_factory=dict, init=False)
     countermeasure: str | None = None  # which defense rewrote this dataset, if any
     # (fs, digest, FeatureTable) of the last featurize_dataset call, or None
     _features: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        given, self.samples = self.samples, []
+        for sample in given:
+            self.add(sample)
 
     def add(self, sample: RawSample) -> None:
         ids = self.index.setdefault(sample.device_id, [])

@@ -9,8 +9,8 @@ function of a uniform, so one function serves sampling and order statistics.
 Each candidate has one estimator; only GEV's needs an optimizer.
 
 Each family is described in one place, its ``_Family`` record in
-``_FAMILIES``: adding a family is adding one record (and its name to
-``FAMILIES`` if it is a fit candidate).
+``_FAMILIES``: adding a family is adding one record. The fit candidates,
+``FAMILIES``, are the records with an estimator, in table order.
 
 Parameterizations:
   INVERSE_GAUSSIAN  mu > 0, lam > 0
@@ -39,7 +39,6 @@ GEV = "GEV"
 LOG_NORMAL = "LOG_NORMAL"
 GAMMA = "GAMMA"
 WEIBULL = "WEIBULL"
-FAMILIES = (INVERSE_GAUSSIAN, GEV, LOG_NORMAL, GAMMA, WEIBULL)
 
 # drawable and evaluable but never fit candidates. DEGENERATE (a point mass)
 # is the honest limit for zero-dispersion populations, e.g. intra distances
@@ -55,7 +54,6 @@ class FittedDistribution:
     family: str
     params: dict[str, float]
     log_likelihood: float
-    aic: float
     n: int
 
     def __post_init__(self):
@@ -65,14 +63,16 @@ class FittedDistribution:
         if set(self.params) != set(fam.params):
             raise ValueError(f"{self.family} params must be named {fam.params}")
         self.params = {k: float(self.params[k]) for k in fam.params}
-        if not np.all(np.isfinite([*self.params.values(), self.log_likelihood, self.aic])):
+        if not np.all(np.isfinite([*self.params.values(), self.log_likelihood])):
             raise ValueError(f"non-finite {self.family} fit: {self.params}, "
-                             f"loglik {self.log_likelihood}, aic {self.aic}")
-        expected_aic = 2 * len(fam.params) - 2 * self.log_likelihood
-        if abs(self.aic - expected_aic) > 1e-9 * max(1.0, abs(expected_aic)):
-            raise ValueError("aic inconsistent with log-likelihood")
+                             f"loglik {self.log_likelihood}")
         if not fam.valid(**self.params):
             raise ValueError(f"{self.family} params outside domain: {self.params}")
+
+    @property
+    def aic(self) -> float:
+        """Akaike's information criterion: 2k - 2 loglik for the k parameters."""
+        return 2 * len(self.params) - 2 * self.log_likelihood
 
 
 def pairwise_distances(X, device_ids, model=None) -> tuple[np.ndarray, np.ndarray]:
@@ -332,6 +332,9 @@ _FAMILIES = {
     ),
 }
 
+FAMILIES = tuple(name for name, fam in _FAMILIES.items() if fam.estimate is not None)
+
+
 def _evaluate(dist: FittedDistribution, f, x, below_zero: float) -> np.ndarray:
     """``f`` at x; a positive family gives ``below_zero`` at x < 0, where f
     sees x = 1 instead so that no invalid-value warning escapes."""
@@ -383,8 +386,7 @@ def fit_family(samples, family: str) -> FittedDistribution:
     x = _check_samples(samples, family)
     params = fam.estimate(x)
     ll = float(np.sum(fam.logpdf(x, **params)))
-    aic = 2 * len(fam.params) - 2 * ll
-    return FittedDistribution(family=family, params=params, log_likelihood=ll, aic=aic, n=len(x))
+    return FittedDistribution(family=family, params=params, log_likelihood=ll, n=len(x))
 
 
 def rank_families(samples, families=FAMILIES) -> list[FittedDistribution]:
@@ -397,7 +399,7 @@ def rank_families(samples, families=FAMILIES) -> list[FittedDistribution]:
     x = np.asarray(samples, dtype=float)
     if len(x) and np.ptp(x) <= 1e-9 * max(1.0, float(np.max(np.abs(x)))):
         return [FittedDistribution(DEGENERATE, {"value": float(np.median(x))},
-                                   log_likelihood=0.0, aic=2.0, n=len(x))]
+                                   log_likelihood=0.0, n=len(x))]
     fits = []
     for fam in families:
         try:
@@ -438,7 +440,6 @@ def save_fitted(dist: FittedDistribution, population_kind: str, path) -> None:
         "family": dist.family,
         "params": dist.params,
         "loglik": dist.log_likelihood,
-        "aic": dist.aic,
         "n": dist.n,
     }
     with open(path, "w") as fh:
@@ -446,7 +447,9 @@ def save_fitted(dist: FittedDistribution, population_kind: str, path) -> None:
 
 
 def load_fitted(path) -> tuple[str, FittedDistribution]:
-    """Read a save_fitted file; a missing or ill-typed key is a ValueError."""
+    """Read a save_fitted file; a missing or ill-typed key is a ValueError.
+    Keys other than ``class``, ``family``, ``params``, ``loglik`` and ``n``
+    are ignored."""
     from .metric import _json_number
 
     with open(path) as fh:
@@ -456,7 +459,6 @@ def load_fitted(path) -> tuple[str, FittedDistribution]:
             family=payload["family"],
             params={k: float(_json_number(v, k)) for k, v in payload["params"].items()},
             log_likelihood=float(_json_number(payload["loglik"], "loglik")),
-            aic=float(_json_number(payload["aic"], "aic")),
             n=_json_number(payload["n"], "n", min_int=1),
         )
         kind = payload["class"]

@@ -31,8 +31,6 @@ class MetricModel:
     stds: np.ndarray
     L: np.ndarray
     bias: float
-    seed: int
-    trained_on: tuple[int, int] = (0, 0)  # (devices, samples)
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=float)
@@ -40,18 +38,18 @@ class MetricModel:
         self.L = np.asarray(self.L, dtype=float)
         if self.L.ndim != 2:
             raise ValueError("L must be a 2-d matrix")
+        d = self.L.shape[1]
+        if self.means.shape != (d,) or self.stds.shape != (d,):
+            raise ValueError(f"means and stds must each hold {d} values, one per column of L; "
+                             f"got shapes {self.means.shape} and {self.stds.shape}")
         if not np.all((self.stds > 0) & (self.stds < np.inf)):  # NaN fails it too
             raise ValueError("stds must be positive and finite")
         if not (np.all(np.isfinite(self.means)) and np.isfinite(self.bias)):
             raise ValueError("means and bias must be finite")
         if not np.all(np.isfinite(self.L)):
             raise ValueError("L must be finite")
-        if self.L.shape[0] > self.L.shape[1]:
+        if self.L.shape[0] > d:
             raise ValueError("projection dimension exceeds input dimension")
-
-    @property
-    def d_prime(self) -> int:
-        return self.L.shape[0]
 
 
 def _as_matrix(features, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +84,7 @@ def standardizer(features) -> MetricModel:
     """The standardized space as a model: ``standardize_fit``'s means and
     stds and L = I, the untrained metric ``train_ldml`` starts from."""
     means, stds = standardize_fit(features)
-    return MetricModel(means=means, stds=stds, L=np.eye(len(means)), bias=0.0, seed=0)
+    return MetricModel(means=means, stds=stds, L=np.eye(len(means)), bias=0.0)
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,7 +180,7 @@ def train_ldml(
     if iterations < 0 or not 0 < step < np.inf:
         raise ValueError("need iterations >= 0 and a finite step > 0")
     X, y = _as_matrix(features, labels)
-    label_set, counts = np.unique(y, return_counts=True)
+    _, counts = np.unique(y, return_counts=True)
     if np.count_nonzero(counts >= 2) < 2:
         raise ValueError("need >= 2 devices with >= 2 samples each")
     # rows grouped by device, devices in first-seen order: the standardization
@@ -253,14 +251,7 @@ def train_ldml(
               "objective %.6g, gradient norm %.3g",
               len(history) - 1, halvings, len(history) <= iterations, obj, grad_norm)
 
-    model = MetricModel(
-        means=means,
-        stds=stds,
-        L=L0 + _mm(C.T, Z),
-        bias=b,
-        seed=seed,
-        trained_on=(len(label_set), len(X)),
-    )
+    model = MetricModel(means=means, stds=stds, L=L0 + _mm(C.T, Z), bias=b)
     if return_history:
         return model, history
     return model
@@ -272,9 +263,6 @@ def save_metric_model(model: MetricModel, path) -> None:
         "stds": model.stds.tolist(),
         "L": model.L.tolist(),
         "bias": model.bias,
-        "d_prime": model.d_prime,
-        "seed": model.seed,
-        "trained_on": list(model.trained_on),
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")  # C encoder; json.dump runs the Python one
@@ -292,24 +280,16 @@ def _json_number(value, what: str, min_int: int | None = None):
 
 
 def load_metric_model(path) -> MetricModel:
-    """Read a save_metric_model file; a missing or ill-typed key is a ValueError."""
+    """Read a save_metric_model file; a missing or ill-typed key is a ValueError.
+    Keys other than ``means``, ``stds``, ``L`` and ``bias`` are ignored."""
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        trained_on = payload.get("trained_on", [0, 0])
-        if not (isinstance(trained_on, list) and len(trained_on) == 2):
-            raise TypeError(f"trained_on must be two integers, got {trained_on!r}")
-        model = MetricModel(
+        return MetricModel(
             means=payload["means"],
             stds=payload["stds"],
             L=payload["L"],
             bias=float(_json_number(payload["bias"], "bias")),
-            seed=_json_number(payload["seed"], "seed", min_int=0),
-            trained_on=tuple(_json_number(v, "trained_on", min_int=0) for v in trained_on),
         )
-        if model.d_prime != _json_number(payload["d_prime"], "d_prime", min_int=0):
-            raise ValueError("d_prime does not match L")
-    except (KeyError, TypeError, AttributeError, OverflowError) as e:
+    except (KeyError, TypeError, OverflowError) as e:
         raise ValueError(f"malformed metric model: {e!r}") from None
-    return model
-

@@ -51,7 +51,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
 
 def _uniform(lo: float, hi: float) -> FittedDistribution:
     return FittedDistribution(UNIFORM, {"lo": lo, "hi": hi},
-                              log_likelihood=0.0, aic=4.0, n=1)
+                              log_likelihood=0.0, n=1)
 
 
 @pytest.fixture(scope="module")
@@ -129,9 +129,9 @@ def test_c04_population_scale_trend(feats50):
 def test_c05_mle_recovery_and_family_ranking():
     t0 = time.monotonic()
     ig_true = FittedDistribution(INVERSE_GAUSSIAN, {"mu": 2.0, "lam": 6.0},
-                                 log_likelihood=0.0, aic=4.0, n=1)
+                                 log_likelihood=0.0, n=1)
     gev_true = FittedDistribution(GEV, {"mu": 0.0, "sigma": 1.0, "xi": 0.2},
-                                  log_likelihood=0.0, aic=6.0, n=1)
+                                  log_likelihood=0.0, n=1)
     rng = np.random.default_rng(42)
     fit_ig = fit_family(distribution_ppf(ig_true, rng.random(10_000)), INVERSE_GAUSSIAN)
     ig_ok = (abs(fit_ig.params["mu"] - 2.0) / 2.0 <= 0.05

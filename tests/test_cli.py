@@ -697,6 +697,7 @@ def test_malformed_fit_json_exits_3(workdir, tmp_path, capsys, damage):
 
 
 def _write_fit(path, kind, family, params, loglik=-10.0, n=50):
+    # with the aic key older files carry: it is ignored on load
     payload = {"class": kind, "family": family, "params": params,
                "loglik": loglik, "aic": 2 * len(params) - 2 * loglik, "n": n}
     path.write_text(json.dumps(payload))  # json writes NaN/Infinity literally
@@ -721,28 +722,27 @@ def test_non_finite_fit_json_exits_3(tmp_path, capsys, kind, family, params):
     assert not out.exists()
 
 
-_MISTYPED_METRIC = {"bias_string": ("bias", "0.5"), "seed_float": ("seed", 2.9),
-                    "seed_bool": ("seed", True), "trained_on_string": ("trained_on", "ab"),
-                    "trained_on_floats": ("trained_on", [8.0, 32.0])}
+# damage -> (key, replacement value, what the error says); the misshaped means
+# and stds used to load beside the 100 x 100 L and broadcast into every distance
+_REPLACED_METRIC = {"bias_string": ("bias", "0.5", "malformed metric model"),
+                    "means_2d": ("means", [[0.0]], "one per column of L"),
+                    "stds_short": ("stds", [2.0], "one per column of L")}
 
 
-@pytest.mark.parametrize("damage", ["truncate", "drop_d_prime", "drop_means", "flat_L",
-                                    "nan_means", "nan_stds", "nan_bias", *_MISTYPED_METRIC])
+@pytest.mark.parametrize("damage", ["truncate", "drop_means", "flat_L", "nan_means",
+                                    "nan_stds", "nan_bias", *_REPLACED_METRIC])
 def test_malformed_metric_json_exits_3(workdir, tmp_path, capsys, caplog, damage):
     model = tmp_path / "m.json"
     assert main(["train-metric", "--features", str(workdir / "feat.csv"),
                  "--iterations", "2", "--out", str(model)]) == 0
     text = model.read_text()
     payload = json.loads(text)
-    if damage in _MISTYPED_METRIC:
-        key, value = _MISTYPED_METRIC[damage]
+    if damage in _REPLACED_METRIC:
+        key, value, _ = _REPLACED_METRIC[damage]
         payload[key] = value
         model.write_text(json.dumps(payload))
     elif damage == "truncate":
         model.write_text(text[: len(text) // 2])
-    elif damage == "drop_d_prime":
-        del payload["d_prime"]
-        model.write_text(json.dumps(payload))
     elif damage == "drop_means":
         del payload["means"]
         model.write_text(json.dumps(payload))
@@ -762,8 +762,8 @@ def test_malformed_metric_json_exits_3(workdir, tmp_path, capsys, caplog, damage
     assert rc == 3
     err = capsys.readouterr().err
     assert "error:" in err
-    if damage in _MISTYPED_METRIC:
-        assert "malformed metric model" in err
+    if damage in _REPLACED_METRIC:
+        assert _REPLACED_METRIC[damage][2] in err
     # refused on load, before the distances are fitted
     assert not any("fit of" in r.getMessage() for r in caplog.records)
     assert not out.exists()
@@ -893,3 +893,46 @@ def test_config_verbose_sets_debug_level(tmp_path, monkeypatch):
     assert _synth_with_config(tmp_path, {}) == 0
     assert _synth_with_config(tmp_path, {"verbose": False}, "--verbose") == 0
     assert levels == [logging.DEBUG, logging.INFO, logging.DEBUG]
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # the CLI imports no numeric module before --threads is applied, so it
+    # writes each library default out a second time; this keeps the copies equal
+    import dataclasses
+    import inspect
+
+    from sensorprint.classify import run_protocol
+    from sensorprint.cli import _LDML_SETTINGS, _SPLIT_SETTINGS, _actions, _build_parser
+    from sensorprint.countermeasures import (
+        ObfuscationConfig, QuantizationConfig, privacy_impact,
+    )
+    from sensorprint.metric import train_ldml
+    from sensorprint.preprocess import DEFAULT_FS
+
+    parser = _build_parser()
+
+    def flags(command):
+        return {dest: a.default for dest, a in _actions(parser, command).items()}
+
+    def signature(fn):
+        return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+
+    def fields(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    assert flags("featurize")["fs_target"] == DEFAULT_FS
+    protocol = signature(run_protocol)
+    for command in ("classify", "evaluate", "countermeasure"):
+        cli = flags(command)
+        expected = {**protocol, "classifier": signature(privacy_impact)["classifier"]} \
+            if command == "countermeasure" else protocol
+        for dest in (*_SPLIT_SETTINGS, *_LDML_SETTINGS, "repeats"):
+            if dest in cli:
+                assert cli[dest] == expected[dest], (command, dest)
+    train = flags("train-metric")
+    for dest in ("iterations", "step", "d_prime", "seed"):
+        assert train[dest] == signature(train_ldml)[dest], dest
+    cm = flags("countermeasure")
+    for dest, default in {**fields(ObfuscationConfig), **fields(QuantizationConfig)}.items():
+        value = cm[dest]
+        assert (tuple(value) if isinstance(value, list) else value) == default, dest

@@ -331,3 +331,26 @@ def test_underpopulated_devices_flagged():
     ds.add(RawSample("d2", "s1", np.arange(500) / 100.0, np.zeros((500, 3)), np.zeros((500, 3))))
     ds.add(RawSample("d2", "s2", np.arange(500) / 100.0, np.zeros((500, 3)), np.zeros((500, 3))))
     assert ds.underpopulated_devices() == ["d1"]
+
+
+def _still(device_id, sample_id):
+    return RawSample(device_id, sample_id, np.arange(500) / 100.0,
+                     np.zeros((500, 3)), np.zeros((500, 3)))
+
+
+def test_constructor_samples_go_through_add(tmp_path):
+    given = [_still("d1", "s1"), _still("d2", "s1"), _still("d1", "s2")]
+    ds = Dataset(samples=given, countermeasure="quantize")
+    assert ds.index == {"d1": ["s1", "s2"], "d2": ["s1"]}
+    assert ds.samples == given and ds.samples is not given  # the caller's list is not kept
+    p = tmp_path / "built.jsonl"
+    write_dataset(ds, p)
+    assert load_dataset(p).index == ds.index
+
+
+def test_constructor_refuses_a_duplicate_and_takes_no_index():
+    s = _still("d1", "s1")
+    with pytest.raises(ValueError, match="duplicate sample id 's1' for device 'd1'"):
+        Dataset(samples=[s, s])
+    with pytest.raises(TypeError):
+        Dataset(index={"d1": ["s1"]})

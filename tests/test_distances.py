@@ -5,7 +5,9 @@ recovery on self-generated draws, AIC contests with the true family in the
 candidate set, and KS distances of matched vs mismatched fits.
 """
 
+import dataclasses
 import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -34,8 +36,7 @@ from sensorprint.distances import (
 
 
 def make_dist(family, **params):
-    k = len(params)
-    return FittedDistribution(family, params, 0.0, 2.0 * k, 10)
+    return FittedDistribution(family, params, 0.0, 10)
 
 
 IG26 = lambda: make_dist(INVERSE_GAUSSIAN, mu=2.0, lam=6.0)
@@ -79,7 +80,7 @@ def test_pairwise_applies_metric_model():
 
     # L doubles coordinates: all distances double
     vecs = {"A": np.array([[0.0], [1.0]]), "B": np.array([[10.0]])}
-    model = MetricModel(np.zeros(1), np.ones(1), 2.0 * np.eye(1), 0.0, 0)
+    model = MetricModel(np.zeros(1), np.ones(1), 2.0 * np.eye(1), 0.0)
     intra, inter = pairwise_distances(*flat(vecs), model)
     np.testing.assert_array_equal(intra, [2.0])
     np.testing.assert_array_equal(np.sort(inter), [18.0, 20.0])
@@ -104,7 +105,7 @@ def test_pairwise_distances_pinned():
     X, ids = table.X, table.device_ids
     means, stds = standardize_fit(X)
     L = np.eye(X.shape[1]) + 0.1 * np.random.default_rng(0).normal(size=(X.shape[1],) * 2)
-    model = MetricModel(means=means, stds=stds, L=L, bias=0.0, seed=0)
+    model = MetricModel(means=means, stds=stds, L=L, bias=0.0)
     interleaved = np.argsort(np.arange(len(X)) % 5, kind="stable")
     # the last device keeps only its last capture
     single = np.flatnonzero((ids != ids[-1]) | (np.arange(len(X)) == len(X) - 1))
@@ -159,10 +160,16 @@ def test_fit_rejects_tiny_sample():
 
 
 def test_aic_arithmetic():
-    d = FittedDistribution(LOG_NORMAL, {"mu": 0.0, "sigma": 1.0}, -100.0, 204.0, 50)
+    # AIC = 2k - 2 loglik is derived from the fit, never stored beside it
+    d = FittedDistribution(LOG_NORMAL, {"mu": 0.0, "sigma": 1.0}, -100.0, 50)
     assert d.aic == 204.0
-    with pytest.raises(ValueError, match="aic"):
-        FittedDistribution(LOG_NORMAL, {"mu": 0.0, "sigma": 1.0}, -100.0, 200.0, 50)
+    assert FittedDistribution(DEGENERATE, {"value": 1.0}, 0.0, 8).aic == 2.0
+    assert [f.name for f in dataclasses.fields(FittedDistribution)] == [
+        "family", "params", "log_likelihood", "n"]
+
+
+def test_fit_candidates_are_the_families_with_an_estimator():
+    assert FAMILIES == (INVERSE_GAUSSIAN, GEV, LOG_NORMAL, GAMMA, WEIBULL)
 
 
 def test_ig_mle_recovery():
@@ -243,7 +250,7 @@ def test_rank_zero_dispersion_is_one_point_mass():
     for x in (np.zeros(10), np.full(3, 2.5), 7.0 + np.array([0.0, 1e-12, -1e-12, 2e-12])):
         ranking = rank_families(x)
         assert ranking == [FittedDistribution(DEGENERATE, {"value": float(np.median(x))},
-                                              log_likelihood=0.0, aic=2.0, n=len(x))]
+                                              log_likelihood=0.0, n=len(x))]
     x = np.random.default_rng(2).gamma(2.0, size=500)
     assert [f.family for f in rank_families(x, families=(GAMMA,))] == [GAMMA]
     with pytest.raises(ValueError, match="failed"):
@@ -251,7 +258,7 @@ def test_rank_zero_dispersion_is_one_point_mass():
 
 
 def test_ks_against_a_point_mass_is_exact():
-    atom = FittedDistribution(DEGENERATE, {"value": 1.0}, 0.0, 2.0, 8)
+    atom = FittedDistribution(DEGENERATE, {"value": 1.0}, 0.0, 8)
     assert ks_statistic(np.ones(8), atom) == 0.0
     # 1 of 8 below, 3 of 8 above: the larger share
     assert ks_statistic([0.5, 1, 1, 1, 1, 2, 3, 4], atom) == 3 / 8
@@ -269,7 +276,7 @@ def test_local_optimality_of_mle():
             pert = {k: v * (1 + prng.uniform(-0.1, 0.1)) for k, v in f.params.items()}
             if fam == GEV and pert["sigma"] <= 0:
                 continue
-            cand = FittedDistribution(fam, pert, 0.0, 2.0 * len(pert), f.n)
+            cand = FittedDistribution(fam, pert, 0.0, f.n)
             lp = distribution_logpdf(cand, x_shift)
             if not np.all(np.isfinite(lp)):
                 continue  # perturbation left the support; not comparable
@@ -332,7 +339,7 @@ def test_fitted_distribution_domain_checks():
     with pytest.raises(ValueError, match="domain"):
         make_dist(INVERSE_GAUSSIAN, mu=-1.0, lam=2.0)
     with pytest.raises(ValueError, match="named"):
-        FittedDistribution(GAMMA, {"k": 1.0, "theta": 2.0}, 0.0, 4.0, 10)
+        FittedDistribution(GAMMA, {"k": 1.0, "theta": 2.0}, 0.0, 10)
 
 
 def test_fitted_json_round_trip(tmp_path):
@@ -341,16 +348,27 @@ def test_fitted_json_round_trip(tmp_path):
     f = fit_family(x, INVERSE_GAUSSIAN)
     p = tmp_path / "fit.json"
     save_fitted(f, "inter", p)
-    import json
-
     payload = json.loads(p.read_text())
     assert payload["class"] == "inter"
-    assert set(payload) == {"class", "family", "params", "loglik", "aic", "n"}
+    assert set(payload) == {"class", "family", "params", "loglik", "n"}
     kind, loaded = load_fitted(p)
     assert kind == "inter"
     assert loaded.family == f.family
     assert loaded.params == pytest.approx(f.params)
     assert loaded.aic == pytest.approx(f.aic)
+    # the aic key older files carry is ignored, whatever it holds
+    p.write_text(json.dumps({**payload, "aic": "stale"}))
+    assert load_fitted(p) == (kind, loaded)
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, DEGENERATE])
+def test_save_then_load_fitted_gives_the_fit_back(tmp_path, family):
+    x = distribution_ppf(IG26(), np.random.default_rng(15).random(500))
+    fit = rank_families(np.full(9, 2.5))[0] if family == DEGENERATE else fit_family(x, family)
+    assert fit.family == family
+    p = tmp_path / "fit.json"
+    save_fitted(fit, "intra", p)
+    assert load_fitted(p) == ("intra", fit)
 
 
 # one parameter set per family, plus GEV at xi = 0, xi < 0 and xi >= 1

@@ -24,11 +24,11 @@ from sensorprint.simulate import (
 
 
 def uni(lo, hi):
-    return FittedDistribution(UNIFORM, {"lo": lo, "hi": hi}, 0.0, 4.0, 10)
+    return FittedDistribution(UNIFORM, {"lo": lo, "hi": hi}, 0.0, 10)
 
 
 def ig(mu, lam):
-    return FittedDistribution(INVERSE_GAUSSIAN, {"mu": mu, "lam": lam}, 0.0, 4.0, 10)
+    return FittedDistribution(INVERSE_GAUSSIAN, {"mu": mu, "lam": lam}, 0.0, 10)
 
 
 def test_config_validation():
@@ -67,7 +67,7 @@ def test_exchangeability_law():
 def test_tie_at_kth_prefers_earlier_drawn():
     # a point mass for both: every distance ties, the k slots fill in draw
     # order (intra first), so a run is correct exactly when N >= (k+1)/2
-    at1 = FittedDistribution(DEGENERATE, {"value": 1.0}, 0.0, 2.0, 10)
+    at1 = FittedDistribution(DEGENERATE, {"value": 1.0}, 0.0, 10)
     for k in (1, 3, 5, 7):
         for N in (1, 2, 3, 4):
             res = simulate_knn(SimConfig(k=k, N=N, D=10, runs=50, intra=at1, inter=at1))
@@ -109,8 +109,8 @@ def test_run_is_correct_matches_brute_force_ranking(k, monkeypatch):
     levels = distances._Family(params=("n",), valid=lambda n: n >= 1, logpdf=None, cdf=None,
                                ppf=lambda u, n: np.minimum(np.floor(n * u), n - 1))
     monkeypatch.setitem(distances._FAMILIES, "LEVELS", levels)
-    intra = FittedDistribution("LEVELS", {"n": 3}, 0.0, 2.0, 10)
-    inter = FittedDistribution("LEVELS", {"n": 4}, 0.0, 2.0, 10)
+    intra = FittedDistribution("LEVELS", {"n": 3}, 0.0, 10)
+    inter = FittedDistribution("LEVELS", {"n": 4}, 0.0, 10)
     runs = 4000
     for N, D in [(1, 12), (2, 6), (3, 4), (5, 3), (8, 2)]:
         ref = _full_draw_accuracy(intra, inter, k, N, D, runs, seed=k)
@@ -160,8 +160,8 @@ def test_sweep_accuracy_falls_with_d():
 
 
 @pytest.mark.parametrize("intra,inter", [
-    (FittedDistribution(GEV, {"mu": 1.0, "sigma": 1.0, "xi": 0.5}, 0.0, 6.0, 10),
-     FittedDistribution(GEV, {"mu": 3.0, "sigma": 0.5, "xi": 0.3}, 0.0, 6.0, 10)),
+    (FittedDistribution(GEV, {"mu": 1.0, "sigma": 1.0, "xi": 0.5}, 0.0, 10),
+     FittedDistribution(GEV, {"mu": 3.0, "sigma": 0.5, "xi": 0.3}, 0.0, 10)),
     (ig(1.0, 0.5), ig(3.0, 100.0)),
 ], ids=["GEV", "INVERSE_GAUSSIAN"])
 @pytest.mark.parametrize("k", [1, 3])
