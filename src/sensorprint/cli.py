@@ -281,7 +281,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("featurize", help="extract per-sample feature vectors")
     p.add_argument("--in", dest="input", help="input dataset path (JSONL, required)")
     p.add_argument("--fs-target", type=float, default=100.0,
-                   help="uniform resampling rate (Hz, default 100)")
+                   help="uniform resampling rate (Hz, at most 200, default 100)")
     p.add_argument("--out", help="output feature table path (CSV, required)")
     p.set_defaults(func=cmd_featurize, _required=("input", "out"))
 

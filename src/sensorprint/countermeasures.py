@@ -166,7 +166,7 @@ def apply_countermeasure(
     obfuscation: ObfuscationConfig | None = None,
     quantization: QuantizationConfig | None = None,
 ) -> Dataset:
-    """Transform every sample and tag the result with the scheme that made it."""
+    """Transform every sample, in order; the result does not record the scheme."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown countermeasure {scheme!r}; choose from {SCHEMES}")
     if scheme == OBFUSCATE:
@@ -175,10 +175,7 @@ def apply_countermeasure(
     else:
         qcfg = quantization if quantization is not None else QuantizationConfig()
         transform = lambda s: quantize_sample(s, qcfg)
-    out = Dataset(countermeasure=scheme)
-    for s in dataset.samples:
-        out.add(transform(s))
-    return out
+    return Dataset([transform(s) for s in dataset.samples])
 
 
 @dataclass

@@ -99,7 +99,8 @@ class RawSample:
 class Dataset:
     """A collection of RawSamples with a device index, grown by ``add``;
     samples given to the constructor go through ``add`` too, so a repeated
-    (device, sample id) pair is refused however it arrives.
+    (device, sample id) pair is refused however it arrives. It holds the
+    captures only, not how they were made or rewritten.
 
     ``features.featurize_dataset`` keeps the feature table in ``_features``
     with the rate and a digest of the samples: their ids, array shapes and
@@ -111,7 +112,6 @@ class Dataset:
 
     samples: list[RawSample] = field(default_factory=list)
     index: dict[str, list[str]] = field(default_factory=dict, init=False)
-    countermeasure: str | None = None  # which defense rewrote this dataset, if any
     # (fs, digest, FeatureTable) of the last featurize_dataset call, or None
     _features: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -221,7 +221,7 @@ def _prior_range(key: str, pair) -> tuple[float, float]:
 RECORD_KEYS = ("device_id", "sample_id", "t", "ax", "ay", "az", "gx", "gy", "gz")
 
 
-def _sample_from_record(rec: dict, lineno: int) -> tuple[RawSample, str | None]:
+def _sample_from_record(rec: dict, lineno: int) -> RawSample:
     missing = [k for k in RECORD_KEYS if k not in rec]
     if missing:
         raise ValueError(f"line {lineno}: missing keys {missing}")
@@ -237,17 +237,13 @@ def _sample_from_record(rec: dict, lineno: int) -> tuple[RawSample, str | None]:
     for k in RECORD_KEYS[:2]:  # not bool, nor float: orjson reads an integer past 64 bits as one
         if type(rec[k]) not in (str, int):
             raise ValueError(f"line {lineno}: {k!r} must be a string or an integer, got {rec[k]!r}")
-    cm = rec.get("countermeasure")
-    if cm is not None and not isinstance(cm, str):
-        raise ValueError(f"line {lineno}: 'countermeasure' must be a string or null, got {cm!r}")
-    sample = RawSample(
+    return RawSample(
         device_id=str(rec["device_id"]),
         sample_id=str(rec["sample_id"]),
         timestamps=t,
         accel=np.column_stack(cols[:3]),
         gyro=np.column_stack(cols[3:]),
     )
-    return sample, cm
 
 
 def load_dataset(path) -> Dataset:
@@ -256,12 +252,12 @@ def load_dataset(path) -> Dataset:
     Every RawSample invariant is enforced; errors carry the 1-based line
     number. A line that is not strict JSON is a malformed record, and so is
     a number beyond the float64 range (``1e400``, a 400-digit integer).
+    Keys other than ``RECORD_KEYS`` are ignored.
     Devices with fewer than 2 samples load fine but are logged.
     """
     import orjson  # on use: a CLI start that reads no dataset skips it
 
     ds = Dataset()
-    cm_values = set()
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -272,18 +268,12 @@ def load_dataset(path) -> Dataset:
                 raise ValueError(f"line {lineno}: malformed record ({e.msg})") from e
             if not isinstance(rec, dict):
                 raise ValueError(f"line {lineno}: record is not a JSON object")
-            sample, cm = _sample_from_record(rec, lineno)
+            sample = _sample_from_record(rec, lineno)
             try:
                 sample.validate()
             except ValueError as e:
                 raise ValueError(f"line {lineno}: {e}") from e
-            if cm is not None:
-                cm_values.add(cm)
             ds.add(sample)
-    if cm_values:
-        if len(cm_values) > 1:
-            raise ValueError(f"mixed countermeasure tags in one file: {sorted(cm_values)}")
-        ds.countermeasure = cm_values.pop()
     flagged = ds.underpopulated_devices()
     if flagged:
         log.warning("%d device(s) have fewer than 2 samples: %s", len(flagged), flagged[:5])
@@ -309,16 +299,13 @@ def write_dataset(dataset: Dataset, path) -> None:
         for s in dataset.samples:
             # orjson serializes only C-contiguous arrays; a sample may hold views
             a, g = s.accel.T.copy(), s.gyro.T.copy()
-            rec = {
+            fh.write(orjson.dumps({
                 "device_id": s.device_id,
                 "sample_id": s.sample_id,
                 "t": np.ascontiguousarray(s.timestamps),
                 "ax": a[0], "ay": a[1], "az": a[2],
                 "gx": g[0], "gy": g[1], "gz": g[2],
-            }
-            if dataset.countermeasure is not None:
-                rec["countermeasure"] = dataset.countermeasure
-            fh.write(orjson.dumps(rec, option=option))
+            }, option=option))
 
 
 def synthesize_sample(

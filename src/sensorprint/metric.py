@@ -279,6 +279,16 @@ def _json_number(value, what: str, min_int: int | None = None):
     return value
 
 
+def _json_numbers(values, what: str):
+    """``values`` if no element of it, nor of a list inside it, is a JSON
+    string or boolean; else a TypeError. MetricModel checks the shapes."""
+    for v in values if isinstance(values, list) else ():
+        for x in v if isinstance(v, list) else (v,):
+            if isinstance(x, (str, bool)):
+                _json_number(x, what)
+    return values
+
+
 def load_metric_model(path) -> MetricModel:
     """Read a save_metric_model file; a missing or ill-typed key is a ValueError.
     Keys other than ``means``, ``stds``, ``L`` and ``bias`` are ignored."""
@@ -286,9 +296,9 @@ def load_metric_model(path) -> MetricModel:
         payload = json.load(fh)
     try:
         return MetricModel(
-            means=payload["means"],
-            stds=payload["stds"],
-            L=payload["L"],
+            means=_json_numbers(payload["means"], "means"),
+            stds=_json_numbers(payload["stds"], "stds"),
+            L=_json_numbers(payload["L"], "L"),
             bias=float(_json_number(payload["bias"], "bias")),
         )
     except (KeyError, TypeError, OverflowError) as e:

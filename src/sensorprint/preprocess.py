@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataset import MAX_RATE_HZ
+
 STREAM_KEYS = ("A_MAG", "GYRO_X", "GYRO_Y", "GYRO_Z")
 
 DEFAULT_FS = 100.0  # Hz
@@ -45,8 +47,10 @@ def _natural_splines(ts: list[np.ndarray], V: np.ndarray,
     sizes = np.array([len(t) for t in ts])
     if np.any(sizes < 4):
         raise ValueError(f"need >= 4 points for cubic interpolation, got {sizes[sizes < 4][0]}")
-    if not 0 < fs_target < np.inf:  # NaN fails it too
-        raise ValueError("fs_target must be positive and finite")
+    # no valid capture is sampled faster than MAX_RATE_HZ: a finer grid only
+    # interpolates, and a huge rate would size the grid past memory
+    if not 0 < fs_target <= MAX_RATE_HZ:  # NaN fails it too
+        raise ValueError(f"fs_target must be positive and at most {MAX_RATE_HZ:g} Hz")
     ends = np.cumsum(sizes) - 1  # each series' last knot
     starts = ends - sizes + 1
     T = np.concatenate(ts)

@@ -44,6 +44,8 @@ class SimConfig:
             raise ValueError("D must be >= 2")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.N * (self.D - 1) > 2**53:  # the inter draw count must be an exact double
+            raise ValueError(f"N*(D-1) exceeds 2**53 (N = {self.N}, D = {self.D})")
         if self.k > self.N * self.D:
             raise ValueError("k exceeds the population size N*D")
 

@@ -14,7 +14,7 @@ import pytest
 
 import sensorprint
 from sensorprint.cli import main
-from sensorprint.dataset import load_dataset
+from sensorprint.dataset import RECORD_KEYS, load_dataset
 from sensorprint.distances import load_fitted
 from sensorprint.features import N_TOTAL, load_features_csv
 from sensorprint.metric import load_metric_model
@@ -55,20 +55,36 @@ def test_missing_input_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_malformed_input_exits_3(workdir, tmp_path, capsys):
+def test_malformed_input_exits_3(workdir, tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"device_id": "d"}\n')
     rc = main(["ingest", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")])
     assert rc == 3
-    # a countermeasure tag is a string or null: a list or object used to
-    # escape as a TypeError, a number or boolean to load as a tag
+    # the countermeasure key of an older file is ignored, whatever it holds
     rec = json.loads((workdir / "data.jsonl").read_text().splitlines()[0])
     for tag in ([1], {}, 5, True):
         bad.write_text(json.dumps({**rec, "countermeasure": tag}) + "\n")
         rc = main(["ingest", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")])
-        assert rc == 3, tag
-        assert "line 1: 'countermeasure' must be a string" in capsys.readouterr().err
-        assert not (tmp_path / "o.jsonl").exists()
+        assert rc == 0, tag
+
+
+def test_ingest_of_raw_and_quantized_captures_writes_no_tag(workdir, tmp_path):
+    # the file-wide tag an older version read from the quantized lines was
+    # written back onto every record, the raw captures' too
+    quant = tmp_path / "quant.jsonl"
+    assert main(["countermeasure", "--in", str(workdir / "data.jsonl"),
+                 "--scheme", "quantize", "--out", str(quant)]) == 0
+    raw = [json.loads(line) for line in (workdir / "data.jsonl").read_text().splitlines()[:4]]
+    quantized = [{**json.loads(line), "countermeasure": "quantize"}
+                 for line in quant.read_text().splitlines()[:4]]
+    for rec in quantized:
+        rec["sample_id"] += "-q"
+    mixed, out = tmp_path / "mixed.jsonl", tmp_path / "out.jsonl"
+    mixed.write_text("".join(json.dumps(rec) + "\n" for rec in raw + quantized))
+    assert main(["ingest", "--in", str(mixed), "--out", str(out)]) == 0
+    written = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [tuple(rec) for rec in written] == [RECORD_KEYS] * 8
+    assert written == [{k: rec[k] for k in RECORD_KEYS} for rec in raw + quantized]
 
 
 def test_scalar_readings_exit_3(tmp_path, capsys):
@@ -122,7 +138,10 @@ def test_float_id_exits_3(workdir, tmp_path, capsys):
     assert not (tmp_path / "o.jsonl").exists()
 
 
-@pytest.mark.parametrize("fs", ["inf", "nan"])
+# 1e308 used to overflow the grid size (a RuntimeWarning, then an uncaught
+# OverflowError); no valid capture is sampled faster than 200 Hz
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fs", ["inf", "nan", "0", "1e308", "201"])
 def test_featurize_refuses_bad_fs_target(workdir, tmp_path, capsys, fs):
     out = tmp_path / "f.csv"
     assert main(["featurize", "--in", str(workdir / "data.jsonl"), "--fs-target", fs,
@@ -427,13 +446,29 @@ def test_simulate_swapped_fits_exit_3(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, count", [("--device-counts", 10**400),
+                                         ("--train-counts", 10**400),
+                                         ("--device-counts", 2**53 + 2)],
+                         ids=["device_counts_1e400", "train_counts_1e400", "device_counts_2e53"])
+def test_simulate_refuses_counts_past_exact_doubles(tmp_path, capsys, flag, count):
+    # a 400-digit count used to escape as an OverflowError (exit 1)
+    fi, fe = tmp_path / "intra.json", tmp_path / "inter.json"
+    _write_fit(fi, "intra", "LOG_NORMAL", {"mu": 0.0, "sigma": 0.5})
+    _write_fit(fe, "inter", "LOG_NORMAL", {"mu": 1.0, "sigma": 0.5})
+    out = tmp_path / "s.csv"
+    counts = ["--device-counts", "10"] if flag == "--train-counts" else []
+    rc = main(["simulate", "--intra", str(fi), "--inter", str(fe), *counts,
+               flag, str(count), "--runs", "10", "--out", str(out)])
+    assert rc == 3
+    assert "N*(D-1) exceeds 2**53" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_countermeasure_tags_output(workdir, tmp_path):
     out = tmp_path / "quant.jsonl"
     assert main(["countermeasure", "--in", str(workdir / "data.jsonl"),
                  "--scheme", "quantize", "--out", str(out)]) == 0
-    ds = load_dataset(out)
-    assert ds.countermeasure == "quantize"
-    assert len(ds.samples) == 32
+    assert len(load_dataset(out).samples) == 32
 
 
 def test_countermeasure_impact_report(workdir, tmp_path):
@@ -727,10 +762,16 @@ def test_non_finite_fit_json_exits_3(tmp_path, capsys, kind, family, params):
 _REPLACED_METRIC = {"bias_string": ("bias", "0.5", "malformed metric model"),
                     "means_2d": ("means", [[0.0]], "one per column of L"),
                     "stds_short": ("stds", [2.0], "one per column of L")}
+# damage -> (key, element index, JSON value that is not a number); each used to
+# load as the float numpy made of it ("means": [true, "1.5"] as [1.0, 1.5])
+_ELEMENT_METRIC = {"bool_in_means": ("means", 0, True),
+                   "string_in_stds": ("stds", 1, "1.5"),
+                   "string_in_L": ("L", (0, 1), "0.25")}
 
 
 @pytest.mark.parametrize("damage", ["truncate", "drop_means", "flat_L", "nan_means",
-                                    "nan_stds", "nan_bias", *_REPLACED_METRIC])
+                                    "nan_stds", "nan_bias", *_REPLACED_METRIC,
+                                    *_ELEMENT_METRIC])
 def test_malformed_metric_json_exits_3(workdir, tmp_path, capsys, caplog, damage):
     model = tmp_path / "m.json"
     assert main(["train-metric", "--features", str(workdir / "feat.csv"),
@@ -740,6 +781,13 @@ def test_malformed_metric_json_exits_3(workdir, tmp_path, capsys, caplog, damage
     if damage in _REPLACED_METRIC:
         key, value, _ = _REPLACED_METRIC[damage]
         payload[key] = value
+        model.write_text(json.dumps(payload))
+    elif damage in _ELEMENT_METRIC:
+        key, i, value = _ELEMENT_METRIC[damage]
+        if key == "L":
+            payload[key][i[0]][i[1]] = value
+        else:
+            payload[key][i] = value
         model.write_text(json.dumps(payload))
     elif damage == "truncate":
         model.write_text(text[: len(text) // 2])
@@ -764,6 +812,8 @@ def test_malformed_metric_json_exits_3(workdir, tmp_path, capsys, caplog, damage
     assert "error:" in err
     if damage in _REPLACED_METRIC:
         assert _REPLACED_METRIC[damage][2] in err
+    if damage in _ELEMENT_METRIC:
+        assert f"{_ELEMENT_METRIC[damage][0]} must be a number" in err
     # refused on load, before the distances are fitted
     assert not any("fit of" in r.getMessage() for r in caplog.records)
     assert not out.exists()

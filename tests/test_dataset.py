@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sensorprint.dataset import (
+    RECORD_KEYS,
     Dataset,
     DeviceModel,
     DevicePrior,
@@ -155,15 +156,14 @@ def test_stdlib_json_file_loads_bit_identical(tmp_path):
 def test_written_file_parses_to_the_same_floats_with_stdlib_json(tmp_path):
     ds = generate_synthetic(2, 2, seed=11)
     ds.samples[0].accel[: len(TRICKY), 0] = TRICKY
-    ds.countermeasure = "quantization"
     p = tmp_path / "new.jsonl"
     write_dataset(ds, p)
     lines = p.read_bytes().splitlines()
     assert len(lines) == len(ds.samples)
     for line, s in zip(lines, ds.samples):
         rec = json.loads(line)
+        assert tuple(rec) == RECORD_KEYS
         assert (rec["device_id"], rec["sample_id"]) == (s.device_id, s.sample_id)
-        assert rec["countermeasure"] == "quantization"
         np.testing.assert_array_equal(_bits(rec["t"]), _bits(s.timestamps))
         got = np.column_stack([rec[k] for k in ("ax", "ay", "az", "gx", "gy", "gz")])
         np.testing.assert_array_equal(_bits(got), _bits(np.hstack([s.accel, s.gyro])))
@@ -219,19 +219,22 @@ def test_non_finite_literals_are_malformed_records(tmp_path, literal):
         load_dataset(p)
 
 
-def test_countermeasure_tag_round_trips(tmp_path):
-    ds = generate_synthetic(1, 2, seed=0)
-    ds.countermeasure = "obfuscation"
-    p = tmp_path / "cm.jsonl"
-    write_dataset(ds, p)
-    loaded = load_dataset(p)
-    assert loaded.countermeasure == "obfuscation"
-
-
-def test_null_countermeasure_is_no_tag(tmp_path):
-    p = tmp_path / "null.jsonl"
-    write_jsonl(p, [{**make_record(), "countermeasure": None}])
-    assert load_dataset(p).countermeasure is None
+def test_countermeasure_key_of_older_files_is_ignored(tmp_path):
+    # older versions tagged records with the defense that rewrote them; the
+    # tag was checked (a string or null, one per file) but never read
+    records = [make_record("d1", "s1"), make_record("d1", "s2", n=450), make_record("d2", "s1")]
+    plain = tmp_path / "plain.jsonl"
+    write_jsonl(plain, records)
+    expected = load_dataset(plain)
+    for tags in (["quantize"] * 3, [None] * 3, [[1]] * 3, [{}] * 3,
+                 ["quantize", "obfuscate", None]):
+        p = tmp_path / "tagged.jsonl"
+        write_jsonl(p, [{**rec, "countermeasure": tag} for rec, tag in zip(records, tags)])
+        loaded = load_dataset(p)
+        assert loaded.index == expected.index
+        for a, b in zip(loaded.samples, expected.samples):
+            for x, y in ((a.timestamps, b.timestamps), (a.accel, b.accel), (a.gyro, b.gyro)):
+                np.testing.assert_array_equal(_bits(x), _bits(y))
 
 
 def test_generate_zero_devices_is_empty():
@@ -340,7 +343,7 @@ def _still(device_id, sample_id):
 
 def test_constructor_samples_go_through_add(tmp_path):
     given = [_still("d1", "s1"), _still("d2", "s1"), _still("d1", "s2")]
-    ds = Dataset(samples=given, countermeasure="quantize")
+    ds = Dataset(samples=given)
     assert ds.index == {"d1": ["s1", "s2"], "d2": ["s1"]}
     assert ds.samples == given and ds.samples is not given  # the caller's list is not kept
     p = tmp_path / "built.jsonl"

@@ -40,6 +40,10 @@ def test_config_validation():
         SimConfig(k=1, N=1, D=1, runs=10, intra=uni(0, 1), inter=uni(2, 3))
     with pytest.raises(ValueError, match="population"):
         SimConfig(k=21, N=1, D=10, runs=10, intra=uni(0, 1), inter=uni(2, 3))
+    # N*(D-1) = 2**53 inter draws is the largest count a double holds exactly
+    SimConfig(k=1, N=2, D=2**52 + 1, runs=10, intra=uni(0, 1), inter=uni(2, 3))
+    with pytest.raises(ValueError, match=r"N\*\(D-1\) exceeds 2\*\*53"):
+        SimConfig(k=1, N=2, D=2**52 + 2, runs=10, intra=uni(0, 1), inter=uni(2, 3))
 
 
 @pytest.mark.parametrize("k,N,D", [(1, 1, 100), (3, 3, 5), (5, 8, 3), (1, 3, 50)])
