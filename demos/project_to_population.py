@@ -17,7 +17,7 @@ from sensorprint.simulate import sweep
 
 DEVICES = 20
 SAMPLES = 6
-RUNS = 2_000
+RUNS = 100_000
 
 
 def main() -> None:

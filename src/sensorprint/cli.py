@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 log = logging.getLogger(__name__)
 
@@ -59,7 +60,9 @@ def _config_echo(args) -> dict:
 def cmd_synth(args) -> int:
     from .dataset import DevicePrior, generate_synthetic, write_dataset
 
-    prior = DevicePrior.from_file(args.prior) if args.prior else DevicePrior()
+    # the prior flags that are set, each named after its field; DevicePrior holds the defaults
+    prior = DevicePrior(**{f.name: getattr(args, f.name) for f in fields(DevicePrior)
+                           if getattr(args, f.name) is not None})
     ds = generate_synthetic(args.devices, args.samples, device_prior=prior, seed=args.seed)
     write_dataset(ds, args.out)
     log.info("synth: %d device(s), %d sample(s) -> %s", args.devices, len(ds.samples), args.out)
@@ -154,9 +157,13 @@ def cmd_distfit(args) -> int:
     model = load_metric_model(args.metric_model) if args.metric_model else standardizer(table.X)
     intra, inter = pairwise_distances(table.X, table.device_ids, model)
     report = {"command": "distfit", "config": _config_echo(args)}
-    for kind, values, out_path in (("intra", intra, args.intra_out),
-                                   ("inter", inter, args.inter_out)):
-        ranking = rank_families(values)
+    best = {}
+    for kind, values in (("intra", intra), ("inter", inter)):
+        try:  # both populations before any write: a failed fit leaves no file behind
+            ranking = rank_families(values)
+        except ValueError as e:
+            raise ValueError(f"{kind} distances: {e}") from None
+        best[kind] = ranking[0]
         report[kind] = {
             "n_distances": len(values),
             "ranking": [
@@ -165,8 +172,9 @@ def cmd_distfit(args) -> int:
                 for f in ranking
             ],
         }
+    for kind, out_path in (("intra", args.intra_out), ("inter", args.inter_out)):
         if out_path:
-            save_fitted(ranking[0], kind, out_path)
+            save_fitted(best[kind], kind, out_path)
     _write_json(report, args.out)
     log.info("distfit: intra n=%d best %s, inter n=%d best %s -> %s",
              len(intra), report["intra"]["ranking"][0]["family"],
@@ -223,7 +231,7 @@ def cmd_countermeasure(args) -> int:
 
 
 # the flags that name files; an output may be neither an input nor another output
-_INPUTS = ("config", "prior", "input", "features", "metric_model", "intra", "inter")
+_INPUTS = ("config", "input", "features", "metric_model", "intra", "inter")
 _OUTPUTS = ("out", "intra_out", "inter_out", "impact_out")
 _SPLIT_SETTINGS = ("classifier", "train_per_device", "k", "n_trees", "seed")
 _LDML_SETTINGS = ("use_ldml", "ldml_iterations", "ldml_step", "d_prime")
@@ -267,8 +275,16 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--devices", type=int, help="device count (required)")
     p.add_argument("--samples", type=int, default=5, help="sessions per device (count, default 5)")
-    p.add_argument("--prior", default=None,
-                   help="JSON file of calibration-prior ranges (path, default: built-in)")
+    p.add_argument("--accel-gain", type=float, nargs=2, metavar=("LO", "HI"),
+                   help="per-axis accelerometer gain range (unitless, default: built-in)")
+    p.add_argument("--accel-offset", type=float, nargs=2, metavar=("LO", "HI"),
+                   help="per-axis accelerometer offset range (m/s^2, default: built-in)")
+    p.add_argument("--gyro-offset", type=float, nargs=2, metavar=("LO", "HI"),
+                   help="per-axis gyroscope offset range (rad/s, default: built-in)")
+    p.add_argument("--noise-sigma-accel", type=float, metavar="SIGMA",
+                   help="accelerometer noise std (m/s^2, default: built-in)")
+    p.add_argument("--noise-sigma-gyro", type=float, metavar="SIGMA",
+                   help="gyroscope noise std (rad/s, default: built-in)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (integer, default 0)")
     p.add_argument("--out", help="output dataset path (JSONL, required)")
     p.set_defaults(func=cmd_synth, _required=("devices", "out"))
@@ -412,7 +428,10 @@ def _config_value(key: str, action: argparse.Action, value):
     if any(isinstance(v, bool) or not isinstance(v, kinds) for v in items):
         raise refuse(what)
     if action.type is not None:
-        items = [action.type(v) for v in items]
+        try:
+            items = [action.type(v) for v in items]
+        except OverflowError:  # an integer past the float range, as 1e400 is on the command line
+            raise ValueError(f"config key {key!r}: {flag} is beyond the float range") from None
     if action.choices is not None and any(v not in action.choices for v in items):
         raise refuse("one of " + ", ".join(map(json.dumps, action.choices)))
     return items if action.nargs is not None else items[0]

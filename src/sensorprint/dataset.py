@@ -14,9 +14,8 @@ gyroscope offset, per axis) plus measurement noise.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,7 +158,9 @@ class DeviceModel:
 class DevicePrior:
     """Sampling ranges for DeviceModel fields (uniform per axis).
 
-    Defaults reflect consumer MEMS calibration-error magnitudes.
+    Defaults reflect consumer MEMS calibration-error magnitudes; ``synth``
+    sets each field by the flag of its name. A range must be finite with
+    lo <= hi (a gain's lo > 0), a noise sigma finite and >= 0.
     """
 
     accel_gain: tuple[float, float] = (0.95, 1.05)
@@ -168,22 +169,18 @@ class DevicePrior:
     noise_sigma_accel: float = 0.02
     noise_sigma_gyro: float = 0.002
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DevicePrior":
-        """Ranges are [lo, hi] pairs (see ``_prior_range``); noise sigmas are
-        finite numbers >= 0."""
-        if not isinstance(d, dict):
-            raise ValueError("device prior must be a JSON object")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown device-prior keys: {sorted(unknown)}")
-        return cls(**{key: _prior_number(key, v, low=0.0) if key.startswith("noise_sigma")
-                      else _prior_range(key, v) for key, v in d.items()})
-
-    @classmethod
-    def from_file(cls, path) -> "DevicePrior":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+    def __post_init__(self):
+        for key in ("accel_gain", "accel_offset", "gyro_offset"):
+            lo, hi = pair = tuple(map(float, getattr(self, key)))
+            # a NaN or infinite end, or a width past the largest double, fails isfinite
+            if not (lo <= hi and np.isfinite(hi - lo) and (lo > 0 or key != "accel_gain")):
+                raise ValueError(f"device prior {key!r}: {pair} is not a finite range with lo <= hi"
+                                 + (" and lo > 0" if key == "accel_gain" else ""))
+            setattr(self, key, pair)
+        for key in ("noise_sigma_accel", "noise_sigma_gyro"):
+            if not 0 <= getattr(self, key) < np.inf:  # NaN fails it too
+                raise ValueError(f"device prior {key!r}: {getattr(self, key)!r} "
+                                 "is not a finite number >= 0")
 
     def draw(self, rng: np.random.Generator) -> DeviceModel:
         accel_gain = rng.uniform(*self.accel_gain, size=3)
@@ -196,26 +193,6 @@ class DevicePrior:
             noise_sigma_accel=self.noise_sigma_accel,
             noise_sigma_gyro=self.noise_sigma_gyro,
         )
-
-
-def _prior_number(key: str, v, low: float = -np.inf) -> float:
-    """A finite number >= low; NaN, infinities and integers beyond the float
-    range fail the comparisons."""
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        if low <= v and abs(v) <= np.finfo(float).max:
-            return float(v)
-    raise ValueError(f"device prior {key!r}: {v!r} is not a finite number"
-                     + (f" >= {low}" if low > -np.inf else ""))
-
-
-def _prior_range(key: str, pair) -> tuple[float, float]:
-    """A [lo, hi] pair of finite numbers with lo <= hi, and lo > 0 for a gain."""
-    if isinstance(pair, (list, tuple)) and len(pair) == 2:
-        lo, hi = (_prior_number(key, v) for v in pair)
-        if lo <= hi and (lo > 0 or not key.endswith("gain")):
-            return lo, hi
-    raise ValueError(f"device prior {key!r}: {pair!r} is not a [lo, hi] range with lo <= hi"
-                     + (" and lo > 0" if key.endswith("gain") else ""))
 
 
 RECORD_KEYS = ("device_id", "sample_id", "t", "ax", "ay", "az", "gx", "gy", "gz")

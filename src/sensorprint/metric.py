@@ -70,12 +70,18 @@ def rows_by_device(device_ids) -> dict[str, np.ndarray]:
 
 def standardize_fit(features) -> tuple[np.ndarray, np.ndarray]:
     """Per-dimension mean and population std; zero stds become 1 so constant
-    dimensions pass through frozen instead of dividing by zero."""
+    dimensions pass through frozen instead of dividing by zero. A column
+    whose mean or std overflows the float range is a ValueError naming it."""
     X = np.asarray(features, dtype=float)
     if len(X) < 2:
         raise ValueError("need >= 2 vectors to standardize")
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        means = X.mean(axis=0)
+        stds = X.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)))
+    if len(bad):
+        raise ValueError(f"feature columns {bad.tolist()} have a mean or std "
+                         "beyond the float range")
     stds[stds == 0] = 1.0
     return means, stds
 
@@ -229,8 +235,9 @@ def train_ldml(
         a2 = np.einsum("ij,ij->i", dG, dG)
         trial = step
         for _ in range(MAX_HALVINGS):
-            b_new = b + trial * grad_b
-            obj_new = _log_likelihood(dist + trial * (a1 + trial * a2), b_new, is_same)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite objective is refused
+                b_new = b + trial * grad_b
+                obj_new = _log_likelihood(dist + trial * (a1 + trial * a2), b_new, is_same)
             if not np.isfinite(obj_new):
                 raise RuntimeError(f"non-finite objective at iteration {it}")
             if obj_new >= obj:

@@ -14,7 +14,9 @@ import pytest
 
 import sensorprint
 from sensorprint.cli import main
-from sensorprint.dataset import RECORD_KEYS, load_dataset
+from sensorprint.dataset import (
+    RECORD_KEYS, DevicePrior, generate_synthetic, load_dataset, write_dataset,
+)
 from sensorprint.distances import load_fitted
 from sensorprint.features import N_TOTAL, load_features_csv
 from sensorprint.metric import load_metric_model
@@ -97,35 +99,93 @@ def test_scalar_readings_exit_3(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("prior", [
-    '{"accel_gain": 5}',
-    "5",
-    '{"noise_sigma_accel": [1]}',
-    '{"noise_sigma_accel": NaN}',
-    '{"noise_sigma_gyro": Infinity}',
-    '{"noise_sigma_gyro": -0.1}',
-    '{"accel_gain": [1.05, 0.95]}',
-    '{"accel_gain": [0, 1]}',
-    '{"accel_offset": [0, Infinity]}',
-    '{"gyro_offset": ["0", 1]}',
-])
+# a prior given as a synth --config file -> (exit code, what the error names):
+# 1 for a value its flag would refuse on the command line, 3 for a value
+# DevicePrior refuses and for a file that is not a JSON object
+_BAD_PRIORS = {
+    '{"accel_gain": 5}': (1, "config key 'accel_gain'"),
+    "5": (3, "config file must hold a JSON object"),
+    '{"noise_sigma_accel": [1]}': (1, "config key 'noise_sigma_accel'"),
+    '{"noise_sigma_accel": NaN}': (3, "device prior 'noise_sigma_accel'"),
+    '{"noise_sigma_gyro": Infinity}': (3, "device prior 'noise_sigma_gyro'"),
+    '{"noise_sigma_gyro": -0.1}': (3, "device prior 'noise_sigma_gyro'"),
+    '{"accel_gain": [1.05, 0.95]}': (3, "device prior 'accel_gain'"),
+    '{"accel_gain": [0, 1]}': (3, "device prior 'accel_gain'"),
+    '{"accel_offset": [0, Infinity]}': (3, "device prior 'accel_offset'"),
+    '{"gyro_offset": ["0", 1]}': (1, "config key 'gyro_offset'"),
+}
+
+
+@pytest.mark.parametrize("prior", list(_BAD_PRIORS))
 def test_synth_refuses_bad_prior(tmp_path, capsys, prior):
-    p = tmp_path / "prior.json"
+    p, out = tmp_path / "prior.json", tmp_path / "o.jsonl"
     p.write_text(prior)
-    rc = main(["synth", "--prior", str(p), "--devices", "2", "--samples", "2",
-               "--out", str(tmp_path / "o.jsonl")])
-    assert rc == 3
-    assert "device prior" in capsys.readouterr().err
+    rc = main(["--config", str(p), "synth", "--devices", "2", "--samples", "2",
+               "--out", str(out)])
+    code, named = _BAD_PRIORS[prior]
+    assert rc == code
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
 def test_synth_refuses_prior_that_overflows_readings(tmp_path, capsys):
-    p, out = tmp_path / "prior.json", tmp_path / "o.jsonl"
-    p.write_text('{"accel_gain": [1e308, 1e308]}')
-    rc = main(["synth", "--prior", str(p), "--devices", "2", "--samples", "2",
+    out = tmp_path / "o.jsonl"
+    rc = main(["synth", "--accel-gain", "1e308", "1e308", "--devices", "2", "--samples", "2",
                "--out", str(out)])
     assert rc == 3
     assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_prior_file_as_config_writes_the_fleet_of_its_values(tmp_path):
+    # a prior file works as a synth --config, and its values as the flags
+    # of the same names, each giving the fleet the library draws
+    values = {"accel_offset": [-0.5, 0.5], "noise_sigma_accel": 0.05}
+    p, lib, cfg, flags, default = (tmp_path / name
+                                   for name in ("prior.json", "lib", "cfg", "flags", "default"))
+    p.write_text(json.dumps(values))
+    write_dataset(generate_synthetic(4, 3, DevicePrior(**json.loads(p.read_text())), seed=9), lib)
+    run = ["synth", "--devices", "4", "--samples", "3", "--seed", "9"]
+    assert main(["--config", str(p), *run, "--out", str(cfg)]) == 0
+    assert main([*run, "--accel-offset", "-0.5", "0.5", "--noise-sigma-accel", "0.05",
+                 "--out", str(flags)]) == 0
+    assert cfg.read_bytes() == flags.read_bytes() == lib.read_bytes()
+    write_dataset(generate_synthetic(4, 3, seed=9), default)
+    assert default.read_bytes() != lib.read_bytes()  # the prior took effect
+
+
+def test_explicit_prior_flag_beats_config(tmp_path):
+    cfg, out, lib = tmp_path / "cfg.json", tmp_path / "o.jsonl", tmp_path / "lib.jsonl"
+    cfg.write_text(json.dumps({"gyro_offset": [-1.0, 1.0], "noise_sigma_gyro": 0.5}))
+    assert main(["--config", str(cfg), "synth", "--devices", "3", "--samples", "2",
+                 "--gyro-offset", "-0.01", "0.01", "--out", str(out)]) == 0
+    prior = DevicePrior(gyro_offset=(-0.01, 0.01), noise_sigma_gyro=0.5)
+    write_dataset(generate_synthetic(3, 2, prior), lib)
+    assert out.read_bytes() == lib.read_bytes()
+
+
+def test_synth_config_refuses_unknown_prior_key(tmp_path, capsys):
+    out = tmp_path / "o.jsonl"
+    for key in ("accel_bias", "gyro_gain"):  # gyro truth is 0, so a gyro gain would change nothing
+        assert _synth_with_config(tmp_path, {key: [0, 1]}) == 3
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [("synth", "noise_sigma_accel"),
+                                          ("evaluate", "ldml_step")])
+def test_config_integer_past_the_float_range_exits_3(workdir, tmp_path, capsys, command, key):
+    # on the command line 1e400 reads as inf; as a JSON integer it overflowed
+    # the conversion to float and escaped as an OverflowError
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({key: HUGE}))
+    rc = main(["--config", str(cfg), command, "--devices", "2", "--out", str(out)]
+              if command == "synth" else
+              ["--config", str(cfg), command, "--features", str(workdir / "feat.csv"),
+               "--out", str(out)])
+    assert rc == 3
+    assert f"config key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -158,7 +218,7 @@ def test_same_in_and_out_path_exits_3(workdir):
 # per command: flags it needs besides files, the flags naming files it reads
 # (--config aside, which every command takes) and those naming files it writes
 _FILE_FLAGS = {
-    "synth": (["--devices", "2"], ["--prior"], ["--out"]),
+    "synth": (["--devices", "2"], [], ["--out"]),
     "ingest": ([], ["--in"], ["--out"]),
     "featurize": ([], ["--in"], ["--out"]),
     "train-metric": (["--iterations", "2"], ["--features"], ["--out"]),
@@ -184,16 +244,14 @@ def input_files(workdir):
     d = workdir / "inputs"
     d.mkdir()
     (d / "cfg.json").write_text("{}")
-    (d / "prior.json").write_text(json.dumps({"noise_sigma_accel": 0.01}))
     assert main(["train-metric", "--features", str(workdir / "feat.csv"), "--iterations", "2",
                  "--out", str(d / "metric.json")]) == 0
     assert main(["distfit", "--features", str(workdir / "feat.csv"),
                  "--intra-out", str(d / "intra.json"), "--inter-out", str(d / "inter.json"),
                  "--out", str(d / "distfit.json")]) == 0
-    return {"--config": d / "cfg.json", "--prior": d / "prior.json",
-            "--in": workdir / "data.jsonl", "--features": workdir / "feat.csv",
-            "--metric-model": d / "metric.json", "--intra": d / "intra.json",
-            "--inter": d / "inter.json"}
+    return {"--config": d / "cfg.json", "--in": workdir / "data.jsonl",
+            "--features": workdir / "feat.csv", "--metric-model": d / "metric.json",
+            "--intra": d / "intra.json", "--inter": d / "inter.json"}
 
 
 @pytest.mark.parametrize("command, out, other", _collisions())
@@ -384,6 +442,66 @@ def test_distfit_without_model_uses_standardized_space(workdir, tmp_path):
             {"family": f.family, "params": f.params, "log_likelihood": f.log_likelihood,
              "aic": f.aic, "ks": ks_statistic(values, f)}
             for f in rank_families(values)]
+
+
+def test_distfit_failed_fit_leaves_no_files(tmp_path, capsys):
+    # one device with 5 captures and one with 1: 10 intra distances fit, 5
+    # inter distances fit no family; the intra fit used to be written first
+    data, feat = tmp_path / "data.jsonl", tmp_path / "feat.csv"
+    assert main(["synth", "--devices", "2", "--samples", "5", "--out", str(data)]) == 0
+    assert main(["featurize", "--in", str(data), "--out", str(feat)]) == 0
+    lines = feat.read_text().splitlines(keepends=True)
+    feat.write_text("".join(lines[:7]))  # the header, dev0000's five rows, one of dev0001
+    outs = {flag: tmp_path / f"{flag[2:]}.json" for flag in ("--intra-out", "--inter-out", "--out")}
+    argv = ["distfit", "--features", str(feat)]
+    for flag, path in outs.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 3
+    assert "inter distances: all family fits failed" in capsys.readouterr().err
+    assert not any(path.exists() for path in outs.values())
+
+
+@pytest.fixture(scope="module")
+def huge_column_features(workdir):
+    """The workdir table with column f003 near 1e300: finite, but its std overflows."""
+    rows = (workdir / "feat.csv").read_text().splitlines()
+    col = rows[0].split(",").index("f003")
+    for i in range(1, len(rows)):
+        cells = rows[i].split(",")
+        cells[col] = repr(1e300 * (1 + 0.1 * i))
+        rows[i] = ",".join(cells)
+    path = workdir / "huge.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flags", [
+    ("evaluate", ["--repeats", "1"]),
+    ("distfit", []),
+    ("train-metric", ["--iterations", "3"]),
+])
+def test_column_whose_std_overflows_exits_3_without_warning(huge_column_features, tmp_path,
+                                                            capsys, command, flags):
+    out = tmp_path / "out.json"
+    assert main([command, "--features", str(huge_column_features), *flags,
+                 "--out", str(out)]) == 3
+    assert "feature columns [3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flags", [
+    ("train-metric", ["--step", "1e300"]),
+    ("evaluate", ["--use-ldml", "--ldml-step", "1e308", "--repeats", "1"]),
+])
+def test_overflowing_ldml_step_exits_3_without_warning(workdir, tmp_path, capsys,
+                                                       command, flags):
+    out = tmp_path / "out.json"
+    assert main([command, "--features", str(workdir / "feat.csv"), *flags,
+                 "--out", str(out)]) == 3
+    assert "non-finite objective at iteration 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -982,6 +1100,9 @@ def test_cli_defaults_are_the_library_defaults():
     train = flags("train-metric")
     for dest in ("iterations", "step", "d_prime", "seed"):
         assert train[dest] == signature(train_ldml)[dest], dest
+    synth = flags("synth")
+    for dest in fields(DevicePrior):  # unset unless given: DevicePrior holds the defaults
+        assert synth[dest] is None, dest
     cm = flags("countermeasure")
     for dest, default in {**fields(ObfuscationConfig), **fields(QuantizationConfig)}.items():
         value = cm[dest]

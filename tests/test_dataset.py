@@ -313,19 +313,19 @@ def test_device_model_rejects_nonpositive_gain():
         )
 
 
-def test_device_prior_from_dict_rejects_unknown_key():
-    for key in ("accel_bias", "gyro_gain"):  # gyro truth is 0, so a gyro gain would change nothing
-        with pytest.raises(ValueError, match="unknown"):
-            DevicePrior.from_dict({key: [0, 1]})
-
-
-def test_device_prior_file_round_trip(tmp_path):
-    p = tmp_path / "prior.json"
-    p.write_text(json.dumps({"accel_offset": [-0.5, 0.5], "noise_sigma_accel": 0.05}))
-    prior = DevicePrior.from_file(p)
-    assert prior.accel_offset == (-0.5, 0.5)
-    assert prior.noise_sigma_accel == 0.05
-    assert prior.accel_gain == (0.95, 1.05)  # untouched default
+@pytest.mark.parametrize("field, value", [
+    ("accel_gain", (1.05, 0.95)),
+    ("accel_gain", (0.0, 1e-9)),
+    ("accel_offset", (-np.inf, 0.0)),
+    ("gyro_offset", (0.05, -0.05)),
+    ("noise_sigma_accel", np.nan),
+    ("noise_sigma_gyro", -1.0),
+], ids=["gain_reversed", "gain_lo_zero", "offset_infinite", "gyro_reversed", "accel_sigma_nan",
+        "gyro_sigma_negative"])
+def test_device_prior_refuses_bad_values_at_construction(field, value):
+    # a prior built in code is held to the rules the synth flags are
+    with pytest.raises(ValueError, match=f"device prior {field!r}"):
+        DevicePrior(**{field: value})
 
 
 def test_underpopulated_devices_flagged():
