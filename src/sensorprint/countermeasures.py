@@ -10,7 +10,7 @@ identification pipeline on the same data.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -75,13 +75,7 @@ def obfuscate(sample: RawSample, cfg: ObfuscationConfig) -> RawSample:
         if not np.all(np.isfinite(out[name])):
             raise ValueError(f"sample {sample.device_id}/{sample.sample_id}: "
                              f"obfuscated {name} readings are non-finite")
-    return RawSample(
-        device_id=sample.device_id,
-        sample_id=sample.sample_id,
-        timestamps=sample.timestamps.copy(),
-        accel=out["accel"],
-        gyro=out["gyro"],
-    )
+    return replace(sample, accel=out["accel"], gyro=out["gyro"])
 
 
 def to_polar(accel):
@@ -151,13 +145,7 @@ def quantize_sample(sample: RawSample, cfg: QuantizationConfig) -> RawSample:
     psi_q = quantize_value(np.degrees(psi), cfg.angle_bin)
     accel_q = from_polar(quantize_value(r, cfg.magnitude_bin), np.radians(theta_q), np.radians(psi_q))
     gyro_q = np.radians(quantize_value(np.degrees(sample.gyro), cfg.angle_bin))
-    return RawSample(
-        device_id=sample.device_id,
-        sample_id=sample.sample_id,
-        timestamps=sample.timestamps.copy(),
-        accel=accel_q,
-        gyro=gyro_q,
-    )
+    return replace(sample, accel=accel_q, gyro=gyro_q)
 
 
 def apply_countermeasure(

@@ -15,7 +15,7 @@ gyroscope offset, per axis) plus measurement noise.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +30,24 @@ NOMINAL_DURATION_S = 5.0
 DURATION_TOLERANCE = 0.20
 
 
-@dataclass
+def read_only_copy(a, dtype=float) -> np.ndarray:
+    """A read-only C-contiguous copy of ``a``: what the caller passed stays
+    theirs to edit, and what the holder keeps cannot change."""
+    a = np.array(a, dtype=dtype, order="C")
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class RawSample:
     """One ~5 s burst of raw motion-sensor readings from one device.
 
     ``accel`` includes gravity (m/s^2), ``gyro`` is rotational rate (rad/s);
     both are (n, 3) arrays aligned with ``timestamps`` (seconds).
+
+    A sample is a value: it keeps read-only copies of the arrays it is given,
+    and its fields cannot be rebound. ``dataclasses.replace`` makes a changed
+    copy.
     """
 
     device_id: str
@@ -45,9 +57,8 @@ class RawSample:
     gyro: np.ndarray
 
     def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        self.accel = np.asarray(self.accel, dtype=float)
-        self.gyro = np.asarray(self.gyro, dtype=float)
+        for name in ("timestamps", "accel", "gyro"):
+            object.__setattr__(self, name, read_only_copy(getattr(self, name)))
 
     @property
     def n_readings(self) -> int:
@@ -94,30 +105,28 @@ class RawSample:
             )
 
 
-@dataclass
 class Dataset:
     """A collection of RawSamples with a device index, grown by ``add``;
     samples given to the constructor go through ``add`` too, so a repeated
     (device, sample id) pair is refused however it arrives. It holds the
     captures only, not how they were made or rewritten.
 
-    ``features.featurize_dataset`` keeps the feature table in ``_features``
-    with the rate and a digest of the samples: their ids, array shapes and
-    reading bytes, in order. The stored table is handed out only while that
-    digest matches, so editing a sample's arrays in place, or replacing,
-    removing or reordering samples, is detected and featurizes again.
-    ``add`` clears the slot.
+    ``samples`` is a tuple that only ``add`` grows: it cannot be rebound or
+    edited, and neither can the samples in it. So the feature table that
+    ``features.featurize_dataset`` keeps in ``_features``, with its rate,
+    stays the table of these samples until ``add`` clears the slot.
     """
 
-    samples: list[RawSample] = field(default_factory=list)
-    index: dict[str, list[str]] = field(default_factory=dict, init=False)
-    # (fs, digest, FeatureTable) of the last featurize_dataset call, or None
-    _features: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        given, self.samples = self.samples, []
-        for sample in given:
+    def __init__(self, samples=()):
+        self.index: dict[str, list[str]] = {}
+        self._samples: list[RawSample] = []
+        self._features = None  # (fs, FeatureTable) of the last featurize_dataset call
+        for sample in samples:
             self.add(sample)
+
+    @property
+    def samples(self) -> tuple[RawSample, ...]:
+        return tuple(self._samples)
 
     def add(self, sample: RawSample) -> None:
         ids = self.index.setdefault(sample.device_id, [])
@@ -126,7 +135,7 @@ class Dataset:
                 f"duplicate sample id {sample.sample_id!r} for device {sample.device_id!r}"
             )
         ids.append(sample.sample_id)
-        self.samples.append(sample)
+        self._samples.append(sample)
         self._features = None
 
     def underpopulated_devices(self) -> list[str]:
@@ -248,9 +257,9 @@ def load_dataset(path) -> Dataset:
             sample = _sample_from_record(rec, lineno)
             try:
                 sample.validate()
+                ds.add(sample)
             except ValueError as e:
                 raise ValueError(f"line {lineno}: {e}") from e
-            ds.add(sample)
     flagged = ds.underpopulated_devices()
     if flagged:
         log.warning("%d device(s) have fewer than 2 samples: %s", len(flagged), flagged[:5])
@@ -263,23 +272,22 @@ def write_dataset(dataset: Dataset, path) -> None:
     Records are compact, ids are raw UTF-8, and each float is its shortest
     round-trip text, so any JSON reader recovers the same doubles.
 
-    A non-finite reading is refused before the file is opened: the record
-    format has no NaN or infinity, and load_dataset would refuse it.
+    Every sample is validated before the file is opened, so a sample that
+    load_dataset would refuse (a non-finite reading, which the record format
+    cannot hold, or a rate or duration out of bounds) writes no file.
     """
     for s in dataset.samples:
-        if not all(np.isfinite(a).all() for a in (s.timestamps, s.accel, s.gyro)):
-            raise ValueError(f"sample {s.device_id}/{s.sample_id} has a non-finite reading")
+        s.validate()
     import orjson
 
     option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
     with open(path, "wb") as fh:
         for s in dataset.samples:
-            # orjson serializes only C-contiguous arrays; a sample may hold views
-            a, g = s.accel.T.copy(), s.gyro.T.copy()
+            a, g = s.accel.T.copy(), s.gyro.T.copy()  # orjson takes C-contiguous arrays
             fh.write(orjson.dumps({
                 "device_id": s.device_id,
                 "sample_id": s.sample_id,
-                "t": np.ascontiguousarray(s.timestamps),
+                "t": s.timestamps,
                 "ax": a[0], "ay": a[1], "az": a[2],
                 "gx": g[0], "gy": g[1], "gz": g[2],
             }, option=option))

@@ -16,11 +16,12 @@ one pass, with one mean, deviation, standard deviation and degenerate mask
 for the temporal and spectral features: ``featurize`` passes it the streams
 of all captures of equal length, ``stream_features`` one series.
 ``featurize_dataset`` keeps the table it computes on the dataset, with the
-rate and a sha256 digest of the samples, and hands it out again while both
-match, so ``run_protocol`` and ``privacy_impact`` called again and again on
-one unchanged ``Dataset`` resample and featurize it once. A
-``FeatureTable`` is used as it is, and the CLI's ``classify`` and
-``evaluate`` read the table that ``featurize`` wrote.
+rate, and hands it out again at that rate, so ``run_protocol`` and
+``privacy_impact`` called again and again on one ``Dataset`` resample and
+featurize it once. That needs no check: samples and tables are immutable
+values, and only ``Dataset.add``, which clears the stored table, changes a
+dataset. A ``FeatureTable`` is used as it is, and the CLI's ``classify``
+and ``evaluate`` read the table that ``featurize`` wrote.
 
 The degenerate rules above are per-row masks applied after the arithmetic,
 which runs under ``np.errstate`` so no warning escapes. Each row's features
@@ -36,14 +37,12 @@ computes it in 1-d.
 
 from __future__ import annotations
 
-import copy
 import csv
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, RawSample
+from .dataset import Dataset, RawSample, read_only_copy
 from .metric import rows_by_device
 from .preprocess import DEFAULT_FS, STREAM_KEYS, build_streams
 
@@ -69,21 +68,22 @@ N_SUBFRAMES = 8
 BLOCK_CAPTURES = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureTable:
     """Feature vectors of a dataset: row i of ``X`` is the capture
     (``device_ids[i]``, ``sample_ids[i]``), rows in dataset order. A
     repeated (device_id, sample_id) row is a ValueError: the copy would be
-    its capture's own nearest neighbour."""
+    its capture's own nearest neighbour. Like a ``RawSample``, a table is a
+    value: it keeps read-only copies of its arrays, and its fields cannot be
+    rebound."""
 
     X: np.ndarray
     device_ids: np.ndarray
     sample_ids: np.ndarray
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.device_ids = np.asarray(self.device_ids, dtype=str)
-        self.sample_ids = np.asarray(self.sample_ids, dtype=str)
+        for name, dtype in (("X", float), ("device_ids", str), ("sample_ids", str)):
+            object.__setattr__(self, name, read_only_copy(getattr(self, name), dtype))
         if self.X.ndim != 2 or self.X.shape[1] != N_TOTAL:
             raise ValueError(f"feature table must have {N_TOTAL} columns")
         if not len(self.X) == len(self.device_ids) == len(self.sample_ids):
@@ -248,19 +248,6 @@ def featurize_sample(sample: RawSample, fs_target: float = DEFAULT_FS) -> np.nda
     return featurize(build_streams([sample], fs_target), fs_target)[0]
 
 
-def _samples_digest(samples) -> bytes:
-    """sha256 over each sample's ids, array dtypes and shapes, and the raw
-    bytes of its timestamps, accel and gyro, in sample order."""
-    h = hashlib.sha256()
-    for s in samples:
-        arrays = [np.ascontiguousarray(a) for a in (s.timestamps, s.accel, s.gyro)]
-        h.update(repr((s.device_id, s.sample_id,
-                       [(a.dtype.str, a.shape) for a in arrays])).encode())
-        for a in arrays:
-            h.update(a)
-    return h.digest()
-
-
 def featurize_dataset(dataset: Dataset, fs_target: float = DEFAULT_FS) -> FeatureTable:
     """One feature row per sample, in dataset order: the one extraction path
     every consumer of features reads from.
@@ -268,25 +255,21 @@ def featurize_dataset(dataset: Dataset, fs_target: float = DEFAULT_FS) -> Featur
     Blocks of up to BLOCK_CAPTURES captures are resampled with one spline
     solve and featurized together, so memory stays bounded by the block size.
 
-    The table is kept on the dataset with ``fs_target`` and a digest of its
-    samples; a later call at the same rate on unchanged samples returns it
-    without resampling. Its ``X``, ``device_ids`` and ``sample_ids`` are
-    read-only, and each call returns its own ``FeatureTable`` around them,
-    so no caller can change what a later call gets.
+    The table is kept on the dataset with ``fs_target``; a later call at the
+    same rate returns that same table without resampling. Samples and
+    tables are immutable and only ``Dataset.add`` (which clears the slot)
+    changes a dataset, so the stored table stays the table of its samples.
     """
-    samples = dataset.samples
-    digest = _samples_digest(samples)
     memo = dataset._features
-    if memo is None or memo[0] != fs_target or memo[1] != digest:
+    if memo is None or memo[0] != fs_target:
+        samples = dataset.samples
         X = np.empty((len(samples), N_TOTAL))
         for start in range(0, len(samples), BLOCK_CAPTURES):
             block = samples[start:start + BLOCK_CAPTURES]
             X[start:start + len(block)] = featurize(build_streams(block, fs_target), fs_target)
         table = FeatureTable(X, [s.device_id for s in samples], [s.sample_id for s in samples])
-        for a in (table.X, table.device_ids, table.sample_ids):
-            a.flags.writeable = False
-        memo = dataset._features = (fs_target, digest, table)
-    return copy.copy(memo[2])
+        memo = dataset._features = (fs_target, table)
+    return memo[1]
 
 
 _CSV_HEADER = ["device_id", "sample_id"] + [f"f{i:03d}" for i in range(N_TOTAL)]

@@ -51,6 +51,16 @@ def test_ingest_normalizes(workdir, tmp_path):
     assert len(load_dataset(out).samples) == 32
 
 
+def test_ingest_names_the_line_of_a_duplicate_record(workdir, tmp_path, capsys):
+    lines = (workdir / "data.jsonl").read_text().splitlines(keepends=True)
+    dup = tmp_path / "dup.jsonl"
+    dup.write_text("".join(lines[:4] + [lines[1]]))  # record 2 again as line 5
+    out = tmp_path / "o.jsonl"
+    assert main(["ingest", "--in", str(dup), "--out", str(out)]) == 3
+    assert "line 5: duplicate sample id 's001' for device 'dev0000'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_exits_2(tmp_path):
     rc = main(["ingest", "--in", str(tmp_path / "nope.jsonl"),
                "--out", str(tmp_path / "o.jsonl")])

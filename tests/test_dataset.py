@@ -1,5 +1,6 @@
 """Dataset model, JSONL round-trip, and synthetic generator tests."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -154,8 +155,10 @@ def test_stdlib_json_file_loads_bit_identical(tmp_path):
 
 
 def test_written_file_parses_to_the_same_floats_with_stdlib_json(tmp_path):
-    ds = generate_synthetic(2, 2, seed=11)
-    ds.samples[0].accel[: len(TRICKY), 0] = TRICKY
+    first, *rest = generate_synthetic(2, 2, seed=11).samples
+    accel = first.accel.copy()
+    accel[: len(TRICKY), 0] = TRICKY
+    ds = Dataset([dataclasses.replace(first, accel=accel), *rest])
     p = tmp_path / "new.jsonl"
     write_dataset(ds, p)
     lines = p.read_bytes().splitlines()
@@ -170,12 +173,12 @@ def test_written_file_parses_to_the_same_floats_with_stdlib_json(tmp_path):
 
 
 def test_non_ascii_ids_and_strided_arrays_round_trip(tmp_path):
-    # orjson refuses strided arrays; the writer copies them
+    # orjson refuses strided arrays; a sample keeps C-contiguous copies of them
     n = 500
     wide = np.random.default_rng(3).normal(size=(2 * n, 7))
-    t = (np.arange(2 * n) / 200.0)[::2]
-    sample = RawSample("gerät-ü", "s—1 😀", t, wide[::2, ::3], wide[1::2, 1:4])
-    assert not (sample.timestamps.flags.c_contiguous or sample.accel.flags.c_contiguous)
+    t, accel, gyro = (np.arange(2 * n) / 200.0)[::2], wide[::2, ::3], wide[1::2, 1:4]
+    assert not (t.flags.c_contiguous or accel.flags.c_contiguous or gyro.flags.c_contiguous)
+    sample = RawSample("gerät-ü", "s—1 😀", t, accel, gyro)
     ds = Dataset()
     ds.add(sample)
     p = tmp_path / "views.jsonl"
@@ -183,8 +186,59 @@ def test_non_ascii_ids_and_strided_arrays_round_trip(tmp_path):
     assert "gerät-ü".encode() in p.read_bytes()  # raw UTF-8, not \u escapes
     (back,) = load_dataset(p).samples
     assert (back.device_id, back.sample_id) == ("gerät-ü", "s—1 😀")
-    for a, b in ((back.timestamps, t), (back.accel, sample.accel), (back.gyro, sample.gyro)):
+    for a, b in ((back.timestamps, t), (back.accel, accel), (back.gyro, gyro)):
         np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+def test_sample_keeps_read_only_copies_of_its_arrays():
+    t, accel, gyro = np.arange(500) / 100.0, np.zeros((500, 3)), np.zeros((500, 3))
+    s = RawSample("d1", "s1", t, accel, gyro)
+    t[0], accel[0, 0], gyro[0, 0] = -1.0, 5.0, 5.0  # the caller's arrays stay theirs
+    assert (s.timestamps[0], s.accel[0, 0], s.gyro[0, 0]) == (0.0, 0.0, 0.0)
+    for a in (s.timestamps, s.accel, s.gyro):
+        assert a.flags.c_contiguous and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+def test_sample_fields_cannot_be_rebound_and_replace_gives_a_read_only_copy():
+    s = _still("d1", "s1")
+    for name in ("device_id", "sample_id", "timestamps", "accel", "gyro"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, getattr(s, name))
+    accel = np.ones((500, 3))
+    r = dataclasses.replace(s, accel=accel)
+    accel[0, 0] = 5.0
+    assert r.accel[0, 0] == 1.0 and s.accel[0, 0] == 0.0
+    np.testing.assert_array_equal(r.timestamps, s.timestamps)
+    for a in (r.timestamps, r.accel, r.gyro):
+        assert not a.flags.writeable
+
+
+def test_dataset_samples_is_a_tuple_that_only_add_grows():
+    ds = Dataset([_still("d1", "s1"), _still("d1", "s2")])
+    assert type(ds.samples) is tuple
+    with pytest.raises(TypeError):
+        ds.samples[0] = _still("d2", "s1")
+    with pytest.raises(AttributeError):
+        ds.samples = (_still("d2", "s1"),)
+    ds.add(_still("d2", "s1"))
+    assert [(s.device_id, s.sample_id) for s in ds.samples] == [
+        ("d1", "s1"), ("d1", "s2"), ("d2", "s1")]
+
+
+def test_write_refuses_a_sample_that_load_would_refuse(tmp_path):
+    p = tmp_path / "out.jsonl"
+    slow = RawSample("d", "s", np.arange(11) / 10.0, np.zeros((11, 3)), np.zeros((11, 3)))
+    with pytest.raises(ValueError, match=r"sample d/s: mean rate 10\.0 Hz"):
+        write_dataset(Dataset([slow]), p)
+    assert not p.exists()
+    accel = np.zeros((500, 3))
+    accel[7, 1] = np.nan
+    bad = dataclasses.replace(_still("d1", "s2"), accel=accel)
+    with pytest.raises(ValueError, match="sample d1/s2: non-finite readings"):
+        write_dataset(Dataset([_still("d1", "s1"), bad]), p)
+    assert not p.exists()
 
 
 @pytest.mark.parametrize("literal", ["18446744073709551617", "1.5", "true"])
@@ -345,7 +399,7 @@ def test_constructor_samples_go_through_add(tmp_path):
     given = [_still("d1", "s1"), _still("d2", "s1"), _still("d1", "s2")]
     ds = Dataset(samples=given)
     assert ds.index == {"d1": ["s1", "s2"], "d2": ["s1"]}
-    assert ds.samples == given and ds.samples is not given  # the caller's list is not kept
+    assert ds.samples == tuple(given)
     p = tmp_path / "built.jsonl"
     write_dataset(ds, p)
     assert load_dataset(p).index == ds.index

@@ -1,5 +1,6 @@
 """Feature extraction tests: hand-derived vectors, analytic signals, properties."""
 
+import dataclasses
 import hashlib
 import warnings
 
@@ -397,11 +398,7 @@ def _count_build_streams(monkeypatch) -> list:
 
 
 def _fresh_copy(ds: Dataset) -> Dataset:
-    out = Dataset()
-    for s in ds.samples:
-        out.add(RawSample(s.device_id, s.sample_id, s.timestamps.copy(),
-                          s.accel.copy(), s.gyro.copy()))
-    return out
+    return Dataset(dataclasses.replace(s) for s in ds.samples)  # each sample copies its arrays
 
 
 def _assert_same_table(a: FeatureTable, b: FeatureTable):
@@ -431,14 +428,15 @@ def test_each_consumer_featurizes_each_sample_once(monkeypatch, consumer):
     assert len(handed) == (1 + protected) * len(ds.samples)
 
 
-def test_featurize_dataset_sees_an_in_place_edit():
+def test_in_place_edit_raises_and_the_stored_table_stays(monkeypatch):
     ds = generate_synthetic(3, 3, seed=2)
+    handed = _count_build_streams(monkeypatch)
     before = featurize_dataset(ds)
-    ds.samples[0].accel[:, 0] += 0.5
-    after = featurize_dataset(ds)
-    _assert_same_table(after, featurize_dataset(_fresh_copy(ds)))
-    assert not np.array_equal(after.X[0], before.X[0])
-    np.testing.assert_array_equal(after.X[1:], before.X[1:])
+    with pytest.raises(ValueError, match="read-only"):
+        ds.samples[0].accel[:, 0] += 0.5
+    assert featurize_dataset(ds) is before
+    assert len(handed) == len(ds.samples)
+    _assert_same_table(before, featurize_dataset(_fresh_copy(ds)))
 
 
 def test_featurize_dataset_after_add_has_the_new_row():
@@ -474,11 +472,28 @@ def test_stored_table_is_read_only_and_a_hit_gives_the_fresh_result(monkeypatch)
         assert not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table.X[0, 0] = 1.0
-    table.X = np.zeros_like(table.X)  # rebinding a returned table leaves the stored one
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.X = np.zeros_like(table.X)
+    assert featurize_dataset(ds) is table  # a hit hands out the stored table itself
     hit = run_protocol(ds, repeats=2, seed=3)
     assert len(handed) == len(ds.samples)
     fresh = run_protocol(generate_synthetic(4, 4, seed=5), repeats=2, seed=3)
     assert hit.to_dict() == fresh.to_dict()
+
+
+def test_feature_table_keeps_read_only_copies_of_its_arrays():
+    X = np.zeros((2, N_TOTAL))
+    devices, samples = np.array(["d1", "d1"]), ["s1", "s2"]
+    table = FeatureTable(X, devices, samples)
+    X[0, 0], devices[0] = 5.0, "d9"  # the caller's arrays stay theirs
+    assert table.X[0, 0] == 0.0 and list(table.device_ids) == ["d1", "d1"]
+    for t in (table, table.eligible(2)):
+        for name in ("X", "device_ids", "sample_ids"):
+            assert not getattr(t, name).flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, getattr(t, name))
+    with pytest.raises(ValueError, match="read-only"):
+        table.device_ids[0] = "d9"
 
 
 def test_features_csv_rejects_bad_header(tmp_path):
