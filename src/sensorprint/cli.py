@@ -151,10 +151,10 @@ def cmd_evaluate(args) -> int:
 def cmd_distfit(args) -> int:
     from .distances import ks_statistic, pairwise_distances, rank_families, save_fitted
     from .features import load_features_csv
-    from .metric import load_metric_model, standardizer
+    from .metric import load_metric_model
 
     table = load_features_csv(args.features)
-    model = load_metric_model(args.metric_model) if args.metric_model else standardizer(table.X)
+    model = load_metric_model(args.metric_model) if args.metric_model else None
     intra, inter = pairwise_distances(table.X, table.device_ids, model)
     report = {"command": "distfit", "config": _config_echo(args)}
     best = {}

@@ -52,8 +52,11 @@ class QuantizationConfig:
 
 def _session_rng(seed: int, device_id: str, sample_id: str) -> np.random.Generator:
     # keyed stream: draws depend only on (seed, device, sample), not on
-    # processing order, so data-parallel application stays deterministic
-    digest = hashlib.sha256(f"{seed}:{device_id}:{sample_id}".encode()).digest()
+    # processing order, so data-parallel application stays deterministic.
+    # Each id escapes its backslashes and colons, so no two (device, sample)
+    # pairs share a key, and ids with neither keep their key.
+    device, sample = (i.replace("\\", "\\\\").replace(":", "\\:") for i in (device_id, sample_id))
+    digest = hashlib.sha256(f"{seed}:{device}:{sample}".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 

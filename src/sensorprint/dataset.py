@@ -108,7 +108,9 @@ class RawSample:
 class Dataset:
     """A collection of RawSamples with a device index, grown by ``add``;
     samples given to the constructor go through ``add`` too, so a repeated
-    (device, sample id) pair is refused however it arrives. It holds the
+    (device, sample id) pair is refused however it arrives. ``index``
+    (device -> its sample ids, in order) is for reading: ``add`` checks a
+    set of its own, so editing ``index`` lets no repeat in. It holds the
     captures only, not how they were made or rewritten.
 
     ``samples`` is a tuple that only ``add`` grows: it cannot be rebound or
@@ -119,6 +121,7 @@ class Dataset:
 
     def __init__(self, samples=()):
         self.index: dict[str, list[str]] = {}
+        self._keys: set[tuple[str, str]] = set()  # the (device, sample id) pairs held
         self._samples: list[RawSample] = []
         self._features = None  # (fs, FeatureTable) of the last featurize_dataset call
         for sample in samples:
@@ -129,12 +132,13 @@ class Dataset:
         return tuple(self._samples)
 
     def add(self, sample: RawSample) -> None:
-        ids = self.index.setdefault(sample.device_id, [])
-        if sample.sample_id in ids:
+        key = (sample.device_id, sample.sample_id)
+        if key in self._keys:
             raise ValueError(
                 f"duplicate sample id {sample.sample_id!r} for device {sample.device_id!r}"
             )
-        ids.append(sample.sample_id)
+        self._keys.add(key)
+        self.index.setdefault(sample.device_id, []).append(sample.sample_id)
         self._samples.append(sample)
         self._features = None
 
@@ -207,12 +211,37 @@ class DevicePrior:
 RECORD_KEYS = ("device_id", "sample_id", "t", "ax", "ay", "az", "gx", "gy", "gz")
 
 
+def _json_number(value, what: str, min_int: int | None = None):
+    """``value`` if JSON read it as a number (a boolean is not one) and, when
+    ``min_int`` is given, as an integer of at least ``min_int``; else a
+    TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            min_int is not None and not (isinstance(value, int) and value >= min_int)):
+        kind = "a number" if min_int is None else f"an integer >= {min_int}"
+        raise TypeError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def _json_numbers(values, what: str):
+    """``values`` if it is a JSON array and each element of it, or of an
+    array inside it, is a JSON number: an int or a float, not a boolean, a
+    string or null. Else a TypeError naming the first value that is not.
+    The caller checks shapes."""
+    if not isinstance(values, list):
+        raise TypeError(f"{what} must be an array of numbers, got {values!r}")
+    # one type set per list: checking element by element doubles a dataset load
+    if not set(map(type, values)) <= {int, float}:
+        for v in values:
+            (_json_numbers if isinstance(v, list) else _json_number)(v, what)
+    return values
+
+
 def _sample_from_record(rec: dict, lineno: int) -> RawSample:
     missing = [k for k in RECORD_KEYS if k not in rec]
     if missing:
         raise ValueError(f"line {lineno}: missing keys {missing}")
     try:
-        t, *cols = (np.asarray(rec[k], dtype=float) for k in RECORD_KEYS[2:])
+        t, *cols = (np.asarray(_json_numbers(rec[k], k), dtype=float) for k in RECORD_KEYS[2:])
     except (TypeError, ValueError) as e:
         raise ValueError(f"line {lineno}: readings must be arrays of numbers ({e})") from None
     if t.ndim != 1:

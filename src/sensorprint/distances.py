@@ -32,6 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, gammainc, gammaincinv, gammaln, log_ndtr, ndtr, ndtri, xlogy
 
+from .dataset import _json_number
+
 log = logging.getLogger(__name__)
 
 INVERSE_GAUSSIAN = "INVERSE_GAUSSIAN"
@@ -75,16 +77,18 @@ class FittedDistribution:
         return 2 * len(self.params) - 2 * self.log_likelihood
 
 
-def pairwise_distances(X, device_ids, model=None) -> tuple[np.ndarray, np.ndarray]:
+def pairwise_distances(X, device_ids, model) -> tuple[np.ndarray, np.ndarray]:
     """Split all unordered pairwise distances into ``(intra, inter)`` arrays.
 
     Row i of ``X`` is a capture of ``device_ids[i]``; devices come in
-    first-seen order, each with its rows in ``X`` order. When a metric model
-    is given, the rows are transformed first and distances are Euclidean in
-    the learned space. Devices with a single sample contribute only
+    first-seen order, each with its rows in ``X`` order. Distances are
+    Euclidean after ``transform(model, ...)``. ``model=None`` is the
+    standardized space of these rows: ``standardizer`` fit over the rows
+    grouped by device, as ``train_ldml`` fits it, so interleaving the rows
+    changes no distance. Devices with a single sample contribute only
     cross-device pairs.
     """
-    from .metric import cross_distances, rows_by_device, transform
+    from .metric import cross_distances, rows_by_device, standardizer, transform
 
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) != len(device_ids):
@@ -92,9 +96,8 @@ def pairwise_distances(X, device_ids, model=None) -> tuple[np.ndarray, np.ndarra
     groups = list(rows_by_device(device_ids).values())
     if len(groups) < 2:
         raise ValueError("need >= 2 devices")
-    if model is not None:
-        X = transform(model, X)
     G = X[np.concatenate(groups)]  # rows grouped by device
+    G = transform(standardizer(G) if model is None else model, G)
     starts = np.cumsum([0] + [len(g) for g in groups])
     intra, inter = [], []
     for a in range(len(groups)):
@@ -450,8 +453,6 @@ def load_fitted(path) -> tuple[str, FittedDistribution]:
     """Read a save_fitted file; a missing or ill-typed key is a ValueError.
     Keys other than ``class``, ``family``, ``params``, ``loglik`` and ``n``
     are ignored."""
-    from .metric import _json_number
-
     with open(path) as fh:
         payload = json.load(fh)
     try:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .dataset import _json_number, _json_numbers
+
 MAX_HALVINGS = 60
 
 log = logging.getLogger(__name__)
@@ -273,27 +275,6 @@ def save_metric_model(model: MetricModel, path) -> None:
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")  # C encoder; json.dump runs the Python one
-
-
-def _json_number(value, what: str, min_int: int | None = None):
-    """``value`` if JSON read it as a number (a boolean is not one) and, when
-    ``min_int`` is given, as an integer of at least ``min_int``; else a
-    TypeError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            min_int is not None and not (isinstance(value, int) and value >= min_int)):
-        kind = "a number" if min_int is None else f"an integer >= {min_int}"
-        raise TypeError(f"{what} must be {kind}, got {value!r}")
-    return value
-
-
-def _json_numbers(values, what: str):
-    """``values`` if no element of it, nor of a list inside it, is a JSON
-    string or boolean; else a TypeError. MetricModel checks the shapes."""
-    for v in values if isinstance(values, list) else ():
-        for x in v if isinstance(v, list) else (v,):
-            if isinstance(x, (str, bool)):
-                _json_number(x, what)
-    return values
 
 
 def load_metric_model(path) -> MetricModel:

@@ -138,22 +138,20 @@ def validate_against_empirical(
     """Compare measured k-NN accuracy against the distribution-driven estimate.
 
     The empirical arm runs the repeated-split protocol on the table; the
-    simulated arm fits intra/inter distance distributions on the same rows
-    (standardized space, optionally through the learned metric) and feeds the
-    top-ranked family of each into the simulator with D = eligible device
-    count.
+    simulated arm fits intra/inter distance distributions on the rows of the
+    eligible devices and feeds the top-ranked family of each into the
+    simulator with D = eligible device count. The distances are measured
+    through ``train_ldml``'s metric with ``use_ldml``, else in
+    ``pairwise_distances``' standardized space (what ``distfit`` fits
+    without a model); either way the order of the rows does not matter.
     """
     from .classify import run_protocol
     from .distances import pairwise_distances, rank_families
-    from .metric import standardizer, train_ldml
+    from .metric import train_ldml
 
     eligible = table.eligible(train_per_device + 1)
-    # rows grouped by device: the standardization sums depend on row order,
-    # and the fits have always seen this one (train_ldml and
-    # pairwise_distances group the rows themselves)
-    rows = np.concatenate(list(eligible.device_rows().values()))
-    X, ids = eligible.X[rows], eligible.device_ids[rows]
-    model = train_ldml(X, ids, seed=seed) if use_ldml else standardizer(X)
+    X, ids = eligible.X, eligible.device_ids
+    model = train_ldml(X, ids, seed=seed) if use_ldml else None
     intra_d, inter_d = pairwise_distances(X, ids, model)
     intra_fit = rank_families(intra_d)[0]
     inter_fit = rank_families(inter_d)[0]

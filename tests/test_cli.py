@@ -80,6 +80,27 @@ def test_malformed_input_exits_3(workdir, tmp_path):
         assert rc == 0, tag
 
 
+# key -> (what replaces its readings, the error's words); np.asarray parsed
+# "-0.18", false and "1.5" as numbers, and ingest wrote them back as such
+_NOT_NUMBERS = {"ax": (["-0.18"] * 3, "ax must be a number, got '-0.18'"),
+                "gz": ([0.0, False, 0.0], "gz must be a number, got False"),
+                "t": ([0.0, None, 0.02], "t must be a number, got None"),
+                "ay": ("1.5", "ay must be an array of numbers, got '1.5'")}
+
+
+@pytest.mark.parametrize("key", _NOT_NUMBERS)
+def test_reading_that_is_not_a_json_number_exits_3(workdir, tmp_path, capsys, key):
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    value, words = _NOT_NUMBERS[key]
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "o.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps({**json.loads(lines[1]), key: value}),
+                              *lines[2:]]) + "\n")
+    for cmd in ("ingest", "featurize"):
+        assert main([cmd, "--in", str(bad), "--out", str(out)]) == 3
+        assert f"line 2: readings must be arrays of numbers ({words})" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_ingest_of_raw_and_quantized_captures_writes_no_tag(workdir, tmp_path):
     # the file-wide tag an older version read from the quantized lines was
     # written back onto every record, the raw captures' too
@@ -469,6 +490,50 @@ def test_distfit_failed_fit_leaves_no_files(tmp_path, capsys):
     assert main(argv) == 3
     assert "inter distances: all family fits failed" in capsys.readouterr().err
     assert not any(path.exists() for path in outs.values())
+
+
+def _distfit_without_model(features, d):
+    """distfit of ``features`` without a metric model, into the new directory
+    ``d``; the fit files and the ranking (without its config echo)."""
+    d.mkdir()
+    outs = {flag: d / f"{flag[2:]}.json" for flag in ("--intra-out", "--inter-out", "--out")}
+    argv = ["distfit", "--features", str(features)]
+    for flag, path in outs.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 0
+    ranking = json.loads(outs["--out"].read_text())
+    del ranking["config"]
+    return outs["--intra-out"].read_bytes(), outs["--inter-out"].read_bytes(), ranking
+
+
+@pytest.fixture(scope="module")
+def round_robin(workdir, tmp_path_factory):
+    """workdir's feature table, featurized from its dataset in round-robin
+    order (every device's first capture, then every device's second, ...)."""
+    d = tmp_path_factory.mktemp("round_robin")
+    lines = (workdir / "data.jsonl").read_bytes().splitlines(keepends=True)
+    order = sorted(range(len(lines)), key=lambda i: i % 4)  # 4 captures per device
+    (d / "data.jsonl").write_bytes(b"".join(lines[i] for i in order))
+    assert main(["featurize", "--in", str(d / "data.jsonl"), "--out", str(d / "feat.csv")]) == 0
+    return d / "feat.csv"
+
+
+def test_distfit_without_model_ignores_row_order(workdir, round_robin, tmp_path):
+    assert (_distfit_without_model(round_robin, tmp_path / "round_robin")
+            == _distfit_without_model(workdir / "feat.csv", tmp_path / "grouped"))
+
+
+@pytest.mark.parametrize("order", ["grouped", "round_robin"])
+def test_validate_fits_are_what_distfit_ranks_first(order, workdir, round_robin, tmp_path):
+    from sensorprint.simulate import validate_against_empirical
+
+    features = workdir / "feat.csv" if order == "grouped" else round_robin
+    _distfit_without_model(features, tmp_path / "fits")
+    table = load_features_csv(features)
+    assert len(table.eligible(4).X) == len(table.X)  # every device has 3 + 1 captures
+    rep = validate_against_empirical(table, train_per_device=3, repeats=1, runs=100)
+    assert rep.intra_fit == load_fitted(tmp_path / "fits" / "intra-out.json")[1]
+    assert rep.inter_fit == load_fitted(tmp_path / "fits" / "inter-out.json")[1]
 
 
 @pytest.fixture(scope="module")

@@ -180,6 +180,28 @@ def test_obfuscation_draws_vary_by_session_and_seed():
     assert np.array_equal(oa.accel, oa_rep.accel)  # keyed stream is stable
 
 
+def test_obfuscation_keys_keep_colons_in_ids_apart():
+    # "dev:1"/"2" and "dev"/"1:2" both joined to "5:dev:1:2" and drew alike
+    t = np.arange(0.0, 1.0, 0.01)
+    accel, gyro = np.tile([0.0, 0.0, 9.81], (len(t), 1)), np.zeros((len(t), 3))
+    a = obfuscate(RawSample("dev:1", "2", t, accel, gyro), ObfuscationConfig(seed=5))
+    b = obfuscate(RawSample("dev", "1:2", t, accel, gyro), ObfuscationConfig(seed=5))
+    assert not np.array_equal(a.accel, b.accel)
+
+
+def test_obfuscation_key_of_plain_ids_is_unchanged():
+    # ids without backslash or colon keep the sha256 of "seed:device:sample",
+    # so every obfuscated file written before keeps its bytes
+    import hashlib
+
+    t = np.arange(0.0, 1.0, 0.01)
+    s = RawSample("dev0003", "s001", t, np.tile([0.0, 0.0, 9.81], (len(t), 1)), np.zeros((len(t), 3)))
+    digest = hashlib.sha256(b"5:dev0003:s001").digest()
+    rng = np.random.default_rng(int.from_bytes(digest, "big"))
+    gains, offsets = rng.uniform(0.75, 1.25, size=3), rng.uniform(-1.5, 1.5, size=3)
+    assert np.array_equal(obfuscate(s, ObfuscationConfig(seed=5)).accel, s.accel * gains + offsets)
+
+
 # ---------------------------------------------------------------------------
 # Quantization.
 

@@ -405,6 +405,18 @@ def test_constructor_samples_go_through_add(tmp_path):
     assert load_dataset(p).index == ds.index
 
 
+def test_editing_the_index_lets_no_repeat_in():
+    s = _still("d1", "s1")
+    ds = Dataset(samples=[s])
+    ds.index["d1"].clear()
+    with pytest.raises(ValueError, match="duplicate sample id 's1' for device 'd1'"):
+        ds.add(s)
+    del ds.index["d1"]
+    with pytest.raises(ValueError, match="duplicate"):
+        ds.add(s)
+    assert ds.samples == (s,)
+
+
 def test_constructor_refuses_a_duplicate_and_takes_no_index():
     s = _still("d1", "s1")
     with pytest.raises(ValueError, match="duplicate sample id 's1' for device 'd1'"):

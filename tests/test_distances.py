@@ -49,19 +49,26 @@ def flat(vecs):
     return X, np.repeat(list(vecs), [len(v) for v in vecs.values()])
 
 
+def identity(d):
+    """The metric model of raw distances in d dimensions."""
+    from sensorprint.metric import MetricModel
+
+    return MetricModel(np.zeros(d), np.ones(d), np.eye(d), 0.0)
+
+
 def test_pairwise_duplicate_geometry():
     vecs = {
         "a": np.array([[0.0, 0.0], [0.0, 0.0]]),
         "b": np.array([[3.0, 4.0], [3.0, 4.0]]),
     }
-    intra, inter = pairwise_distances(*flat(vecs))
+    intra, inter = pairwise_distances(*flat(vecs), identity(2))
     np.testing.assert_array_equal(intra, [0.0, 0.0])
     np.testing.assert_allclose(inter, [5.0, 5.0, 5.0, 5.0])
 
 
 def test_pairwise_hand_enumeration():
     vecs = {"A": np.array([[0.0], [1.0]]), "B": np.array([[10.0]])}
-    intra, inter = pairwise_distances(*flat(vecs))
+    intra, inter = pairwise_distances(*flat(vecs), identity(1))
     np.testing.assert_array_equal(intra, [1.0])
     np.testing.assert_array_equal(np.sort(inter), [9.0, 10.0])
 
@@ -70,7 +77,7 @@ def test_pairwise_counting_formula():
     rng = np.random.default_rng(0)
     for D, n in [(2, 2), (3, 4), (5, 3)]:
         vecs = {f"d{i}": rng.normal(size=(n, 6)) for i in range(D)}
-        intra, inter = pairwise_distances(*flat(vecs))
+        intra, inter = pairwise_distances(*flat(vecs), None)
         assert len(intra) == D * n * (n - 1) // 2
         assert len(inter) == n * n * D * (D - 1) // 2
 
@@ -128,7 +135,7 @@ def test_pairwise_distances_pinned():
             "7f4d963d3a8e24bbb6d7b6e06e5b4de94d44078062f764dc846f0f01b45b3cbe"),
     }
     cases = {"grouped": np.arange(len(X)), "interleaved": interleaved, "single": single}
-    models = {"raw": None, "metric": model}
+    models = {"raw": identity(X.shape[1]), "metric": model}
     for (case, m), (intra_digest, inter_digest) in expected.items():
         rows = cases[case]
         intra, inter = pairwise_distances(X[rows], ids[rows], models[m])
@@ -139,7 +146,35 @@ def test_pairwise_distances_pinned():
 def test_pairwise_needs_same_device_pairs():
     vecs = {"A": np.array([[0.0]]), "B": np.array([[1.0]])}
     with pytest.raises(ValueError, match="eligible"):
+        pairwise_distances(*flat(vecs), None)
+
+
+def test_pairwise_needs_a_model_argument():
+    vecs = {"A": np.array([[0.0], [1.0]]), "B": np.array([[10.0]])}
+    with pytest.raises(TypeError):
         pairwise_distances(*flat(vecs))
+
+
+def test_pairwise_none_is_the_device_grouped_standardized_space():
+    # None fits standardizer over the rows grouped by device, whatever order
+    # they come in: a round-robin copy gives the grouped copy's distances
+    from sensorprint.dataset import generate_synthetic
+    from sensorprint.features import featurize_dataset
+    from sensorprint.metric import standardizer
+
+    table = featurize_dataset(generate_synthetic(12, 5, seed=3))
+    X, ids = table.X, table.device_ids
+    grouped = np.concatenate(list(table.device_rows().values()))
+    robin = np.argsort(np.arange(len(X)) % 5, kind="stable")
+    assert not np.array_equal(robin, grouped)
+    expected = pairwise_distances(X, ids, standardizer(X[grouped]))
+    # standardized in file order instead, the round-robin rows move some bits
+    drift = pairwise_distances(X[robin], ids[robin], standardizer(X[robin]))
+    assert drift[1].tobytes() != expected[1].tobytes()
+    for rows in (grouped, robin):
+        got = pairwise_distances(X[rows], ids[rows], None)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_fit_rejects_degenerate_samples():
