@@ -4,7 +4,8 @@ A dataset is a collection of short sensor captures ("samples"), each a burst
 of timestamped 3-axis accelerometer and gyroscope readings from one device.
 The on-disk format is one JSON object per line with keys ``device_id``,
 ``sample_id``, ``t``, ``ax``, ``ay``, ``az``, ``gx``, ``gy``, ``gz`` (all
-arrays of equal length), read and written with orjson.
+arrays of equal length), read and written with orjson. A ``Dataset`` is
+built once from its samples, in file order when loaded, and never grows.
 
 The synthetic generator stands in for real data collection: it models a
 stationary device lying flat on a surface, so the only device-to-device
@@ -106,45 +107,44 @@ class RawSample:
 
 
 class Dataset:
-    """A collection of RawSamples with a device index, grown by ``add``;
-    samples given to the constructor go through ``add`` too, so a repeated
-    (device, sample id) pair is refused however it arrives. ``index``
-    (device -> its sample ids, in order) is for reading: ``add`` checks a
-    set of its own, so editing ``index`` lets no repeat in. It holds the
-    captures only, not how they were made or rewritten.
+    """The captures of a fleet, built once from ``samples`` in the order
+    given. A repeated (device, sample id) pair is refused as it arrives.
+    ``index`` maps each device to its sample ids, devices in first-seen
+    order. It holds the captures only, not how they were made or rewritten.
 
-    ``samples`` is a tuple that only ``add`` grows: it cannot be rebound or
-    edited, and neither can the samples in it. So the feature table that
+    ``samples`` is the tuple of the samples: it cannot be rebound or edited,
+    and neither can the samples in it. So the feature table that
     ``features.featurize_dataset`` keeps in ``_features``, with its rate,
-    stays the table of these samples until ``add`` clears the slot.
+    stays the table of these samples.
     """
 
     def __init__(self, samples=()):
         self.index: dict[str, list[str]] = {}
-        self._keys: set[tuple[str, str]] = set()  # the (device, sample id) pairs held
-        self._samples: list[RawSample] = []
-        self._features = None  # (fs, FeatureTable) of the last featurize_dataset call
+        kept: dict[tuple[str, str], RawSample] = {}  # (device, sample id) -> sample, in order
         for sample in samples:
-            self.add(sample)
+            key = (sample.device_id, sample.sample_id)
+            if key in kept:
+                raise ValueError(f"duplicate sample id {key[1]!r} for device {key[0]!r}")
+            kept[key] = sample
+            self.index.setdefault(sample.device_id, []).append(sample.sample_id)
+        self._samples = tuple(kept.values())
+        self._features = None  # (fs, FeatureTable) of the last featurize_dataset call
 
     @property
     def samples(self) -> tuple[RawSample, ...]:
-        return tuple(self._samples)
-
-    def add(self, sample: RawSample) -> None:
-        key = (sample.device_id, sample.sample_id)
-        if key in self._keys:
-            raise ValueError(
-                f"duplicate sample id {sample.sample_id!r} for device {sample.device_id!r}"
-            )
-        self._keys.add(key)
-        self.index.setdefault(sample.device_id, []).append(sample.sample_id)
-        self._samples.append(sample)
-        self._features = None
+        return self._samples
 
     def underpopulated_devices(self) -> list[str]:
         """Devices with fewer than 2 samples (loadable but flagged)."""
         return [d for d, ids in self.index.items() if len(ids) < 2]
+
+
+def rows_by_device(device_ids) -> dict[str, np.ndarray]:
+    """Device -> the indices of its rows; devices in first-seen order."""
+    rows: dict[str, list[int]] = {}
+    for i, dev in enumerate(np.asarray(device_ids, dtype=str).tolist()):
+        rows.setdefault(dev, []).append(i)
+    return {dev: np.array(idx) for dev, idx in rows.items()}
 
 
 @dataclass
@@ -236,22 +236,22 @@ def _json_numbers(values, what: str):
     return values
 
 
-def _sample_from_record(rec: dict, lineno: int) -> RawSample:
+def _sample_from_record(rec: dict) -> RawSample:
     missing = [k for k in RECORD_KEYS if k not in rec]
     if missing:
-        raise ValueError(f"line {lineno}: missing keys {missing}")
+        raise ValueError(f"missing keys {missing}")
     try:
         t, *cols = (np.asarray(_json_numbers(rec[k], k), dtype=float) for k in RECORD_KEYS[2:])
     except (TypeError, ValueError) as e:
-        raise ValueError(f"line {lineno}: readings must be arrays of numbers ({e})") from None
+        raise ValueError(f"readings must be arrays of numbers ({e})") from None
     if t.ndim != 1:
-        raise ValueError(f"line {lineno}: 't' must be a 1-d array")
+        raise ValueError("'t' must be a 1-d array")
     for k, v in zip(RECORD_KEYS[3:], cols):
         if v.shape != t.shape:
-            raise ValueError(f"line {lineno}: array {k!r} length differs from t")
+            raise ValueError(f"array {k!r} length differs from t")
     for k in RECORD_KEYS[:2]:  # not bool, nor float: orjson reads an integer past 64 bits as one
         if type(rec[k]) not in (str, int):
-            raise ValueError(f"line {lineno}: {k!r} must be a string or an integer, got {rec[k]!r}")
+            raise ValueError(f"{k!r} must be a string or an integer, got {rec[k]!r}")
     return RawSample(
         device_id=str(rec["device_id"]),
         sample_id=str(rec["sample_id"]),
@@ -264,31 +264,36 @@ def _sample_from_record(rec: dict, lineno: int) -> RawSample:
 def load_dataset(path) -> Dataset:
     """Load and validate a JSONL dataset file.
 
-    Every RawSample invariant is enforced; errors carry the 1-based line
-    number. A line that is not strict JSON is a malformed record, and so is
-    a number beyond the float64 range (``1e400``, a 400-digit integer).
+    Every RawSample and Dataset invariant is enforced; errors carry the
+    1-based line number. A line that is not strict JSON is a malformed
+    record, and so is a number past the float64 range (``1e400``, 10**400).
     Keys other than ``RECORD_KEYS`` are ignored.
     Devices with fewer than 2 samples load fine but are logged.
     """
     import orjson  # on use: a CLI start that reads no dataset skips it
 
-    ds = Dataset()
-    with open(path, "rb") as fh:
+    lineno = 0
+
+    def samples(fh):
+        nonlocal lineno
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 rec = orjson.loads(line)
             except orjson.JSONDecodeError as e:
-                raise ValueError(f"line {lineno}: malformed record ({e.msg})") from e
+                raise ValueError(f"malformed record ({e.msg})") from e
             if not isinstance(rec, dict):
-                raise ValueError(f"line {lineno}: record is not a JSON object")
-            sample = _sample_from_record(rec, lineno)
-            try:
-                sample.validate()
-                ds.add(sample)
-            except ValueError as e:
-                raise ValueError(f"line {lineno}: {e}") from e
+                raise ValueError("record is not a JSON object")
+            sample = _sample_from_record(rec)
+            sample.validate()
+            yield sample
+
+    with open(path, "rb") as fh:
+        try:  # Dataset refuses a duplicate while the generator still sits on its line
+            ds = Dataset(samples(fh))
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from e
     flagged = ds.underpopulated_devices()
     if flagged:
         log.warning("%d device(s) have fewer than 2 samples: %s", len(flagged), flagged[:5])
@@ -367,11 +372,11 @@ def generate_synthetic(
     if n_devices < 0 or samples_per_device < 0:
         raise ValueError("counts must be >= 0")
     prior = device_prior or DevicePrior()
-    ds = Dataset()
+    samples = []
     for i in range(n_devices):
         rng = np.random.default_rng([seed, i])
         model = prior.draw(rng)
         device_id = f"dev{i:04d}"
         for j in range(samples_per_device):
-            ds.add(synthesize_sample(model, rng, device_id, f"s{j:03d}"))
-    return ds
+            samples.append(synthesize_sample(model, rng, device_id, f"s{j:03d}"))
+    return Dataset(samples)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, gammainc, gammaincinv, gammaln, log_ndtr, ndtr, ndtri, xlogy
 
-from .dataset import _json_number
+from .dataset import _json_number, rows_by_device
 
 log = logging.getLogger(__name__)
 
@@ -88,7 +88,7 @@ def pairwise_distances(X, device_ids, model) -> tuple[np.ndarray, np.ndarray]:
     changes no distance. Devices with a single sample contribute only
     cross-device pairs.
     """
-    from .metric import cross_distances, rows_by_device, standardizer, transform
+    from .metric import cross_distances, standardizer, transform
 
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) != len(device_ids):
@@ -450,12 +450,13 @@ def save_fitted(dist: FittedDistribution, population_kind: str, path) -> None:
 
 
 def load_fitted(path) -> tuple[str, FittedDistribution]:
-    """Read a save_fitted file; a missing or ill-typed key is a ValueError.
-    Keys other than ``class``, ``family``, ``params``, ``loglik`` and ``n``
-    are ignored."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
+    """Read a save_fitted file; a file that is not JSON, a missing or
+    ill-typed key, or a fit ``FittedDistribution`` refuses is a ValueError
+    naming the file. Keys other than ``class``, ``family``, ``params``,
+    ``loglik`` and ``n`` are ignored."""
+    try:  # an unreadable file is an OSError, which passes through
+        with open(path) as fh:
+            payload = json.load(fh)
         dist = FittedDistribution(
             family=payload["family"],
             params={k: float(_json_number(v, k)) for k, v in payload["params"].items()},
@@ -463,6 +464,6 @@ def load_fitted(path) -> tuple[str, FittedDistribution]:
             n=_json_number(payload["n"], "n", min_int=1),
         )
         kind = payload["class"]
-    except (KeyError, TypeError, AttributeError, OverflowError) as e:
-        raise ValueError(f"malformed distribution fit: {e!r}") from None
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
+        raise ValueError(f"malformed distribution fit {str(path)!r}: {e!r}") from None
     return kind, dist

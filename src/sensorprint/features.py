@@ -18,10 +18,9 @@ of all captures of equal length, ``stream_features`` one series.
 ``featurize_dataset`` keeps the table it computes on the dataset, with the
 rate, and hands it out again at that rate, so ``run_protocol`` and
 ``privacy_impact`` called again and again on one ``Dataset`` resample and
-featurize it once. That needs no check: samples and tables are immutable
-values, and only ``Dataset.add``, which clears the stored table, changes a
-dataset. A ``FeatureTable`` is used as it is, and the CLI's ``classify``
-and ``evaluate`` read the table that ``featurize`` wrote.
+featurize it once. That needs no check: a dataset is built once, and its
+samples and tables are immutable. A ``FeatureTable`` is used as it is, and
+the CLI's ``classify`` and ``evaluate`` read the table ``featurize`` wrote.
 
 The degenerate rules above are per-row masks applied after the arithmetic,
 which runs under ``np.errstate`` so no warning escapes. Each row's features
@@ -42,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, RawSample, read_only_copy
-from .metric import rows_by_device
+from .dataset import Dataset, RawSample, read_only_copy, rows_by_device
 from .preprocess import DEFAULT_FS, STREAM_KEYS, build_streams
 
 TEMPORAL_NAMES = (
@@ -256,9 +254,8 @@ def featurize_dataset(dataset: Dataset, fs_target: float = DEFAULT_FS) -> Featur
     solve and featurized together, so memory stays bounded by the block size.
 
     The table is kept on the dataset with ``fs_target``; a later call at the
-    same rate returns that same table without resampling. Samples and
-    tables are immutable and only ``Dataset.add`` (which clears the slot)
-    changes a dataset, so the stored table stays the table of its samples.
+    same rate returns that same table without resampling. A dataset is built
+    once from immutable samples, so the stored table stays its table.
     """
     memo = dataset._features
     if memo is None or memo[0] != fs_target:
@@ -284,16 +281,26 @@ def write_features_csv(table: FeatureTable, path) -> None:
 
 
 def load_features_csv(path) -> FeatureTable:
-    """Read a ``write_features_csv`` file; a repeated (device_id, sample_id)
-    row is a ValueError from ``FeatureTable``, as a duplicate sample id is
+    """Read a ``write_features_csv`` file. A cell that is not a number is a
+    ValueError naming its row's ids and its column; a repeated (device_id,
+    sample_id) row is one from ``FeatureTable``, as a duplicate sample id is
     in ``load_dataset``."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         if next(r, None) != _CSV_HEADER:
             raise ValueError("bad feature-matrix header")
         rows = list(r)
-    for row in rows:
+    X = np.empty((len(rows), N_TOTAL))
+    for i, row in enumerate(rows):
         if len(row) != len(_CSV_HEADER):
             raise ValueError(f"row for {row[:2]} has {len(row)} fields")
-    X = np.array([[float(x) for x in row[2:]] for row in rows]).reshape(len(rows), N_TOTAL)
+        try:
+            X[i] = [float(x) for x in row[2:]]
+        except ValueError:  # float() names the text only: find its column
+            for name, x in zip(_CSV_HEADER[2:], row[2:]):
+                try:
+                    float(x)
+                except ValueError:
+                    raise ValueError(f"row for device {row[0]!r}, sample {row[1]!r}: "
+                                     f"{name} {x!r} is not a number") from None
     return FeatureTable(X, [row[0] for row in rows], [row[1] for row in rows])

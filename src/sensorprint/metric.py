@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .dataset import _json_number, _json_numbers
+from .dataset import _json_number, _json_numbers, rows_by_device
 
 MAX_HALVINGS = 60
 
@@ -60,14 +60,6 @@ def _as_matrix(features, labels) -> tuple[np.ndarray, np.ndarray]:
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("features and labels must align")
     return X, y
-
-
-def rows_by_device(device_ids) -> dict[str, np.ndarray]:
-    """Device -> the indices of its rows; devices in first-seen order."""
-    rows: dict[str, list[int]] = {}
-    for i, dev in enumerate(np.asarray(device_ids, dtype=str).tolist()):
-        rows.setdefault(dev, []).append(i)
-    return {dev: np.array(idx) for dev, idx in rows.items()}
 
 
 def standardize_fit(features) -> tuple[np.ndarray, np.ndarray]:
@@ -278,16 +270,17 @@ def save_metric_model(model: MetricModel, path) -> None:
 
 
 def load_metric_model(path) -> MetricModel:
-    """Read a save_metric_model file; a missing or ill-typed key is a ValueError.
-    Keys other than ``means``, ``stds``, ``L`` and ``bias`` are ignored."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
+    """Read a save_metric_model file; a file that is not JSON, or a missing,
+    ill-typed or misshaped key, is a ValueError naming the file. Keys other
+    than ``means``, ``stds``, ``L`` and ``bias`` are ignored."""
+    try:  # an unreadable file is an OSError, which passes through
+        with open(path) as fh:
+            payload = json.load(fh)
         return MetricModel(
             means=_json_numbers(payload["means"], "means"),
             stds=_json_numbers(payload["stds"], "stds"),
             L=_json_numbers(payload["L"], "L"),
             bias=float(_json_number(payload["bias"], "bias")),
         )
-    except (KeyError, TypeError, OverflowError) as e:
-        raise ValueError(f"malformed metric model: {e!r}") from None
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"malformed metric model {str(path)!r}: {e!r}") from None

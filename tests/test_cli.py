@@ -49,6 +49,7 @@ def test_ingest_normalizes(workdir, tmp_path):
     out = tmp_path / "copy.jsonl"
     assert main(["ingest", "--in", str(workdir / "data.jsonl"), "--out", str(out)]) == 0
     assert len(load_dataset(out).samples) == 32
+    assert out.read_bytes() == (workdir / "data.jsonl").read_bytes()
 
 
 def test_ingest_names_the_line_of_a_duplicate_record(workdir, tmp_path, capsys):
@@ -719,10 +720,8 @@ def test_repeated_captures_fit_a_point_mass_and_simulate(tmp_path):
 
     from sensorprint.dataset import Dataset, generate_synthetic, write_dataset
 
-    ds = Dataset()
-    for s in generate_synthetic(6, 1, seed=3).samples:
-        for i in range(4):
-            ds.add(dataclasses.replace(s, sample_id=f"r{i}"))
+    ds = Dataset([dataclasses.replace(s, sample_id=f"r{i}")
+                  for s in generate_synthetic(6, 1, seed=3).samples for i in range(4)])
     write_dataset(ds, tmp_path / "rep.jsonl")
     p = {name: str(tmp_path / name) for name in
          ("rep.jsonl", "f.csv", "fi.json", "fe.json", "dist.json", "sweep.csv")}
@@ -924,6 +923,22 @@ def test_malformed_fit_json_exits_3(workdir, tmp_path, capsys, damage):
         assert "malformed distribution fit" in err
 
 
+def test_fit_of_an_unknown_family_names_the_file(workdir, tmp_path, capsys):
+    # FittedDistribution's refusal used to reach the CLI alone, naming
+    # neither the file nor the flag that gave it
+    fi, fe = _fit_files(workdir, tmp_path)
+    payload = json.loads(fe.read_text())
+    payload["family"] = "NOPE"
+    fe.write_text(json.dumps(payload))
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--intra", str(fi), "--inter", str(fe),
+                 "--device-counts", "10", "--runs", "10", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"malformed distribution fit {str(fe)!r}" in err
+    assert "unknown family 'NOPE'" in err
+    assert not out.exists()
+
+
 def _write_fit(path, kind, family, params, loglik=-10.0, n=50):
     # with the aic key older files carry: it is ignored on load
     payload = {"class": kind, "family": family, "params": params,
@@ -1009,6 +1024,35 @@ def test_malformed_metric_json_exits_3(workdir, tmp_path, capsys, caplog, damage
         assert f"{_ELEMENT_METRIC[damage][0]} must be a number" in err
     # refused on load, before the distances are fitted
     assert not any("fit of" in r.getMessage() for r in caplog.records)
+    assert not out.exists()
+
+
+def test_ragged_metric_matrix_names_the_file(workdir, tmp_path, capsys):
+    # numpy's refusal of a ragged L used to reach the CLI alone
+    model = tmp_path / "m.json"
+    assert main(["train-metric", "--features", str(workdir / "feat.csv"),
+                 "--iterations", "2", "--out", str(model)]) == 0
+    payload = json.loads(model.read_text())
+    payload["L"][1] = payload["L"][1][:3]
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "d.json"
+    assert main(["distfit", "--features", str(workdir / "feat.csv"),
+                 "--metric-model", str(model), "--out", str(out)]) == 3
+    assert f"malformed metric model {str(model)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["abc", ""], ids=["text", "empty"])
+def test_feature_cell_that_is_not_a_number_is_named(workdir, tmp_path, capsys, cell):
+    lines = (workdir / "feat.csv").read_text().splitlines()
+    row = lines[3].split(",")
+    row[2 + 5] = cell
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
+    out = tmp_path / "m.json"
+    assert main(["train-metric", "--features", str(bad), "--out", str(out)]) == 3
+    assert (f"error: row for device {row[0]!r}, sample {row[1]!r}: f005 {cell!r} "
+            "is not a number") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,49 @@ def test_load_rejects_bad_duration(tmp_path):
         load_dataset(p)
 
 
+def _refused(kind):
+    """Line 3 of a file whose line 1 is a good record and line 2 is blank,
+    and what its refusal says after the line number."""
+    rec = make_record(sample_id="s2")
+    if kind == "malformed_json":
+        return '{"device_id": "d1",', "malformed record ("
+    if kind == "not_object":
+        return "[1, 2]", "record is not a JSON object"
+    if kind == "missing_key":
+        del rec["gz"]
+        return json.dumps(rec), "missing keys ['gz']"
+    if kind == "string_reading":
+        rec["ay"][7] = "0.5"
+        return json.dumps(rec), "readings must be arrays of numbers (ay must be a number"
+    if kind == "t_2d":
+        rec["t"] = [rec["t"]]
+        return json.dumps(rec), "'t' must be a 1-d array"
+    if kind == "length_mismatch":
+        rec["gy"] = rec["gy"][:-1]
+        return json.dumps(rec), "array 'gy' length differs from t"
+    if kind == "bad_id_type":
+        rec["sample_id"] = None
+        return json.dumps(rec), "'sample_id' must be a string or an integer, got None"
+    if kind == "rate_out_of_bounds":
+        return json.dumps(make_record(sample_id="s2", n=21, rate=4.0)), (
+            "sample d1/s2: mean rate 4.0 Hz outside [20, 200]")
+    assert kind == "duplicate"
+    return json.dumps(make_record()), "duplicate sample id 's1' for device 'd1'"
+
+
+@pytest.mark.parametrize("kind", ["malformed_json", "not_object", "missing_key",
+                                  "string_reading", "t_2d", "length_mismatch", "bad_id_type",
+                                  "rate_out_of_bounds", "duplicate"])
+def test_each_refusal_names_its_line_once(tmp_path, kind):
+    # a blank line counts: the refused record is the second record but line 3
+    line, says = _refused(kind)
+    p = tmp_path / "bad.jsonl"
+    p.write_text(json.dumps(make_record()) + "\n\n" + line + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"line 3: {says}")) as e:
+        load_dataset(p)
+    assert str(e.value).count("line ") == 1
+
+
 def test_round_trip_record_equivalent(tmp_path):
     ds = generate_synthetic(3, 2, seed=7)
     p1 = tmp_path / "a.jsonl"
@@ -179,8 +223,7 @@ def test_non_ascii_ids_and_strided_arrays_round_trip(tmp_path):
     t, accel, gyro = (np.arange(2 * n) / 200.0)[::2], wide[::2, ::3], wide[1::2, 1:4]
     assert not (t.flags.c_contiguous or accel.flags.c_contiguous or gyro.flags.c_contiguous)
     sample = RawSample("gerät-ü", "s—1 😀", t, accel, gyro)
-    ds = Dataset()
-    ds.add(sample)
+    ds = Dataset([sample])
     p = tmp_path / "views.jsonl"
     write_dataset(ds, p)
     assert "gerät-ü".encode() in p.read_bytes()  # raw UTF-8, not \u escapes
@@ -215,16 +258,17 @@ def test_sample_fields_cannot_be_rebound_and_replace_gives_a_read_only_copy():
         assert not a.flags.writeable
 
 
-def test_dataset_samples_is_a_tuple_that_only_add_grows():
-    ds = Dataset([_still("d1", "s1"), _still("d1", "s2")])
+def test_dataset_samples_is_the_tuple_it_was_built_with():
+    given = [_still("d1", "s1"), _still("d1", "s2")]
+    ds = Dataset(iter(given))  # read once, in order
     assert type(ds.samples) is tuple
+    assert ds.samples is ds.samples  # no copy per read
+    assert ds.samples == tuple(given)
     with pytest.raises(TypeError):
         ds.samples[0] = _still("d2", "s1")
     with pytest.raises(AttributeError):
         ds.samples = (_still("d2", "s1"),)
-    ds.add(_still("d2", "s1"))
-    assert [(s.device_id, s.sample_id) for s in ds.samples] == [
-        ("d1", "s1"), ("d1", "s2"), ("d2", "s1")]
+    assert not hasattr(ds, "add")
 
 
 def test_write_refuses_a_sample_that_load_would_refuse(tmp_path):
@@ -383,10 +427,11 @@ def test_device_prior_refuses_bad_values_at_construction(field, value):
 
 
 def test_underpopulated_devices_flagged():
-    ds = Dataset()
-    ds.add(RawSample("d1", "s1", np.arange(500) / 100.0, np.zeros((500, 3)), np.zeros((500, 3))))
-    ds.add(RawSample("d2", "s1", np.arange(500) / 100.0, np.zeros((500, 3)), np.zeros((500, 3))))
-    ds.add(RawSample("d2", "s2", np.arange(500) / 100.0, np.zeros((500, 3)), np.zeros((500, 3))))
+    ds = Dataset([
+        RawSample("d1", "s1", np.arange(500) / 100.0, np.zeros((500, 3)), np.zeros((500, 3))),
+        RawSample("d2", "s1", np.arange(500) / 100.0, np.zeros((500, 3)), np.zeros((500, 3))),
+        RawSample("d2", "s2", np.arange(500) / 100.0, np.zeros((500, 3)), np.zeros((500, 3))),
+    ])
     assert ds.underpopulated_devices() == ["d1"]
 
 
@@ -403,18 +448,6 @@ def test_constructor_samples_go_through_add(tmp_path):
     p = tmp_path / "built.jsonl"
     write_dataset(ds, p)
     assert load_dataset(p).index == ds.index
-
-
-def test_editing_the_index_lets_no_repeat_in():
-    s = _still("d1", "s1")
-    ds = Dataset(samples=[s])
-    ds.index["d1"].clear()
-    with pytest.raises(ValueError, match="duplicate sample id 's1' for device 'd1'"):
-        ds.add(s)
-    del ds.index["d1"]
-    with pytest.raises(ValueError, match="duplicate"):
-        ds.add(s)
-    assert ds.samples == (s,)
 
 
 def test_constructor_refuses_a_duplicate_and_takes_no_index():

@@ -244,20 +244,20 @@ def test_featurize_dataset_pinned():
 def _mixed_length_dataset() -> Dataset:
     """Synthetic captures interleaved with truncated ones (several resampled
     lengths), a constant-accel zero-gyro capture and a quantized capture."""
-    out = Dataset()
+    out = []
     for i, s in enumerate(generate_synthetic(10, 5, seed=7).samples):
         if i % 4 == 1:
             k = (120, 200)[(i // 4) % 2]
             s = RawSample(s.device_id, s.sample_id, s.timestamps[:k], s.accel[:k], s.gyro[:k])
         elif i == 10:
             s = quantize_sample(s, QuantizationConfig())
-        out.add(s)
+        out.append(s)
         if i == 6:
             n = 400
             t = np.arange(n) / 100.0 + np.random.default_rng(0).uniform(0, 0.004, n)
-            out.add(RawSample("flat", "s0", t, np.tile([0.0, 0.0, 9.81], (n, 1)),
-                              np.zeros((n, 3))))
-    return out
+            out.append(RawSample("flat", "s0", t, np.tile([0.0, 0.0, 9.81], (n, 1)),
+                                 np.zeros((n, 3))))
+    return Dataset(out)
 
 
 def test_featurize_dataset_blocks_match_single_captures():
@@ -437,18 +437,6 @@ def test_in_place_edit_raises_and_the_stored_table_stays(monkeypatch):
     assert featurize_dataset(ds) is before
     assert len(handed) == len(ds.samples)
     _assert_same_table(before, featurize_dataset(_fresh_copy(ds)))
-
-
-def test_featurize_dataset_after_add_has_the_new_row():
-    ds = generate_synthetic(2, 3, seed=4)
-    featurize_dataset(ds)
-    extra = generate_synthetic(3, 3, seed=4).samples[-1]
-    ds.add(extra)
-    assert ds._features is None
-    table = featurize_dataset(ds)
-    assert len(table.X) == 7
-    assert (table.device_ids[-1], table.sample_ids[-1]) == (extra.device_id, extra.sample_id)
-    np.testing.assert_array_equal(table.X[-1], featurize_sample(extra))
 
 
 def test_featurize_dataset_recomputes_at_another_rate(monkeypatch):

@@ -55,6 +55,14 @@ def test_featurization_leaves_the_interpolators_and_the_optimizer_out():
     assert out.split() == ["False", "False"]
 
 
+@pytest.mark.parametrize("module", ["features", "countermeasures"])
+def test_featurization_leaves_scipy_out(module):
+    # rows_by_device lives in dataset, so the feature path needs no scipy
+    out = _child_stdout(f"import sys, sensorprint.{module}\n"
+                        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
+    assert out.split() == ["False"]
+
+
 @pytest.mark.parametrize("module", ["cli", "dataset", "preprocess"])
 def test_entry_modules_leave_orjson_and_linalg_out(module):
     # both are imported where a dataset is read or written and where a

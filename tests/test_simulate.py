@@ -240,10 +240,7 @@ def test_validate_fits_do_not_depend_on_dataset_row_order():
     from sensorprint.dataset import Dataset
 
     ds = generate_synthetic(8, 5, seed=2)
-    interleaved = Dataset()
-    for i in range(5):
-        for s in ds.samples[i::5]:
-            interleaved.add(s)
+    interleaved = Dataset([s for i in range(5) for s in ds.samples[i::5]])
     a = validate_against_empirical(featurize_dataset(ds), repeats=1, runs=200, use_ldml=True)
     b = validate_against_empirical(featurize_dataset(interleaved), repeats=1, runs=200,
                                    use_ldml=True)
