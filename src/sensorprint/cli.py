@@ -149,21 +149,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_distfit(args) -> int:
-    from .distances import ks_statistic, pairwise_distances, rank_families, save_fitted
+    from .distances import fit_populations, ks_statistic, save_fitted
     from .features import load_features_csv
     from .metric import load_metric_model
 
     table = load_features_csv(args.features)
     model = load_metric_model(args.metric_model) if args.metric_model else None
-    intra, inter = pairwise_distances(table.X, table.device_ids, model)
+    # both populations are fit before any write: a failed fit leaves no file behind
+    fits = dict(zip(("intra", "inter"), fit_populations(table, model)))
     report = {"command": "distfit", "config": _config_echo(args)}
-    best = {}
-    for kind, values in (("intra", intra), ("inter", inter)):
-        try:  # both populations before any write: a failed fit leaves no file behind
-            ranking = rank_families(values)
-        except ValueError as e:
-            raise ValueError(f"{kind} distances: {e}") from None
-        best[kind] = ranking[0]
+    for kind, (values, ranking) in fits.items():
         report[kind] = {
             "n_distances": len(values),
             "ranking": [
@@ -174,11 +169,12 @@ def cmd_distfit(args) -> int:
         }
     for kind, out_path in (("intra", args.intra_out), ("inter", args.inter_out)):
         if out_path:
-            save_fitted(best[kind], kind, out_path)
+            _, ranking = fits[kind]
+            save_fitted(ranking[0], kind, out_path)
     _write_json(report, args.out)
     log.info("distfit: intra n=%d best %s, inter n=%d best %s -> %s",
-             len(intra), report["intra"]["ranking"][0]["family"],
-             len(inter), report["inter"]["ranking"][0]["family"], args.out)
+             report["intra"]["n_distances"], report["intra"]["ranking"][0]["family"],
+             report["inter"]["n_distances"], report["inter"]["ranking"][0]["family"], args.out)
     return 0
 
 

@@ -16,7 +16,9 @@ gyroscope offset, per axis) plus measurement noise.
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -109,30 +111,35 @@ class RawSample:
 class Dataset:
     """The captures of a fleet, built once from ``samples`` in the order
     given. A repeated (device, sample id) pair is refused as it arrives.
-    ``index`` maps each device to its sample ids, devices in first-seen
-    order. It holds the captures only, not how they were made or rewritten.
+    It holds the captures only, not how they were made or rewritten.
 
-    ``samples`` is the tuple of the samples: it cannot be rebound or edited,
-    and neither can the samples in it. So the feature table that
-    ``features.featurize_dataset`` keeps in ``_features``, with its rate,
-    stays the table of these samples.
+    ``samples`` is the tuple of the samples, and ``index`` a read-only
+    mapping of each device to the tuple of its sample ids, devices in
+    first-seen order. Neither can be rebound or edited, and neither can the
+    samples. So the feature table that ``features.featurize_dataset`` keeps
+    in ``_features``, with its rate, stays the table of these samples.
     """
 
     def __init__(self, samples=()):
-        self.index: dict[str, list[str]] = {}
+        index: dict[str, list[str]] = {}
         kept: dict[tuple[str, str], RawSample] = {}  # (device, sample id) -> sample, in order
         for sample in samples:
             key = (sample.device_id, sample.sample_id)
             if key in kept:
                 raise ValueError(f"duplicate sample id {key[1]!r} for device {key[0]!r}")
             kept[key] = sample
-            self.index.setdefault(sample.device_id, []).append(sample.sample_id)
+            index.setdefault(sample.device_id, []).append(sample.sample_id)
         self._samples = tuple(kept.values())
+        self._index = MappingProxyType({dev: tuple(ids) for dev, ids in index.items()})
         self._features = None  # (fs, FeatureTable) of the last featurize_dataset call
 
     @property
     def samples(self) -> tuple[RawSample, ...]:
         return self._samples
+
+    @property
+    def index(self) -> Mapping[str, tuple[str, ...]]:
+        return self._index
 
     def underpopulated_devices(self) -> list[str]:
         """Devices with fewer than 2 samples (loadable but flagged)."""

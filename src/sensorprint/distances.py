@@ -414,6 +414,26 @@ def rank_families(samples, families=FAMILIES) -> list[FittedDistribution]:
     return sorted(fits, key=lambda f: f.aic)
 
 
+def fit_populations(table, model):
+    """The distances of a feature table, split and ranked:
+    ``((intra, intra_ranking), (inter, inter_ranking))``.
+
+    The populations are ``pairwise_distances(table.X, table.device_ids,
+    model)``, so ``model=None`` is their standardized space; each ranking is
+    ``rank_families`` of its population, and its first fit, the lowest AIC,
+    is the one a projection draws from. Both populations are fit before this
+    returns: one that no family fits is a ValueError naming its kind.
+    """
+    fitted = []
+    for kind, values in zip(("intra", "inter"),
+                            pairwise_distances(table.X, table.device_ids, model)):
+        try:
+            fitted.append((values, rank_families(values)))
+        except ValueError as e:
+            raise ValueError(f"{kind} distances: {e}") from None
+    return tuple(fitted)
+
+
 def ks_statistic(samples, dist: FittedDistribution) -> float:
     """Two-sided Kolmogorov-Smirnov statistic of samples against the fitted CDF.
 

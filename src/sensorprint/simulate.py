@@ -138,23 +138,20 @@ def validate_against_empirical(
     """Compare measured k-NN accuracy against the distribution-driven estimate.
 
     The empirical arm runs the repeated-split protocol on the table; the
-    simulated arm fits intra/inter distance distributions on the rows of the
-    eligible devices and feeds the top-ranked family of each into the
-    simulator with D = eligible device count. The distances are measured
-    through ``train_ldml``'s metric with ``use_ldml``, else in
-    ``pairwise_distances``' standardized space (what ``distfit`` fits
-    without a model); either way the order of the rows does not matter.
+    simulated arm takes ``fit_populations`` of the eligible devices' rows
+    and feeds the first-ranked fit of each population into the simulator
+    with D = eligible device count. The distances are measured through
+    ``train_ldml``'s metric with ``use_ldml``, else in the standardized
+    space (what ``distfit`` fits without a model); either way the order of
+    the rows does not matter.
     """
     from .classify import run_protocol
-    from .distances import pairwise_distances, rank_families
+    from .distances import fit_populations
     from .metric import train_ldml
 
     eligible = table.eligible(train_per_device + 1)
-    X, ids = eligible.X, eligible.device_ids
-    model = train_ldml(X, ids, seed=seed) if use_ldml else None
-    intra_d, inter_d = pairwise_distances(X, ids, model)
-    intra_fit = rank_families(intra_d)[0]
-    inter_fit = rank_families(inter_d)[0]
+    model = train_ldml(eligible.X, eligible.device_ids, seed=seed) if use_ldml else None
+    intra_fit, inter_fit = (ranking[0] for _, ranking in fit_populations(eligible, model))
 
     emp = run_protocol(table, "knn", train_per_device, repeats, seed, k=k, use_ldml=use_ldml)
     sim = simulate_knn(SimConfig(

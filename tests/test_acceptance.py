@@ -35,7 +35,7 @@ from sensorprint.distances import (
     FittedDistribution,
     distribution_ppf,
     fit_family,
-    pairwise_distances,
+    fit_populations,
     rank_families,
 )
 from sensorprint.features import featurize_dataset, featurize_sample, stream_features
@@ -107,11 +107,9 @@ def test_c04_population_scale_trend(feats50):
     # identification accuracy out to populations far beyond the dataset
     t0 = time.monotonic()
     model = train_ldml(feats50.X, feats50.device_ids, seed=0)
-    intra_d, inter_d = pairwise_distances(feats50.X, feats50.device_ids, model=model)
-    intra_fit = rank_families(intra_d)[0]
-    inter_fit = rank_families(inter_d)[0]
+    (_, intra_ranking), (_, inter_ranking) = fit_populations(feats50, model)
     rows = sweep(1, [3], [100, 1_000, 10_000, 100_000], 100_000,
-                 intra_fit, inter_fit, seed=0)
+                 intra_ranking[0], inter_ranking[0], seed=0)
     dt = time.monotonic() - t0
     acc = {row.D: row.accuracy for row in rows}
     # the cells share each run's uniforms, so no count may rise with D

@@ -55,7 +55,7 @@ def test_load_two_records_one_device(tmp_path):
     ds = load_dataset(p)
     assert len(ds.index) == 1
     assert len(ds.samples) == 2
-    assert ds.index["d1"] == ["s1", "s2"]
+    assert ds.index["d1"] == ("s1", "s2")
 
 
 def test_load_rejects_non_monotone_timestamps(tmp_path):
@@ -271,6 +271,21 @@ def test_dataset_samples_is_the_tuple_it_was_built_with():
     assert not hasattr(ds, "add")
 
 
+def test_dataset_index_cannot_be_edited():
+    # the index is read from the samples once: editing it would make
+    # underpopulated_devices disagree with them
+    ds = generate_synthetic(2, 3, seed=0)
+    assert ds.index == {"dev0000": ("s000", "s001", "s002"), "dev0001": ("s000", "s001", "s002")}
+    with pytest.raises(AttributeError):
+        ds.index["dev0000"].clear()
+    with pytest.raises(TypeError):
+        ds.index["dev0002"] = ()
+    with pytest.raises(AttributeError):
+        ds.index = {}
+    assert ds.underpopulated_devices() == []
+    assert list(ds.index) == ["dev0000", "dev0001"] and len(ds.samples) == 6
+
+
 def test_write_refuses_a_sample_that_load_would_refuse(tmp_path):
     p = tmp_path / "out.jsonl"
     slow = RawSample("d", "s", np.arange(11) / 10.0, np.zeros((11, 3)), np.zeros((11, 3)))
@@ -443,7 +458,7 @@ def _still(device_id, sample_id):
 def test_constructor_samples_go_through_add(tmp_path):
     given = [_still("d1", "s1"), _still("d2", "s1"), _still("d1", "s2")]
     ds = Dataset(samples=given)
-    assert ds.index == {"d1": ["s1", "s2"], "d2": ["s1"]}
+    assert ds.index == {"d1": ("s1", "s2"), "d2": ("s1",)}
     assert ds.samples == tuple(given)
     p = tmp_path / "built.jsonl"
     write_dataset(ds, p)

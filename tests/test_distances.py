@@ -27,6 +27,7 @@ from sensorprint.distances import (
     distribution_logpdf,
     distribution_ppf,
     fit_family,
+    fit_populations,
     ks_statistic,
     load_fitted,
     pairwise_distances,
@@ -155,16 +156,22 @@ def test_pairwise_needs_a_model_argument():
         pairwise_distances(*flat(vecs))
 
 
-def test_pairwise_none_is_the_device_grouped_standardized_space():
-    # None fits standardizer over the rows grouped by device, whatever order
-    # they come in: a round-robin copy gives the grouped copy's distances
+@pytest.fixture(scope="module")
+def fleet():
+    """The feature table of a 12 x 5 synthetic fleet, rows grouped by device."""
     from sensorprint.dataset import generate_synthetic
     from sensorprint.features import featurize_dataset
+
+    return featurize_dataset(generate_synthetic(12, 5, seed=3))
+
+
+def test_pairwise_none_is_the_device_grouped_standardized_space(fleet):
+    # None fits standardizer over the rows grouped by device, whatever order
+    # they come in: a round-robin copy gives the grouped copy's distances
     from sensorprint.metric import standardizer
 
-    table = featurize_dataset(generate_synthetic(12, 5, seed=3))
-    X, ids = table.X, table.device_ids
-    grouped = np.concatenate(list(table.device_rows().values()))
+    X, ids = fleet.X, fleet.device_ids
+    grouped = np.concatenate(list(fleet.device_rows().values()))
     robin = np.argsort(np.arange(len(X)) % 5, kind="stable")
     assert not np.array_equal(robin, grouped)
     expected = pairwise_distances(X, ids, standardizer(X[grouped]))
@@ -175,6 +182,40 @@ def test_pairwise_none_is_the_device_grouped_standardized_space():
         got = pairwise_distances(X[rows], ids[rows], None)
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("space", ["standardized", "metric"])
+def test_fit_populations_ranks_each_half_of_pairwise_distances(fleet, space):
+    model = None if space == "standardized" else identity(fleet.X.shape[1])
+    got = fit_populations(fleet, model)
+    assert len(got) == 2
+    for (values, ranking), expected in zip(got, pairwise_distances(fleet.X, fleet.device_ids, model)):
+        assert values.tobytes() == expected.tobytes()
+        assert ranking == rank_families(expected)
+
+
+def test_fit_populations_of_a_round_robin_copy_are_the_grouped_fits(fleet):
+    from sensorprint.features import FeatureTable
+
+    robin = np.argsort(np.arange(len(fleet.X)) % 5, kind="stable")
+    copy = FeatureTable(fleet.X[robin], fleet.device_ids[robin], fleet.sample_ids[robin])
+    for (a, ranking_a), (b, ranking_b) in zip(fit_populations(copy, None),
+                                              fit_populations(fleet, None)):
+        assert a.tobytes() == b.tobytes()
+        assert ranking_a == ranking_b
+
+
+@pytest.mark.parametrize("kind,per_device", [
+    ("inter", (5, 1)),  # 10 intra distances fit; 5 inter distances fit no family
+    ("intra", (2, 2)),  # 2 intra distances fit no family, whatever the inter ones do
+])
+def test_fit_populations_names_the_population_no_family_fits(fleet, kind, per_device):
+    from sensorprint.features import FeatureTable
+
+    rows = np.concatenate([idx[:n] for idx, n in zip(fleet.device_rows().values(), per_device)])
+    table = FeatureTable(fleet.X[rows], fleet.device_ids[rows], fleet.sample_ids[rows])
+    with pytest.raises(ValueError, match=f"^{kind} distances: all family fits failed$"):
+        fit_populations(table, None)
 
 
 def test_fit_rejects_degenerate_samples():

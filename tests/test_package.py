@@ -72,14 +72,20 @@ def test_entry_modules_leave_orjson_and_linalg_out(module):
     assert out.split() == ["False", "False"]
 
 
-@pytest.mark.skipif(not TRACER.exists(), reason="perfbench/ is not in this checkout")
-def test_traced_names_exist(monkeypatch):
-    # a renamed or deleted function would otherwise break only the traced
-    # benchmark run (perfbench/run.py --trace 1)
+def _load_tracer(monkeypatch):
+    """perfbench/tracer.py as a module, without writing its bytecode there."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="perfbench/ is not in this checkout")
+def test_traced_names_exist(monkeypatch):
+    # a renamed or deleted function would otherwise break only the traced
+    # benchmark run (perfbench/run.py --trace 1)
+    tracer = _load_tracer(monkeypatch)
     assert tracer.PACKAGE == "sensorprint"
     missing = [
         f"{mod}.{name}"
@@ -101,13 +107,28 @@ def test_tracer_sees_featurization(monkeypatch):
     from sensorprint.dataset import generate_synthetic
     from sensorprint.features import featurize_dataset
 
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_tracer(monkeypatch)
     with tracer.Tracer() as t:
         featurize_dataset(generate_synthetic(2, 2, seed=0))
     assert {"preprocess.build_streams", "features.featurize"} <= {s[tracer.NAME] for s in t.spans}
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="perfbench/ is not in this checkout")
+def test_tracer_sees_the_distance_fits(monkeypatch, tmp_path):
+    # distfit reaches pairwise_distances and rank_families through
+    # fit_populations, which calls them by their module names, so a traced
+    # run books the distance layer's time as before
+    from sensorprint import cli
+
+    data, feat = tmp_path / "data.jsonl", tmp_path / "feat.csv"
+    assert cli.main(["synth", "--devices", "3", "--samples", "4", "--out", str(data)]) == 0
+    assert cli.main(["featurize", "--in", str(data), "--out", str(feat)]) == 0
+    tracer = _load_tracer(monkeypatch)
+    with tracer.Tracer() as t:
+        assert cli.main(["distfit", "--features", str(feat), "--out", str(tmp_path / "d.json")]) == 0
+    names = [s[tracer.NAME] for s in t.spans]
+    assert names.count("distances.pairwise_distances") == 1
+    assert names.count("distances.rank_families") == 2
 
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
