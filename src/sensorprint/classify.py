@@ -483,9 +483,11 @@ def run_protocol(
     unchanged dataset does not featurize it again. Devices need
     train_per_device + 1 samples (at least one held-out test sample); the
     rest are dropped. Standardization or the learned metric is fit on each
-    repeat's training half only. Repeat r splits by
-    ``default_rng([seed, r])`` and seeds the metric and the forest with
-    ``[seed, r, 1]`` and ``[seed, r, 2]``, streams that share no draws.
+    repeat's training half only; ``ldml_iterations`` caps each repeat's
+    metric ascent, which stops sooner once every pair is fit (``train_ldml``).
+    Repeat r splits by ``default_rng([seed, r])`` and seeds the metric and
+    the forest with ``[seed, r, 1]`` and ``[seed, r, 2]``, streams that share
+    no draws.
     """
     if classifier not in ("knn", "rf"):
         raise ValueError("classifier must be 'knn' or 'rf'")

@@ -94,13 +94,13 @@ def cmd_train_metric(args) -> int:
     from .metric import save_metric_model, train_ldml
 
     table = load_features_csv(args.features)
-    model = train_ldml(
+    model, history = train_ldml(
         table.X, table.device_ids, d_prime=args.d_prime, iterations=args.iterations,
-        step=args.step, seed=args.seed,
+        step=args.step, seed=args.seed, return_history=True,
     )
     save_metric_model(model, args.out)
-    log.info("train-metric: %d vector(s), %d iteration(s) -> %s",
-             len(table.X), args.iterations, args.out)
+    log.info("train-metric: %d vector(s), %d accepted step(s) -> %s",
+             len(table.X), len(history) - 1, args.out)
     return 0
 
 
@@ -248,7 +248,8 @@ def _add_ldml_flags(p) -> None:
     p.add_argument("--use-ldml", action="store_true",
                    help="learn a distance metric on the training split")
     p.add_argument("--ldml-iterations", type=int, default=200,
-                   help="metric-learning ascent iterations (count, default 200)")
+                   help="metric-learning ascent iterations, at most; training stops "
+                        "once every pair is fit (count, default 200)")
     p.add_argument("--ldml-step", type=float, default=1e-3,
                    help="metric-learning initial step size (unitless, default 1e-3)")
     p.add_argument("--d-prime", type=int, default=None,
@@ -300,7 +301,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train-metric", help="learn a distance metric from labeled features")
     p.add_argument("--features", help="input feature table path (CSV, required)")
     p.add_argument("--iterations", type=int, default=200,
-                   help="ascent iterations (count, default 200)")
+                   help="ascent iterations, at most; training stops once every "
+                        "pair is fit (count, default 200)")
     p.add_argument("--step", type=float, default=1e-3,
                    help="initial step size (unitless, default 1e-3)")
     p.add_argument("--d-prime", type=int, default=None,

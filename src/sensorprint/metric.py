@@ -23,6 +23,9 @@ from scipy.special import expit
 from .dataset import _json_number, _json_numbers, rows_by_device
 
 MAX_HALVINGS = 60
+# training stops once the mean negative log-likelihood per pair is at most
+# this: every pair is then fit, and further ascent only rescales L
+SATURATION_NLL = 1e-4
 
 log = logging.getLogger(__name__)
 
@@ -167,7 +170,10 @@ def train_ldml(
     unchanged; permuting the rows within a device still moves the pair draw.
     Standardization is fit internally on the given vectors. Each iteration
     takes one ascent step on (L, b) with step halving until the objective
-    does not decrease; training stops early once no halved step helps.
+    does not decrease. ``iterations`` is a cap: before each step, training
+    stops once the log-likelihood is within ``SATURATION_NLL`` per pair of
+    its upper bound 0 (every pair is fit, and k-NN ignores the rescaling
+    more ascent would add), and it stops once no halved step helps.
 
     The ascent runs in sample space. The gradient in L is -2 L Z^T Lap(c) Z
     for the graph Laplacian Lap(c) of the pair weights c, so its rows lie in
@@ -220,10 +226,14 @@ def train_ldml(
     obj = _log_likelihood(dist, b, is_same)
     history = [obj]
     halvings = 0
+    stopped = "no, iteration budget spent"
     grad_C, G, grad_b = gradient(dY, dist, b)
     for it in range(iterations):
         if not (np.all(np.isfinite(G)) and np.isfinite(grad_b)):
             raise RuntimeError(f"non-finite gradient at iteration {it}")
+        if -obj <= SATURATION_NLL * len(pi):
+            stopped = "saturated"
+            break
         dG = G[pi] - G[pj]
         a1 = 2.0 * np.einsum("ij,ij->i", dY, dG)
         a2 = np.einsum("ij,ij->i", dG, dG)
@@ -239,7 +249,8 @@ def train_ldml(
             trial /= 2.0
             halvings += 1
         else:
-            break  # no step length improves: converged
+            stopped = "no halved step improves"
+            break
         C += trial * grad_C
         dY += trial * dG
         dist = np.einsum("ij,ij->i", dY, dY)
@@ -250,7 +261,7 @@ def train_ldml(
     grad_norm = np.sqrt(max(0.0, float(np.sum(grad_C * G))) + grad_b**2)
     log.debug("ldml: %d accepted step(s), %d halving(s), stopped early: %s, "
               "objective %.6g, gradient norm %.3g",
-              len(history) - 1, halvings, len(history) <= iterations, obj, grad_norm)
+              len(history) - 1, halvings, stopped, obj, grad_norm)
 
     model = MetricModel(means=means, stds=stds, L=L0 + _mm(C.T, Z), bias=b)
     if return_history:

@@ -356,7 +356,11 @@ def test_train_metric_verbose_logs_ldml_and_keeps_artifact_bytes(workdir, tmp_pa
     assert len(lines) == 1
     for word in ("accepted step", "halving", "stopped early", "objective", "gradient norm"):
         assert word in lines[0]
+    # the 8-device fleet fits every pair in 3 of the 30 allowed steps
+    assert "3 accepted step(s)" in lines[0] and "stopped early: saturated" in lines[0]
     assert "ldml:" not in stderr["quiet"]
+    for name in ("quiet", "verbose"):  # the INFO line counts the steps taken
+        assert "train-metric: 32 vector(s), 3 accepted step(s) -> " in stderr[name]
 
 
 @pytest.mark.parametrize("command, repeats", [("classify", 1), ("evaluate", 2)])

@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from sensorprint.metric import (
     MAX_HALVINGS,
+    SATURATION_NLL,
     MetricModel,
     _build_pairs,
     _mm,
@@ -130,9 +131,9 @@ def test_zero_iterations_gives_identity_transform():
 
 
 def _pair_space_ldml(X, y, d_prime=None, iterations=200, step=1e-3, seed=0):
-    """Reference LDML in pair space: the same ascent as train_ldml, with every
-    product over the (pairs x d) difference matrix D and L updated each step.
-    Returns (L, bias, history)."""
+    """Reference LDML in pair space: the same ascent and stop rules as
+    train_ldml, with every product over the (pairs x d) difference matrix D
+    and L updated each step. Returns (L, bias, history)."""
     means, stds = standardize_fit(X)
     Z = (X - means) / stds
     d_prime = d_prime or Z.shape[1]
@@ -150,6 +151,8 @@ def _pair_space_ldml(X, y, d_prime=None, iterations=200, step=1e-3, seed=0):
     obj = objective(L, b)
     history = [obj]
     for _ in range(iterations):
+        if -obj <= SATURATION_NLL * len(pi):
+            break
         LD = _mm(D, L.T)
         c = np.where(is_same, 1.0, 0.0) - expit(b - np.einsum("ij,ij->i", LD, LD))
         grad_L = -2.0 * _mm(L, _mm(D.T, c[:, None] * D))
@@ -188,6 +191,34 @@ def test_sample_space_ldml_matches_pair_space_reference(case):
     np.testing.assert_allclose(history, ref_history, rtol=1e-9)
     np.testing.assert_allclose(model.L, L, rtol=0, atol=1e-12)
     assert model.bias == pytest.approx(b, rel=0, abs=1e-12)
+
+
+def _pair_count(y):
+    # every same-device pair and as many cross pairs: no draw changes the count
+    return len(_build_pairs(np.asarray(y), np.random.default_rng(0))[0])
+
+
+def test_training_stops_at_the_first_saturated_step():
+    from sensorprint.dataset import generate_synthetic
+    from sensorprint.features import featurize_dataset
+
+    table = featurize_dataset(generate_synthetic(20, 5, seed=0))
+    model, history = train_ldml(table.X, table.device_ids, return_history=True)
+    gaps = -np.asarray(history)  # distance of the log-likelihood below 0
+    tolerance = SATURATION_NLL * _pair_count(table.device_ids)
+    assert 2 < len(history) < 201
+    assert gaps[-1] <= tolerance
+    assert np.all(gaps[:-1] > tolerance)
+    # the budget is a cap: one just large enough trains the same bytes
+    capped = train_ldml(table.X, table.device_ids, iterations=len(history) - 1)
+    assert capped.L.tobytes() == model.L.tobytes() and capped.bias == model.bias
+
+
+def test_unsaturated_training_runs_the_whole_budget():
+    X, y = toy_data()
+    _, history = train_ldml(X, y, iterations=200, return_history=True)
+    assert len(history) == 201
+    assert -history[-1] > SATURATION_NLL * _pair_count(y)
 
 
 def test_training_is_deterministic():
