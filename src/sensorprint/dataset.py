@@ -296,7 +296,9 @@ def load_dataset(path) -> Dataset:
             sample.validate()
             yield sample
 
-    with open(path, "rb") as fh:
+    # a record is about 70 KB: a 1 MiB buffer reads each line in one piece,
+    # where the default 8 KiB one reassembles it from about nine
+    with open(path, "rb", buffering=1 << 20) as fh:
         try:  # Dataset refuses a duplicate while the generator still sits on its line
             ds = Dataset(samples(fh))
         except ValueError as e:

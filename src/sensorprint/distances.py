@@ -6,7 +6,9 @@ fit by maximum likelihood against five candidate families and the fits are
 ranked by AIC. Densities, CDFs and quantile functions are written out
 explicitly so the fitted objects are self-contained; a draw is the quantile
 function of a uniform, so one function serves sampling and order statistics.
-Each candidate has one estimator; only GEV's needs an optimizer.
+Each candidate has one estimator, written out in numpy and scipy.special:
+closed forms, one-dimensional bisections, and for GEV a damped Newton ascent
+on the analytic score and information.
 
 Each family is described in one place, its ``_Family`` record in
 ``_FAMILIES``: adding a family is adding one record. The fit candidates,
@@ -199,24 +201,122 @@ def _gev_ppf(u, mu, sigma, xi):
     return mu + sigma * (t**-xi - 1) / xi
 
 
+# h0(w) = (log1p(w) - w / (1 + w)) / w^2 and h1 = h0' are the 1/xi^2 and 1/xi^3
+# terms of the GEV score and information over z^2 and z^3, w = xi z. Below
+# |w| = _SERIES their direct forms cancel (h0 loses 4 eps / |w|, h1 3 eps / w^2),
+# so they are summed as power series there, whose value at w = 0 is the Gumbel limit
+_SERIES = 0.02
+_K = np.arange(12.0)
+_H0 = (-1.0) ** _K * (_K + 1) / (_K + 2)
+_H1 = -((-1.0) ** _K) * (_K + 1) * (_K + 2) / (_K + 3)
+
+
+def _gev_score(y, theta):
+    """``(loglik, score, information)`` of y under GEV(mu, e^tau, xi) at
+    theta = (mu, tau, xi), from one pass: the log-likelihood, its gradient
+    in theta and minus its Hessian. Off the support, or where a term
+    overflows, the log-likelihood is -inf, with no score or information."""
+    mu, tau, xi = theta
+    n = len(y)
+    with np.errstate(all="ignore"):  # a far trial point overflows; it is refused below
+        s = np.exp(-tau)
+        z = (y - mu) * s
+        w = xi * z
+        t = 1.0 + w
+        if not t.min() > 0:
+            return -np.inf, None, None
+        L = np.log1p(w)
+        zr = L / xi if xi else z  # log(t) / xi, and its limit z
+        u = np.exp(-zr)  # t ** (-1/xi)
+        ll = -n * tau - float(np.sum(L + zr + u))  # (1 + 1/xi) log t = L + zr
+        small = np.abs(w) < _SERIES
+        wq = np.where(small, 1.0, w)
+        h0 = (L - w / t) / (wq * wq)
+        h1 = (1.0 / (t * t) - 2.0 * h0) / wq
+        if small.any():
+            ws = w[small]
+            h0[small] = np.polynomial.polynomial.polyval(ws, _H0)
+            h1[small] = np.polynomial.polynomial.polyval(ws, _H1)
+        # g(z, xi) = -(1 + 1/xi) log t - u, so loglik = -n tau + sum g, with
+        # dz/dmu = -1/sigma and dz/dtau = -z; A = d log u / dxi
+        z2 = z * z
+        A = z2 * h0
+        zt = z / t
+        gz = (u - 1.0 - xi) / t
+        gzz = (xi - u) * (1.0 + xi) / (t * t)
+        gzx = (u * A - 1.0) / t - zt * gz
+        gxx = (1.0 - u) * z2 * z * h1 - u * A * A + zt * zt
+        sum_gz, sum_zgz = gz.sum(), z @ gz
+        score = np.array([-s * sum_gz, -n - sum_zgz, ((1.0 - u) * A).sum() - zt.sum()])
+        hmt, hmx, htx = s * (z @ gzz + sum_gz), -s * gzx.sum(), -(z @ gzx)
+        info = -np.array([[s * s * gzz.sum(), hmt, hmx],
+                          [hmt, sum_zgz + z2 @ gzz, htx],
+                          [hmx, htx, gxx.sum()]])
+    if not (np.isfinite(ll) and np.all(np.isfinite(score)) and np.all(np.isfinite(info))):
+        return -np.inf, None, None
+    return ll, score, info
+
+
+def _ascent_step(score, info):
+    """The Newton step ``info^-1 score`` where the information is positive
+    definite, and elsewhere the same step with each negative curvature's
+    sign flipped, so that it still ascends. Both are taken on the
+    information scaled to a unit diagonal, whose eigenvalues are floored at
+    1e-12: the GEV information of a heavy-tailed sample spans 10 decades."""
+    d = 1.0 / np.sqrt(np.abs(np.diag(info)))
+    lam, V = np.linalg.eigh(info * np.outer(d, d))
+    return d * (V @ ((V.T @ (d * score)) / np.maximum(np.abs(lam), 1e-12)))
+
+
+_GEV_TOL = 1e-8  # max-norm of the step in (mu, log sigma, xi) that ends the ascent
+_GEV_MAX_STEPS = 200
+
+
 def _gev_estimate(x):
-    """Nelder-Mead on the standardized sample from the Gumbel moment fit."""
-    from scipy import optimize  # the only fit that needs the optimizer; keep it off import
+    """Damped Newton ascent of the likelihood of the standardized sample in
+    (mu, log sigma, xi), from the Gumbel moment fit (Coles 2001, section 3.3).
+
+    Each step, ``_ascent_step``, is halved until the point is on the support
+    and the log-likelihood does not fall. The ascent stops once the last
+    step tried, full or halved, is below ``_GEV_TOL``: past a quadratic
+    Newton step that small, the maximum is reached to rounding. RuntimeError
+    past ``_GEV_MAX_STEPS`` steps, and once an iterate has xi <= -1, where the
+    likelihood is unbounded (Smith, Biometrika 72, 1985).
+    """
     m, s = float(np.mean(x)), float(np.std(x))
-
-    def nll(theta):
-        lp = _gev_logpdf((x - m) / s, theta[0], np.exp(theta[1]), theta[2])
-        # off the support: a large finite value keeps the simplex sane
-        return -np.sum(lp) if np.all(np.isfinite(lp)) else 1e300
-
+    y = (x - m) / s
     sigma0 = np.sqrt(6) / np.pi  # xi = 0: the support is the whole line
-    with np.errstate(over="ignore"):  # t ** (-1/xi) overflows only off the support
-        res = optimize.minimize(nll, [-EULER_GAMMA * sigma0, np.log(sigma0), 0.0],
-                                method="Nelder-Mead",
-                                options={"xatol": 1e-8, "fatol": 1e-8, "maxfev": 2000})
-    if not (res.success and res.fun < 1e300):
-        raise RuntimeError(f"GEV MLE did not converge: {res.message}")
-    return {"mu": m + s * res.x[0], "sigma": s * np.exp(res.x[1]), "xi": res.x[2]}
+    theta = np.array([-EULER_GAMMA * sigma0, np.log(sigma0), 0.0])
+    ll, score, info = _gev_score(y, theta)
+    if score is None:  # e^-z overflows at a point 550 sds below the rest
+        raise RuntimeError("GEV MLE: the Gumbel start's likelihood overflows")
+    halvings, stop = 0, "step cap"
+    for it in range(1, _GEV_MAX_STEPS + 1):
+        step = _ascent_step(score, info)
+        if not np.all(np.isfinite(step)):
+            stop = "non-finite step"
+            break
+        while True:
+            trial = _gev_score(y, theta + step)
+            if trial[0] >= ll:
+                theta, (ll, score, info) = theta + step, trial
+                break
+            if np.max(np.abs(step)) < _GEV_TOL:
+                break
+            step, halvings = 0.5 * step, halvings + 1
+        if theta[2] <= -1:
+            stop = "shape <= -1"
+            break
+        if np.max(np.abs(step)) < _GEV_TOL:
+            stop = "converged"
+            break
+    log.debug("gev: %d step(s), %d halving(s), stop: %s, xi %.6g, loglik %.10g",
+              it, halvings, stop, theta[2], ll)
+    if stop == "shape <= -1":
+        raise RuntimeError(f"GEV likelihood is unbounded (shape <= -1): xi reached {theta[2]:.4g}")
+    if stop != "converged":
+        raise RuntimeError(f"GEV MLE did not converge: {stop} after {it} step(s)")
+    return {"mu": m + s * theta[0], "sigma": s * np.exp(theta[1]), "xi": theta[2]}
 
 
 def _lognormal_logpdf(x, mu, sigma):
@@ -380,8 +480,10 @@ def fit_family(samples, family: str) -> FittedDistribution:
     """Maximum-likelihood fit of one family, and the sample's loglik under it.
 
     Inverse Gaussian and log-normal have closed forms, gamma and Weibull bisect
-    a one-dimensional likelihood equation, and GEV runs Nelder-Mead once
-    (tolerance 1e-8, at most 2000 evaluations; RuntimeError if not converged).
+    a one-dimensional likelihood equation, and GEV takes damped Newton steps
+    from the Gumbel moment fit until a step's max-norm is below 1e-8 (at most
+    200; RuntimeError past them, or once the shape reaches xi <= -1, where
+    the likelihood is unbounded).
     """
     if family not in FAMILIES:
         raise ValueError(f"family {family!r} is not a fit candidate")

@@ -363,6 +363,34 @@ def test_train_metric_verbose_logs_ldml_and_keeps_artifact_bytes(workdir, tmp_pa
         assert "train-metric: 32 vector(s), 3 accepted step(s) -> " in stderr[name]
 
 
+def test_distfit_verbose_logs_each_gev_ascent_and_keeps_artifact_bytes(workdir, tmp_path):
+    # a child process, as for train-metric above
+    pkg_root = str(Path(sensorprint.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    artifacts = ("intra.json", "inter.json", "ranking.json")
+    stderr = {}
+    for name, flags in (("quiet", []), ("verbose", ["--verbose"])):
+        (tmp_path / name).mkdir()  # the report echoes its paths: keep them the same
+        proc = subprocess.run(
+            [sys.executable, "-m", "sensorprint.cli", *flags, "distfit",
+             "--features", str(workdir / "feat.csv"), "--intra-out", artifacts[0],
+             "--inter-out", artifacts[1], "--out", artifacts[2]],
+            env=env, cwd=tmp_path / name, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        stderr[name] = proc.stderr
+    for a in artifacts:
+        assert (tmp_path / "verbose" / a).read_bytes() == (tmp_path / "quiet" / a).read_bytes()
+    # one line per population: intra, then inter
+    lines = [ln for ln in stderr["verbose"].splitlines()
+             if ln.startswith("DEBUG sensorprint.distances: gev:")]
+    assert len(lines) == 2
+    for ln in lines:
+        assert re.fullmatch(r".*: \d+ step\(s\), \d+ halving\(s\), stop: converged, "
+                            r"xi \S+, loglik \S+", ln), ln
+    assert "gev:" not in stderr["quiet"]
+
+
 @pytest.mark.parametrize("command, repeats", [("classify", 1), ("evaluate", 2)])
 def test_rf_verbose_logs_each_forest_and_keeps_report_bytes(workdir, tmp_path, command, repeats):
     # a child process, as for train-metric above

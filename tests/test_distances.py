@@ -8,6 +8,7 @@ candidate set, and KS distances of matched vs mismatched fits.
 import dataclasses
 import hashlib
 import json
+import logging
 import warnings
 
 import numpy as np
@@ -34,6 +35,7 @@ from sensorprint.distances import (
     rank_families,
     save_fitted,
 )
+from sensorprint.distances import _gev_logpdf, _gev_ppf, _gev_score
 
 
 def make_dist(family, **params):
@@ -263,6 +265,83 @@ def test_gev_mle_recovery():
     assert abs(f.params["mu"]) < 0.1  # true location 0: absolute tolerance
     assert abs(f.params["sigma"] - 1.0) < 0.1
     assert abs(f.params["xi"] - 0.2) < 0.05
+
+
+@pytest.mark.parametrize("xi", [-0.8, -0.4, 0.0, 1e-8, -1e-8, 0.3, 1.2])
+def test_gev_score_and_information_are_the_loglik_derivatives(xi):
+    # central differences of summed _gev_logpdf in (mu, log sigma, xi), away
+    # from the likelihood's maximum so that the score is not 0; at xi = 0 and
+    # +-1e-8 the 1/xi terms come from their series, without a warning
+    y = _gev_ppf(np.random.default_rng(1).random(200), 0.0, 1.0, xi)
+    theta = np.array([0.1, np.log(1.2), xi])
+
+    def f(th):
+        return np.sum(_gev_logpdf(y, th[0], np.exp(th[1]), th[2]))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ll, score, info = _gev_score(y, theta)
+    e = np.eye(3) * 1e-4
+    fd_score = [(f(theta + e[i]) - f(theta - e[i])) / 2e-4 for i in range(3)]
+    e = np.eye(3) * 1e-3
+    fd_hess = [[(f(theta + e[i] + e[j]) - f(theta + e[i] - e[j]) - f(theta - e[i] + e[j])
+                 + f(theta - e[i] - e[j])) / 4e-6 for j in range(3)] for i in range(3)]
+    # _gev_logpdf's log(1 + xi z) rounds to about 1e-8 relative at |xi| = 1e-8
+    assert ll == pytest.approx(f(theta), rel=1e-9 if abs(xi) < 1e-6 else 1e-14)
+    np.testing.assert_allclose(score, fd_score, rtol=0, atol=1e-5 * np.max(np.abs(score)))
+    np.testing.assert_allclose(info, -np.array(fd_hess), rtol=0, atol=1e-3 * np.max(np.abs(info)))
+    assert np.array_equal(info, info.T)
+
+
+def test_gev_fit_refuses_a_shape_below_minus_one():
+    # below xi = -1 the density is unbounded at the upper endpoint, so the
+    # likelihood has no maximum
+    x = _gev_ppf(np.random.default_rng(3).random(1_000), 0.0, 1.0, -1.3)
+    with pytest.raises(RuntimeError, match=r"GEV likelihood is unbounded \(shape <= -1\)"):
+        fit_family(x, GEV)
+
+
+def test_gev_fit_refuses_a_start_whose_likelihood_overflows():
+    # one point 10^4 sds below 4e5 others lies about 800 Gumbel scales below
+    # the start's location, where its e^-z term overflows
+    x = np.random.default_rng(0).standard_normal(400_000)
+    x[0] = -1e4
+    with pytest.raises(RuntimeError, match="Gumbel start's likelihood overflows"):
+        fit_family(x, GEV)
+
+
+def test_gev_fit_past_its_step_cap_is_excluded(monkeypatch, caplog):
+    # the GEV02 sample, shifted positive so that every other family fits,
+    # takes more than two Newton steps from the Gumbel start
+    from sensorprint import distances
+
+    x = distribution_ppf(GEV02(), np.random.default_rng(100).random(2_000))
+    x = x - x.min() + 0.01
+    monkeypatch.setattr(distances, "_GEV_MAX_STEPS", 2)
+    with pytest.raises(RuntimeError, match=r"GEV MLE did not converge: step cap after 2 step\(s\)"):
+        fit_family(x, GEV)
+    with caplog.at_level(logging.WARNING, logger="sensorprint.distances"):
+        assert len(rank_families(x)) == len(FAMILIES) - 1
+    [warning] = [r.getMessage() for r in caplog.records]
+    assert warning.startswith("fit of GEV excluded: GEV MLE did not converge")
+
+
+def test_null_fleet_excludes_the_unbounded_intra_gev(caplog):
+    # every device the same device (unit gains, no offsets), 20 x 6 at seed
+    # 0 with in-sample LDML: the intra GEV ascent passes xi = -1, and the
+    # other four families keep their order
+    from sensorprint.dataset import DevicePrior, generate_synthetic
+    from sensorprint.features import featurize_dataset
+    from sensorprint.metric import train_ldml
+
+    prior = DevicePrior(accel_gain=(1.0, 1.0), accel_offset=(0.0, 0.0), gyro_offset=(0.0, 0.0))
+    table = featurize_dataset(generate_synthetic(20, 6, device_prior=prior, seed=0))
+    model = train_ldml(table.X, table.device_ids, seed=0)
+    with caplog.at_level(logging.WARNING, logger="sensorprint.distances"):
+        (_, intra_ranking), _ = fit_populations(table, model)
+    assert [f.family for f in intra_ranking] == [WEIBULL, GAMMA, LOG_NORMAL, INVERSE_GAUSSIAN]
+    [warning] = [r.getMessage() for r in caplog.records]
+    assert warning.startswith("fit of GEV excluded: GEV likelihood is unbounded (shape <= -1)")
 
 
 def test_closed_form_lognormal():
@@ -556,7 +635,10 @@ def test_family_table_pinned():
     # got one estimator: GAMMA's logpdf became a form around the mean (its
     # finite grid values moved by at most 4.5e-16 relative, its infinite
     # ones not at all), and the fitted parameters moved by at most about
-    # 4e-7 relative, the old search's tolerance, with the same order.
+    # 4e-7 relative, the old search's tolerance, with the same order. The
+    # fits were re-recorded when GEV's Nelder-Mead became a Newton ascent:
+    # GEV's params moved by at most 2.5e-7 relative (xi of the gamma sample,
+    # 0.0367, by 9e-9), its loglik by at most 6e-14, no other fit at all.
     grid = np.concatenate([np.linspace(-1.0, 6.0, 141), [0.0, 1e-300, 1e6, -1e-3]])
     inner = grid[(grid > 0.05) & (grid < 3.5)]
     dists = [make_dist(f, **p) for f, p in PINNED_PARAMS]
@@ -574,7 +656,7 @@ def test_family_table_pinned():
     assert logpdf == "f7121154eac14972f2c687318c1d2aa4c3fb06bba29bf3c7e8d3dc676a4d85fd", "logpdf"
     assert cdf == "2c94a648e2ab2ba87127f3ebff4859534ecad126ce929dbca6033f50ad0aac18", "cdf"
     assert ppf == "71801584cb5ff925f5c3735fda6b1d9f7557a67e65c2612e01c0c9ccdab084ab", "ppf"
-    assert fits == "51016e6729e42a9e309347b635e712c82ed115b43cd792133b8d9c97a33f4461", "fit_family"
+    assert fits == "cc093f6894249c89d392671a43dc41ce383c8b22c5a4186243af4de645e307a2", "fit_family"
     assert order == [GAMMA, WEIBULL, GEV, LOG_NORMAL, INVERSE_GAUSSIAN]
 
 

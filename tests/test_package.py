@@ -39,11 +39,22 @@ def test_importing_every_module_leaves_scipy_stats_out():
     assert has_stats == "False"
 
 
-def test_simulate_and_cli_leave_the_optimizer_out():
-    # only the GEV fit needs scipy.optimize; the simulate step never fits
-    out = _child_stdout("import sys, sensorprint.cli, sensorprint.simulate\n"
-                        "print('scipy.optimize' in sys.modules)\n")
-    assert out.split() == ["False"]
+def test_fitting_every_family_leaves_the_optimizer_out():
+    # every estimator, GEV's Newton ascent too, is written out in numpy and
+    # scipy.special, so no module (cli and simulate among them) nor any fit
+    # loads scipy.optimize, an import of 0.1-0.2 s
+    n_modules, has_optimize = _child_stdout(
+        "import importlib, pkgutil, sys, numpy, sensorprint\n"
+        "from sensorprint.distances import FAMILIES, rank_families\n"
+        "mods = [m.name for m in pkgutil.iter_modules(sensorprint.__path__)]\n"
+        "for m in mods:\n"
+        "    importlib.import_module('sensorprint.' + m)\n"
+        "x = numpy.random.default_rng(0).gamma(3.0, 1.0, 500)\n"
+        "assert len(rank_families(x)) == len(FAMILIES)\n"
+        "print(len(mods), 'scipy.optimize' in sys.modules)\n"
+    ).split()
+    assert int(n_modules) >= 9
+    assert has_optimize == "False"
 
 
 def test_featurization_leaves_the_interpolators_and_the_optimizer_out():
