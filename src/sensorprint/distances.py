@@ -8,7 +8,10 @@ explicitly so the fitted objects are self-contained; a draw is the quantile
 function of a uniform, so one function serves sampling and order statistics.
 Each candidate has one estimator, written out in numpy and scipy.special:
 closed forms, one-dimensional bisections, and for GEV a damped Newton ascent
-on the analytic score and information.
+on the analytic score and information. GEV's density, CDF, score and
+information read one pair of terms, log1p(xi z) and log1p(xi z) / xi (z at
+xi = 0), and its quantile function is an expm1 over xi, so no shape near 0
+needs a switch to the Gumbel form or loses digits to forming 1 + xi z.
 
 Each family is described in one place, its ``_Family`` record in
 ``_FAMILIES``: adding a family is adding one record. The fit candidates,
@@ -172,33 +175,31 @@ def _ig_estimate(x):
     return {"mu": mu, "lam": mu / float(np.mean(w * w / (1.0 + w)))}
 
 
+def _gev_log_t(z, xi):
+    """``(L, zr)``: L = log t = log1p(xi z), with t = 1 + xi z, and zr = L / xi,
+    whose limit at xi = 0 is z. log1p keeps both exact for small xi z, where
+    forming t first would lose eps / |xi|. Both are NaN off the support, t <= 0."""
+    w = xi * z
+    L = np.log1p(np.where(w > -1, w, np.nan))
+    return L, (L / xi if xi else z)
+
+
 def _gev_logpdf(x, mu, sigma, xi):
-    z = (x - mu) / sigma
-    if abs(xi) < 1e-12:
-        return -np.log(sigma) - z - np.exp(-z)
-    t = 1 + xi * z
-    off = t <= 0
-    t = np.where(off, 1.0, t)  # off the support: -inf, without a log of t <= 0
-    return np.where(off, -np.inf, -np.log(sigma) - (1 + 1 / xi) * np.log(t) - t ** (-1 / xi))
+    L, zr = _gev_log_t((x - mu) / sigma, xi)
+    # -(1 + 1/xi) log t - t ** (-1/xi), and -inf off the support
+    return np.where(np.isnan(L), -np.inf, -np.log(sigma) - (L + zr) - np.exp(-zr))
 
 
 def _gev_cdf(x, mu, sigma, xi):
-    z = (x - mu) / sigma
-    if abs(xi) < 1e-12:
-        return np.exp(-np.exp(-z))
-    t = 1 + xi * z
-    out = np.where(t > 0, np.exp(-np.maximum(t, 1e-300) ** (-1 / xi)), 0.0)
-    # above the upper endpoint (xi < 0) the CDF is 1
-    if xi < 0:
-        out = np.where(t <= 0, 1.0, out)
-    return out
+    L, zr = _gev_log_t((x - mu) / sigma, xi)
+    # off the support: 0 below the lower endpoint (xi > 0), 1 above the upper (xi < 0)
+    return np.where(np.isnan(L), float(xi < 0), np.exp(-np.exp(-zr)))
 
 
 def _gev_ppf(u, mu, sigma, xi):
-    t = np.abs(np.log(u))  # -log u, without a -0.0 that would flip an odd power
-    if abs(xi) < 1e-12:
-        return mu - sigma * np.log(t)
-    return mu + sigma * (t**-xi - 1) / xi
+    # (t ** -xi - 1) / xi at t = -log u, as expm1 of -xi log t: its limit at xi = 0 is -log t
+    lt = np.log(-np.log(u))
+    return mu + sigma * (np.expm1(-xi * lt) / xi if xi else -lt)
 
 
 # h0(w) = (log1p(w) - w / (1 + w)) / w^2 and h1 = h0' are the 1/xi^2 and 1/xi^3
@@ -221,12 +222,11 @@ def _gev_score(y, theta):
     with np.errstate(all="ignore"):  # a far trial point overflows; it is refused below
         s = np.exp(-tau)
         z = (y - mu) * s
+        L, zr = _gev_log_t(z, xi)
+        if np.isnan(L).any():  # off the support
+            return -np.inf, None, None
         w = xi * z
         t = 1.0 + w
-        if not t.min() > 0:
-            return -np.inf, None, None
-        L = np.log1p(w)
-        zr = L / xi if xi else z  # log(t) / xi, and its limit z
         u = np.exp(-zr)  # t ** (-1/xi)
         ll = -n * tau - float(np.sum(L + zr + u))  # (1 + 1/xi) log t = L + zr
         small = np.abs(w) < _SERIES

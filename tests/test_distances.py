@@ -267,11 +267,11 @@ def test_gev_mle_recovery():
     assert abs(f.params["xi"] - 0.2) < 0.05
 
 
-@pytest.mark.parametrize("xi", [-0.8, -0.4, 0.0, 1e-8, -1e-8, 0.3, 1.2])
+@pytest.mark.parametrize("xi", [-0.8, -0.4, 0.0, 1e-11, -1e-11, 1e-8, -1e-8, 0.3, 1.2])
 def test_gev_score_and_information_are_the_loglik_derivatives(xi):
     # central differences of summed _gev_logpdf in (mu, log sigma, xi), away
-    # from the likelihood's maximum so that the score is not 0; at xi = 0 and
-    # +-1e-8 the 1/xi terms come from their series, without a warning
+    # from the likelihood's maximum so that the score is not 0; at xi = 0,
+    # +-1e-11 and +-1e-8 the 1/xi terms come from their series, without a warning
     y = _gev_ppf(np.random.default_rng(1).random(200), 0.0, 1.0, xi)
     theta = np.array([0.1, np.log(1.2), xi])
 
@@ -286,8 +286,7 @@ def test_gev_score_and_information_are_the_loglik_derivatives(xi):
     e = np.eye(3) * 1e-3
     fd_hess = [[(f(theta + e[i] + e[j]) - f(theta + e[i] - e[j]) - f(theta - e[i] + e[j])
                  + f(theta - e[i] - e[j])) / 4e-6 for j in range(3)] for i in range(3)]
-    # _gev_logpdf's log(1 + xi z) rounds to about 1e-8 relative at |xi| = 1e-8
-    assert ll == pytest.approx(f(theta), rel=1e-9 if abs(xi) < 1e-6 else 1e-14)
+    assert ll == pytest.approx(f(theta), rel=1e-14)
     np.testing.assert_allclose(score, fd_score, rtol=0, atol=1e-5 * np.max(np.abs(score)))
     np.testing.assert_allclose(info, -np.array(fd_hess), rtol=0, atol=1e-3 * np.max(np.abs(info)))
     assert np.array_equal(info, info.T)
@@ -475,6 +474,29 @@ def test_sampler_mean_within_3se():
         assert abs(s.mean() - m) < 3 * se, dist.family
 
 
+@pytest.mark.parametrize("xi", [1e-13, -1e-13, 1e-11, -1e-11, 1e-8, -1e-8])
+def test_gev_small_shapes_match_their_series(xi):
+    # log1p(w) / xi and expm1(v) / xi as power series in w = xi z and
+    # v = -xi log(-log u), |w|, |v| < 3e-7, so four terms are exact in float64;
+    # forming 1 + xi z or t ** -xi first loses eps / |xi| of it
+    mu, sigma = 0.1, 1.2
+    x = np.linspace(-3.0, 12.0, 301)
+    z = (x - mu) / sigma
+    w = xi * z
+    zr = z * (1 - w / 2 + w * w / 3 - w**3 / 4)  # log(1 + w) / xi
+    logpdf = -np.log(sigma) - (xi * zr + zr) - np.exp(-zr)
+    u = np.concatenate([[1e-300, 1e-12], np.linspace(0.01, 0.99, 99), [1 - 1e-9]])
+    lt = np.log(-np.log(u))
+    v = -xi * lt
+    ppf = mu - sigma * lt * (1 + v / 2 + v * v / 6 + v**3 / 24)  # mu + sigma expm1(v) / xi
+    d = make_dist(GEV, mu=mu, sigma=sigma, xi=xi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(distribution_logpdf(d, x), logpdf, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(distribution_cdf(d, x), np.exp(-np.exp(-zr)), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(distribution_ppf(d, u), ppf, rtol=1e-13, atol=0)
+
+
 def test_gev_median_closed_form():
     xi = 0.2
     median = 0.0 + 1.0 * (np.log(2.0) ** -xi - 1) / xi
@@ -612,13 +634,25 @@ def test_gamma_and_weibull_logpdf_at_zero(family):
     assert exponential == pytest.approx(-np.log(2.0), rel=1e-15)
 
 
-def test_gev_logpdf_is_per_point_off_support():
-    d = make_dist(GEV, mu=1.0, sigma=0.8, xi=-0.3)  # upper endpoint 1 + 0.8 / 0.3
+@pytest.mark.parametrize("xi", [0.2, -0.3, 1e-11, -1e-11, 0.0])
+def test_gev_logpdf_is_per_point_off_support(xi):
+    # off the support, t = 1 + xi z <= 0, the log-density is -inf point by
+    # point, and the CDF 0 at and below the lower endpoint (xi > 0) and 1 at
+    # and above the upper one (xi < 0); the quantile function's ends are the
+    # support's ends, the whole line at xi = 0
+    mu, sigma = 1.0, 0.8
+    d = make_dist(GEV, mu=mu, sigma=sigma, xi=xi)
+    end = mu - sigma / xi if xi else np.nan
+    off = end - abs(end) * np.array([0.0, 1e-9, 1.0]) * np.sign(xi) if xi else []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lp = distribution_logpdf(d, [1.0, 5.0])
-    assert lp[0] == distribution_logpdf(d, [1.0])[0] == pytest.approx(np.log(1.25) - 1.0)
-    assert lp[1] == -np.inf
+        lp = distribution_logpdf(d, [mu, *off])
+        cdf = distribution_cdf(d, off)
+        ends = distribution_ppf(d, [0.0, 1.0])
+    assert lp[0] == distribution_logpdf(d, [mu])[0] == pytest.approx(-np.log(sigma) - 1.0)
+    assert np.all(lp[1:] == -np.inf) and np.all(cdf == float(xi < 0))
+    lo, hi = end if xi > 0 else -np.inf, end if xi < 0 else np.inf
+    assert ends.tolist() == pytest.approx([lo, hi], rel=1e-15)
 
 
 def test_family_table_pinned():
@@ -639,6 +673,12 @@ def test_family_table_pinned():
     # fits were re-recorded when GEV's Nelder-Mead became a Newton ascent:
     # GEV's params moved by at most 2.5e-7 relative (xi of the gamma sample,
     # 0.0367, by 9e-9), its loglik by at most 6e-14, no other fit at all.
+    # logpdf, cdf, ppf and the fits were re-recorded when GEV's density, CDF
+    # and quantile function became log1p(xi z) / xi and expm1 forms: only
+    # the three xi != 0 GEV rows moved, by at most 8.5e-14 relative, with the
+    # same non-finite values; the xi = 0 row and every other family kept
+    # their bits, and so did GEV's fitted params, its loglik moving by 2e-16
+    # relative.
     grid = np.concatenate([np.linspace(-1.0, 6.0, 141), [0.0, 1e-300, 1e6, -1e-3]])
     inner = grid[(grid > 0.05) & (grid < 3.5)]
     dists = [make_dist(f, **p) for f, p in PINNED_PARAMS]
@@ -653,10 +693,10 @@ def test_family_table_pinned():
         for x in samples for f in (fit_family(x, fam) for fam in FAMILIES)
     ]).encode()).hexdigest()
     order = [f.family for f in rank_families(samples[0])]
-    assert logpdf == "f7121154eac14972f2c687318c1d2aa4c3fb06bba29bf3c7e8d3dc676a4d85fd", "logpdf"
-    assert cdf == "2c94a648e2ab2ba87127f3ebff4859534ecad126ce929dbca6033f50ad0aac18", "cdf"
-    assert ppf == "71801584cb5ff925f5c3735fda6b1d9f7557a67e65c2612e01c0c9ccdab084ab", "ppf"
-    assert fits == "cc093f6894249c89d392671a43dc41ce383c8b22c5a4186243af4de645e307a2", "fit_family"
+    assert logpdf == "1eeae3c43925ca47445acde6bc190309321b579424217c6f2f4c9777dfb2d89a", "logpdf"
+    assert cdf == "de23798fc53c52d1d15d450c5cad27f99dceafddd0437d5578d677da002b78ea", "cdf"
+    assert ppf == "fd9d4309916dc145f73809374c47abbd88fdc0ad0ac7ddc88aaeabca93834107", "ppf"
+    assert fits == "1160b0f5bb3c1cc705b64d201c7bf28fa5a0261544612ef235560d620b973154", "fit_family"
     assert order == [GAMMA, WEIBULL, GEV, LOG_NORMAL, INVERSE_GAUSSIAN]
 
 
