@@ -50,7 +50,9 @@ class RawSample:
 
     A sample is a value: it keeps read-only copies of the arrays it is given,
     and its fields cannot be rebound. ``dataclasses.replace`` makes a changed
-    copy.
+    copy. Either way the constructor refuses, naming the sample, fewer than
+    2 readings, timestamps that are not 1-d, finite and strictly increasing,
+    accel or gyro not (n, 3), and a non-finite reading.
     """
 
     device_id: str
@@ -62,6 +64,19 @@ class RawSample:
     def __post_init__(self):
         for name in ("timestamps", "accel", "gyro"):
             object.__setattr__(self, name, read_only_copy(getattr(self, name)))
+        t, accel, gyro = self.timestamps, self.accel, self.gyro
+        n, what = t.size, f"sample {self.device_id}/{self.sample_id}"
+        if n < 2:
+            raise ValueError(f"{what}: needs >= 2 readings, got {n}")
+        if t.shape != (n,) or accel.shape != (n, 3) or gyro.shape != (n, 3):
+            raise ValueError(f"{what}: length mismatch (timestamps {t.shape}, "
+                             f"accel {accel.shape}, gyro {gyro.shape})")
+        if not np.isfinite(t).all():
+            raise ValueError(f"{what}: non-finite timestamps")
+        if (t[1:] <= t[:-1]).any():
+            raise ValueError(f"{what}: non-monotone timestamps")
+        if not (np.isfinite(accel).all() and np.isfinite(gyro).all()):
+            raise ValueError(f"{what}: non-finite readings")
 
     @property
     def n_readings(self) -> int:
@@ -76,23 +91,8 @@ class RawSample:
         return (self.n_readings - 1) / self.duration
 
     def validate(self) -> None:
-        """Raise ValueError on any invariant violation."""
-        n = self.n_readings
-        if n < 2:
-            raise ValueError(
-                f"sample {self.device_id}/{self.sample_id}: needs >= 2 readings, got {n}"
-            )
-        if self.accel.shape != (n, 3) or self.gyro.shape != (n, 3):
-            raise ValueError(
-                f"sample {self.device_id}/{self.sample_id}: length mismatch "
-                f"(timestamps {n}, accel {self.accel.shape}, gyro {self.gyro.shape})"
-            )
-        if not np.all(np.isfinite(self.timestamps)):
-            raise ValueError(f"sample {self.device_id}/{self.sample_id}: non-finite timestamps")
-        if np.any(np.diff(self.timestamps) <= 0):
-            raise ValueError(f"sample {self.device_id}/{self.sample_id}: non-monotone timestamps")
-        if not (np.all(np.isfinite(self.accel)) and np.all(np.isfinite(self.gyro))):
-            raise ValueError(f"sample {self.device_id}/{self.sample_id}: non-finite readings")
+        """Raise ValueError unless the mean rate and the duration are within
+        the file format's bounds; the constructor has checked the arrays."""
         rate = self.mean_rate
         if not (MIN_RATE_HZ <= rate <= MAX_RATE_HZ):
             raise ValueError(
@@ -315,9 +315,10 @@ def write_dataset(dataset: Dataset, path) -> None:
     Records are compact, ids are raw UTF-8, and each float is its shortest
     round-trip text, so any JSON reader recovers the same doubles.
 
-    Every sample is validated before the file is opened, so a sample that
-    load_dataset would refuse (a non-finite reading, which the record format
-    cannot hold, or a rate or duration out of bounds) writes no file.
+    Every sample's rate and duration are checked (``RawSample.validate``)
+    before the file is opened, so a sample that load_dataset would refuse
+    writes no file. A sample holds no non-finite reading, which the record
+    format cannot hold: its constructor refuses one.
     """
     for s in dataset.samples:
         s.validate()
@@ -347,22 +348,20 @@ def synthesize_sample(
     Truth is accel (0, 0, 9.81) m/s^2 and gyro (0, 0, 0) rad/s; the measured
     reading is truth * gain + offset + Gaussian noise. Timestamps span
     ``NOMINAL_DURATION_S`` at a nominal 100 Hz with uniform jitter of +/-10%
-    of the period, which keeps them strictly increasing. A model whose
-    readings overflow is a ValueError naming the sample.
+    of the period, which keeps them strictly increasing. RawSample refuses a
+    model whose readings overflow, naming the sample.
     """
     period = 1.0 / 100.0
     n = int(round(NOMINAL_DURATION_S * 100.0)) + 1
     t = np.arange(n) * period + rng.uniform(-0.1 * period, 0.1 * period, size=n)
     truth_accel = np.array([0.0, 0.0, GRAVITY])
-    with np.errstate(over="ignore"):  # refused below
+    with np.errstate(over="ignore"):  # RawSample refuses a non-finite reading
         accel = (
             truth_accel * model.accel_gain
             + model.accel_offset
             + rng.normal(0.0, model.noise_sigma_accel, size=(n, 3))
         )
         gyro = model.gyro_offset + rng.normal(0.0, model.noise_sigma_gyro, size=(n, 3))
-    if not (np.all(np.isfinite(accel)) and np.all(np.isfinite(gyro))):
-        raise ValueError(f"sample {device_id}/{sample_id}: non-finite readings")
     return RawSample(device_id, sample_id, t, accel, gyro)
 
 

@@ -135,8 +135,6 @@ def _build_pairs(y: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, n
     si, sj = i[same], j[same]
     di, dj = i[~same], j[~same]
     n_same = len(si)
-    if n_same == 0:
-        raise ValueError("no same-device pairs: need >= 2 devices with >= 2 samples")
     if len(di) > n_same:
         pick = rng.choice(len(di), size=n_same, replace=False)
         pick.sort()

@@ -2,6 +2,7 @@
 forest behavior, and the repeated-split protocol."""
 
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -643,3 +644,23 @@ def test_confidence_interval_t_quantile_matches_scipy_stats():
     m = float(np.mean(v))
     half = float(stats.t.ppf(0.975, 6) * v.std(ddof=1) / np.sqrt(7))
     assert _confidence_interval(v) == (m - half, m + half)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: evaluate([], []), "nothing to evaluate"),
+    (lambda: run_protocol(generate_synthetic(2, 2), classifier="svm"),
+     "classifier must be 'knn' or 'rf'"),
+], ids=["evaluate-nothing", "unknown-classifier"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_tree_whose_bootstrap_holds_one_class_is_a_single_leaf():
+    # two rows, one per class: a bootstrap of two draws holds one class half the time
+    forest = rf_train([[0.0], [1.0]], ["a", "b"], n_trees=8, seed=0)
+    single = forest.roots[forest.label[forest.roots] >= 0]
+    assert 0 < len(single) < 8
+    for root in single:
+        assert forest.left[root] == forest.right[root] == root  # a leaf's children are itself
+        assert root + 1 == len(forest.label) or root + 1 in forest.roots  # the tree's one node

@@ -2,6 +2,7 @@
 obfuscation draws, and the measured cost to identification accuracy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,15 @@ def test_obfuscation_key_of_plain_ids_is_unchanged():
     rng = np.random.default_rng(int.from_bytes(digest, "big"))
     gains, offsets = rng.uniform(0.75, 1.25, size=3), rng.uniform(-1.5, 1.5, size=3)
     assert np.array_equal(obfuscate(s, ObfuscationConfig(seed=5)).accel, s.accel * gains + offsets)
+
+
+def test_obfuscation_overflow_is_refused_naming_the_sample():
+    t = np.arange(0.0, 1.0, 0.01)
+    s = RawSample("d", "s0", t, np.tile([0.0, 0.0, 9.81], (len(t), 1)), np.zeros((len(t), 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^sample d/s0: non-finite readings$"):
+            obfuscate(s, ObfuscationConfig(gain_range=(1e308, 1e308)))
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,48 @@ def test_sample_fields_cannot_be_rebound_and_replace_gives_a_read_only_copy():
         assert not a.flags.writeable
 
 
+def _arrays(n=501):
+    return np.arange(n) / 100.0, np.zeros((n, 3)), np.zeros((n, 3))
+
+
+def _with(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+_t, _, _g = _arrays()
+# (fields replaced in a well-formed 501-reading capture, the refusal after "sample d/s: ")
+_DEFECTS = {
+    "one reading": (dict(timestamps=[0.0], accel=[[0.0, 0.0, 9.81]], gyro=[[0.0, 0.0, 0.0]]),
+                    "needs >= 2 readings, got 1"),
+    "accel (n, 2)": (dict(accel=np.zeros((501, 2))),
+                     r"length mismatch \(timestamps \(501,\), accel \(501, 2\), gyro \(501, 3\)\)"),
+    "accel (n - 5, 3)": (dict(accel=np.zeros((496, 3))),
+                         r"length mismatch \(timestamps \(501,\), accel \(496, 3\), gyro \(501, 3\)\)"),
+    "timestamps (n, 1)": (dict(timestamps=_t[:, None]),
+                          r"length mismatch \(timestamps \(501, 1\), accel \(501, 3\), gyro \(501, 3\)\)"),
+    "NaN timestamp": (dict(timestamps=_with(_t, 250, np.nan)), "non-finite timestamps"),
+    # still increasing: only the finiteness check can see it
+    "infinite timestamp": (dict(timestamps=_with(_t, -1, np.inf)), "non-finite timestamps"),
+    "reversed timestamps": (dict(timestamps=_t[::-1]), "non-monotone timestamps"),
+    "repeated timestamp": (dict(timestamps=_with(_t, 10, _t[9])), "non-monotone timestamps"),
+    "NaN reading": (dict(gyro=_with(_g, (7, 1), np.nan)), "non-finite readings"),
+}
+
+
+@pytest.mark.parametrize("defect", list(_DEFECTS))
+def test_sample_constructor_refuses_a_malformed_capture(defect):
+    fields, message = _DEFECTS[defect]
+    t, accel, gyro = _arrays()
+    with pytest.raises(ValueError, match=f"^sample d/s: {message}$"):
+        RawSample(**{"device_id": "d", "sample_id": "s", "timestamps": t, "accel": accel,
+                     "gyro": gyro, **fields})
+    well_formed = RawSample("d", "s", t, accel, gyro)
+    with pytest.raises(ValueError, match=f"^sample d/s: {message}$"):
+        dataclasses.replace(well_formed, **fields)
+
+
 def test_dataset_samples_is_the_tuple_it_was_built_with():
     given = [_still("d1", "s1"), _still("d1", "s2")]
     ds = Dataset(iter(given))  # read once, in order
@@ -292,12 +334,16 @@ def test_write_refuses_a_sample_that_load_would_refuse(tmp_path):
     with pytest.raises(ValueError, match=r"sample d/s: mean rate 10\.0 Hz"):
         write_dataset(Dataset([slow]), p)
     assert not p.exists()
+    # every sample is checked before the file is opened
+    with pytest.raises(ValueError, match=r"sample d/s: mean rate 10\.0 Hz"):
+        write_dataset(Dataset([_still("d1", "s1"), slow]), p)
+    assert not p.exists()
+    # a non-finite reading, which the record format cannot hold, is refused
+    # where the sample is made, so no dataset holds one
     accel = np.zeros((500, 3))
     accel[7, 1] = np.nan
-    bad = dataclasses.replace(_still("d1", "s2"), accel=accel)
     with pytest.raises(ValueError, match="sample d1/s2: non-finite readings"):
-        write_dataset(Dataset([_still("d1", "s1"), bad]), p)
-    assert not p.exists()
+        dataclasses.replace(_still("d1", "s2"), accel=accel)
 
 
 @pytest.mark.parametrize("literal", ["18446744073709551617", "1.5", "true"])
@@ -424,6 +470,13 @@ def test_device_model_rejects_nonpositive_gain():
             noise_sigma_accel=0.02,
             noise_sigma_gyro=0.002,
         )
+
+
+@pytest.mark.parametrize("field", ["noise_sigma_accel", "noise_sigma_gyro"])
+def test_device_model_refuses_a_negative_noise_sigma(field):
+    sigmas = {"noise_sigma_accel": 0.02, "noise_sigma_gyro": 0.002, field: -0.001}
+    with pytest.raises(ValueError, match="^noise sigmas must be >= 0$"):
+        DeviceModel(np.ones(3), np.zeros(3), np.zeros(3), **sigmas)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -770,3 +771,20 @@ def test_narrow_population_fits_are_likelihoods(spread):
     assert all(np.isfinite(v) and v <= 100 * np.log(1 / np.ptp(x)) for v in ll.values()), ll
     near_normal = [ll[GAMMA], ll[LOG_NORMAL], ll[INVERSE_GAUSSIAN]]
     assert max(near_normal) - min(near_normal) < 0.01, ll
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: pairwise_distances(np.zeros((3, 2)), ["a", "b"], None),
+     "feature rows and device ids must align"),
+    (lambda path: pairwise_distances(np.zeros(3), ["a", "b", "c"], None),
+     "feature rows and device ids must align"),
+    (lambda path: pairwise_distances(np.eye(3), ["a", "a", "a"], None), "need >= 2 devices"),
+    (lambda path: fit_family(np.arange(1.0, 11.0), UNIFORM),
+     "family 'UNIFORM' is not a fit candidate"),
+    (lambda path: save_fitted(IG26(), "both", path), "population_kind must be 'intra' or 'inter'"),
+], ids=["rows-misaligned", "rows-not-2d", "one-device", "not-a-candidate", "bad-population-kind"])
+def test_refusals_name_their_cause(tmp_path, call, message):
+    path = tmp_path / "fit.json"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(path)
+    assert not path.exists()

@@ -1,6 +1,8 @@
 """Metric learning tests: standardization, LDML training, MI diagnostic."""
 
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -367,3 +369,36 @@ def test_metric_model_refuses_means_or_stds_not_one_per_column_of_L():
 def test_metric_model_rejects_nonpositive_std():
     with pytest.raises(ValueError, match="stds"):
         MetricModel(np.zeros(3), np.array([1.0, 0.0, 1.0]), np.eye(3), 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda X, y: MetricModel(np.zeros(3), np.ones(3), np.diag([1.0, np.nan, 1.0]), 0.0),
+     "L must be finite"),
+    (lambda X, y: MetricModel(np.zeros(3), np.ones(3), np.ones((4, 3)), 0.0),
+     "projection dimension exceeds input dimension"),
+    (lambda X, y: train_ldml(X, y[:-1]), "features and labels must align"),
+    (lambda X, y: train_ldml(X, y, d_prime=0), "d_prime must be in [1, 10]"),
+    (lambda X, y: train_ldml(X, y, d_prime=11), "d_prime must be in [1, 10]"),
+], ids=["L-non-finite", "L-too-many-rows", "labels-misaligned", "d_prime-0", "d_prime-past-d"])
+def test_refusals_name_their_cause(call, message):
+    X, y = toy_data(d=10)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(X, y)
+
+
+def test_training_stops_when_no_halved_step_improves(monkeypatch, caplog):
+    from sensorprint import metric
+
+    X, y = toy_data()  # rows grouped by device, as train_ldml orders them
+    start, [obj] = train_ldml(X, y, iterations=0, return_history=True)
+    pi, pj, _ = _build_pairs(y, np.random.default_rng(0))
+    assert -obj > SATURATION_NLL * len(pi)  # the start is not saturated
+    Z = (X - start.means) / start.stds
+    monkeypatch.setattr(metric, "MAX_HALVINGS", 0)
+    with caplog.at_level(logging.DEBUG, logger="sensorprint.metric"):
+        model, history = train_ldml(X, y, return_history=True)
+    np.testing.assert_array_equal(model.L, np.eye(X.shape[1]))
+    assert model.bias == np.median(np.sum((Z[pi] - Z[pj]) ** 2, axis=1)) == start.bias
+    assert history == [obj]
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("ldml:")]
+    assert "0 accepted step(s), 0 halving(s), stopped early: no halved step improves" in line

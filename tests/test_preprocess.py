@@ -242,3 +242,17 @@ def test_block_of_touching_captures_resamples_without_warnings(shift):
         warnings.simplefilter("error")
         block = build_streams(samples)
     _assert_scipy_streams(samples, block)
+
+
+@pytest.mark.parametrize("t, v", [
+    ([0.0, 0.01, 0.02, 0.03], [0.0, np.nan, 0.0, 1.0]),
+    # still increasing: only the finiteness check can see it
+    ([0.0, 0.01, 0.02, np.inf], [0.0, 1.0, 0.0, 1.0]),
+], ids=["NaN-value", "infinite-timestamp"])
+def test_interpolate_refuses_a_non_finite_input(t, v):
+    with pytest.raises(ValueError, match="^timestamps and values must be finite$"):
+        interpolate_uniform(t, v, 100.0)
+
+
+def test_build_streams_of_no_captures_is_empty():
+    assert build_streams([]) == []

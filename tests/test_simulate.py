@@ -245,3 +245,13 @@ def test_validate_fits_do_not_depend_on_dataset_row_order():
     b = validate_against_empirical(featurize_dataset(interleaved), repeats=1, runs=200,
                                    use_ldml=True)
     assert (a.intra_fit, a.inter_fit) == (b.intra_fit, b.inter_fit)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("N", "N must be >= 1"),
+    ("runs", "runs must be >= 1"),
+])
+def test_config_refuses_an_empty_count(field, message):
+    cfg = {"k": 1, "N": 1, "D": 10, "runs": 10, "intra": uni(0, 1), "inter": uni(2, 3), field: 0}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimConfig(**cfg)
