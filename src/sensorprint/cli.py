@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +53,13 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _settings(cls, args):
+    """A ``cls`` record built from the flags named after its fields that are
+    set; the record holds the defaults and refuses what it does not accept."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                  if getattr(args, f.name) is not None})
+
+
 # ---------------------------------------------------------------------------
 # Handlers. Each returns the process exit code.
 
@@ -60,9 +67,7 @@ def _config_echo(args) -> dict:
 def cmd_synth(args) -> int:
     from .dataset import DevicePrior, generate_synthetic, write_dataset
 
-    # the prior flags that are set, each named after its field; DevicePrior holds the defaults
-    prior = DevicePrior(**{f.name: getattr(args, f.name) for f in fields(DevicePrior)
-                           if getattr(args, f.name) is not None})
+    prior = _settings(DevicePrior, args)
     ds = generate_synthetic(args.devices, args.samples, device_prior=prior, seed=args.seed)
     write_dataset(ds, args.out)
     log.info("synth: %d device(s), %d sample(s) -> %s", args.devices, len(ds.samples), args.out)
@@ -201,12 +206,9 @@ def cmd_countermeasure(args) -> int:
     )
     from .dataset import load_dataset, write_dataset
 
+    # both, whichever scheme runs: a bad setting for the other one is refused too
+    obf, quant = _settings(ObfuscationConfig, args), _settings(QuantizationConfig, args)
     ds = load_dataset(args.input)
-    obf = ObfuscationConfig(
-        offset_range=tuple(args.offset_range), gain_range=tuple(args.gain_range),
-        seed=args.seed,
-    )
-    quant = QuantizationConfig(angle_bin=args.angle_bin, magnitude_bin=args.magnitude_bin)
     out_ds = apply_countermeasure(ds, args.scheme, obfuscation=obf, quantization=quant)
     rep = None
     if args.impact_out:  # before any write: settings it refuses must leave no file behind
@@ -214,7 +216,9 @@ def cmd_countermeasure(args) -> int:
     write_dataset(out_ds, args.out)
     log.info("countermeasure: %s on %d sample(s) -> %s", args.scheme, len(ds.samples), args.out)
     if rep is not None:
-        _write_json({"command": "countermeasure", "config": _config_echo(args),
+        # the settings that ran, defaults included, in place of the unset flags' None
+        config = {**_config_echo(args), **asdict(obf), **asdict(quant)}
+        _write_json({"command": "countermeasure", "config": config,
                      "result": rep.to_dict()}, args.impact_out)
         log.info("privacy impact: AvgF %.4f -> %.4f (drop %.1f%%) -> %s",
                  rep.baseline_avg_f, rep.protected_avg_f,
@@ -357,16 +361,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--in", dest="input", help="input dataset path (JSONL, required)")
     p.add_argument("--scheme", choices=("obfuscate", "quantize"),
                    help="defense to apply (required)")
-    p.add_argument("--offset-range", type=float, nargs=2, default=[-1.5, 1.5],
-                   metavar=("LO", "HI"),
-                   help="obfuscation offset range (m/s^2 accel, rad/s gyro; default -1.5 1.5)")
-    p.add_argument("--gain-range", type=float, nargs=2, default=[0.75, 1.25],
-                   metavar=("LO", "HI"),
-                   help="obfuscation gain range (unitless, default 0.75 1.25)")
-    p.add_argument("--angle-bin", type=float, default=6.0,
-                   help="quantization bin for angles and gyro rates (degrees, default 6)")
-    p.add_argument("--magnitude-bin", type=float, default=1.0,
-                   help="quantization bin for accel magnitude (m/s^2, default 1)")
+    p.add_argument("--offset-range", type=float, nargs=2, metavar=("LO", "HI"),
+                   help="obfuscation offset range (m/s^2 accel, rad/s gyro; default: built-in)")
+    p.add_argument("--gain-range", type=float, nargs=2, metavar=("LO", "HI"),
+                   help="obfuscation gain range (unitless, default: built-in)")
+    p.add_argument("--angle-bin", type=float,
+                   help="quantization bin for angles and gyro rates (degrees, default: built-in)")
+    p.add_argument("--magnitude-bin", type=float,
+                   help="quantization bin for accel magnitude (m/s^2, default: built-in)")
     p.add_argument("--impact-out", default=None,
                    help="also measure the identification cost, report here (JSON, optional)")
     # the impact report's protocol; its --seed also seeds the obfuscation

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, RawSample
+from .dataset import Dataset, RawSample, checked_range
 
 OBFUSCATE = "obfuscate"
 QUANTIZE = "quantize"
@@ -26,18 +26,17 @@ class ObfuscationConfig:
     """Ranges for the per-session gain/offset draws.
 
     Offsets are in m/s^2 for the accelerometer and rad/s for the gyroscope;
-    gains are unitless and must stay strictly positive.
+    gains are unitless. Each range must pass ``checked_range``, as a
+    ``DevicePrior``'s do, and a gain's lo must be > 0.
     """
 
-    offset_range: tuple = (-1.5, 1.5)
-    gain_range: tuple = (0.75, 1.25)
+    offset_range: tuple[float, float] = (-1.5, 1.5)
+    gain_range: tuple[float, float] = (0.75, 1.25)
     seed: int = 0
 
     def __post_init__(self):
-        o_lo, o_hi = self.offset_range
-        g_lo, g_hi = self.gain_range
-        if not (-np.inf < o_lo <= o_hi < np.inf and 0 < g_lo <= g_hi < np.inf):
-            raise ValueError("ranges must be finite and non-empty (lo <= hi), gains > 0")
+        self.offset_range = checked_range("obfuscation 'offset_range'", self.offset_range)
+        self.gain_range = checked_range("obfuscation 'gain_range'", self.gain_range, positive=True)
 
 
 @dataclass

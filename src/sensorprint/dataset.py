@@ -15,6 +15,7 @@ gyroscope offset, per axis) plus measurement noise.
 
 from __future__ import annotations
 
+import json
 import logging
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -50,9 +51,11 @@ class RawSample:
 
     A sample is a value: it keeps read-only copies of the arrays it is given,
     and its fields cannot be rebound. ``dataclasses.replace`` makes a changed
-    copy. Either way the constructor refuses, naming the sample, fewer than
-    2 readings, timestamps that are not 1-d, finite and strictly increasing,
-    accel or gyro not (n, 3), and a non-finite reading.
+    copy. Either way the constructor refuses, naming the sample, an array
+    that is not real numbers (naming it too: a ragged, non-numeric or
+    complex one), fewer than 2 readings, timestamps that are not 1-d, finite
+    and strictly increasing, accel or gyro not (n, 3), and a non-finite
+    reading.
     """
 
     device_id: str
@@ -62,10 +65,17 @@ class RawSample:
     gyro: np.ndarray
 
     def __post_init__(self):
+        what = f"sample {self.device_id}/{self.sample_id}"
         for name in ("timestamps", "accel", "gyro"):
-            object.__setattr__(self, name, read_only_copy(getattr(self, name)))
+            try:
+                a = getattr(self, name)
+                if np.iscomplexobj(a):  # a cast to float would drop the imaginary part
+                    raise TypeError("complex values are not readings")
+                object.__setattr__(self, name, read_only_copy(a))
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ValueError(f"{what}: {name}: {e}") from None
         t, accel, gyro = self.timestamps, self.accel, self.gyro
-        n, what = t.size, f"sample {self.device_id}/{self.sample_id}"
+        n = t.size
         if n < 2:
             raise ValueError(f"{what}: needs >= 2 readings, got {n}")
         if t.shape != (n,) or accel.shape != (n, 3) or gyro.shape != (n, 3):
@@ -174,13 +184,25 @@ class DeviceModel:
             raise ValueError("noise sigmas must be >= 0")
 
 
+def checked_range(what: str, pair, positive: bool = False) -> tuple[float, float]:
+    """``pair`` as a (lo, hi) tuple of floats to draw uniformly from: both
+    ends finite, lo <= hi, a width hi - lo that is a finite double and, when
+    ``positive``, lo > 0. Anything else is a ValueError naming ``what``."""
+    lo, hi = pair = tuple(map(float, pair))
+    # a NaN or infinite end, or a width past the largest double, fails isfinite
+    if not (lo <= hi and np.isfinite(hi - lo) and (lo > 0 or not positive)):
+        raise ValueError(f"{what}: {pair} is not a finite range with lo <= hi"
+                         + (" and lo > 0" if positive else ""))
+    return pair
+
+
 @dataclass
 class DevicePrior:
     """Sampling ranges for DeviceModel fields (uniform per axis).
 
     Defaults reflect consumer MEMS calibration-error magnitudes; ``synth``
-    sets each field by the flag of its name. A range must be finite with
-    lo <= hi (a gain's lo > 0), a noise sigma finite and >= 0.
+    sets each field by the flag of its name. A range must pass
+    ``checked_range`` (a gain's lo > 0), a noise sigma be finite and >= 0.
     """
 
     accel_gain: tuple[float, float] = (0.95, 1.05)
@@ -191,12 +213,8 @@ class DevicePrior:
 
     def __post_init__(self):
         for key in ("accel_gain", "accel_offset", "gyro_offset"):
-            lo, hi = pair = tuple(map(float, getattr(self, key)))
-            # a NaN or infinite end, or a width past the largest double, fails isfinite
-            if not (lo <= hi and np.isfinite(hi - lo) and (lo > 0 or key != "accel_gain")):
-                raise ValueError(f"device prior {key!r}: {pair} is not a finite range with lo <= hi"
-                                 + (" and lo > 0" if key == "accel_gain" else ""))
-            setattr(self, key, pair)
+            setattr(self, key, checked_range(f"device prior {key!r}", getattr(self, key),
+                                             positive=key == "accel_gain"))
         for key in ("noise_sigma_accel", "noise_sigma_gyro"):
             if not 0 <= getattr(self, key) < np.inf:  # NaN fails it too
                 raise ValueError(f"device prior {key!r}: {getattr(self, key)!r} "
@@ -241,6 +259,25 @@ def _json_numbers(values, what: str):
         for v in values:
             (_json_numbers if isinstance(v, list) else _json_number)(v, what)
     return values
+
+
+def _write_json_line(payload, path) -> None:
+    """Write ``payload`` to ``path`` as one compact JSON line, keys sorted."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")  # C encoder; json.dump runs the Python one
+
+
+def _read_json(path, what: str, build):
+    """``build`` of the JSON value in ``path``. A file that is not JSON, or
+    one whose value ``build`` refuses (a missing key, a wrong type, a value
+    out of range), is a ValueError naming ``what`` and the file; an
+    unreadable file is an OSError, which passes through."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        return build(payload)
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
+        raise ValueError(f"malformed {what} {str(path)!r}: {e!r}") from None
 
 
 def _sample_from_record(rec: dict) -> RawSample:

@@ -29,7 +29,6 @@ Parameterizations:
 
 from __future__ import annotations
 
-import json
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, gammainc, gammaincinv, gammaln, log_ndtr, ndtr, ndtri, xlogy
 
-from .dataset import _json_number, rows_by_device
+from .dataset import _json_number, _read_json, _write_json_line, rows_by_device
 
 log = logging.getLogger(__name__)
 
@@ -560,15 +559,13 @@ def ks_statistic(samples, dist: FittedDistribution) -> float:
 def save_fitted(dist: FittedDistribution, population_kind: str, path) -> None:
     if population_kind not in ("intra", "inter"):
         raise ValueError("population_kind must be 'intra' or 'inter'")
-    payload = {
+    _write_json_line({
         "class": population_kind,
         "family": dist.family,
         "params": dist.params,
         "loglik": dist.log_likelihood,
         "n": dist.n,
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")  # C encoder; json.dump runs the Python one
+    }, path)
 
 
 def load_fitted(path) -> tuple[str, FittedDistribution]:
@@ -576,16 +573,14 @@ def load_fitted(path) -> tuple[str, FittedDistribution]:
     ill-typed key, or a fit ``FittedDistribution`` refuses is a ValueError
     naming the file. Keys other than ``class``, ``family``, ``params``,
     ``loglik`` and ``n`` are ignored."""
-    try:  # an unreadable file is an OSError, which passes through
-        with open(path) as fh:
-            payload = json.load(fh)
+
+    def build(payload):
         dist = FittedDistribution(
             family=payload["family"],
             params={k: float(_json_number(v, k)) for k, v in payload["params"].items()},
             log_likelihood=float(_json_number(payload["loglik"], "loglik")),
             n=_json_number(payload["n"], "n", min_int=1),
         )
-        kind = payload["class"]
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
-        raise ValueError(f"malformed distribution fit {str(path)!r}: {e!r}") from None
-    return kind, dist
+        return payload["class"], dist
+
+    return _read_json(path, "distribution fit", build)

@@ -13,14 +13,13 @@ need no projection.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .dataset import _json_number, _json_numbers, rows_by_device
+from .dataset import _json_number, _json_numbers, _read_json, _write_json_line, rows_by_device
 
 MAX_HALVINGS = 60
 # training stops once the mean negative log-likelihood per pair is at most
@@ -268,28 +267,21 @@ def train_ldml(
 
 
 def save_metric_model(model: MetricModel, path) -> None:
-    payload = {
+    _write_json_line({
         "means": model.means.tolist(),
         "stds": model.stds.tolist(),
         "L": model.L.tolist(),
         "bias": model.bias,
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")  # C encoder; json.dump runs the Python one
+    }, path)
 
 
 def load_metric_model(path) -> MetricModel:
     """Read a save_metric_model file; a file that is not JSON, or a missing,
     ill-typed or misshaped key, is a ValueError naming the file. Keys other
     than ``means``, ``stds``, ``L`` and ``bias`` are ignored."""
-    try:  # an unreadable file is an OSError, which passes through
-        with open(path) as fh:
-            payload = json.load(fh)
-        return MetricModel(
-            means=_json_numbers(payload["means"], "means"),
-            stds=_json_numbers(payload["stds"], "stds"),
-            L=_json_numbers(payload["L"], "L"),
-            bias=float(_json_number(payload["bias"], "bias")),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise ValueError(f"malformed metric model {str(path)!r}: {e!r}") from None
+    return _read_json(path, "metric model", lambda payload: MetricModel(
+        means=_json_numbers(payload["means"], "means"),
+        stds=_json_numbers(payload["stds"], "stds"),
+        L=_json_numbers(payload["L"], "L"),
+        bias=float(_json_number(payload["bias"], "bias")),
+    ))

@@ -144,6 +144,7 @@ _BAD_PRIORS = {
     '{"accel_gain": [1.05, 0.95]}': (3, "device prior 'accel_gain'"),
     '{"accel_gain": [0, 1]}': (3, "device prior 'accel_gain'"),
     '{"accel_offset": [0, Infinity]}': (3, "device prior 'accel_offset'"),
+    '{"accel_offset": [-1e308, 1e308]}': (3, "device prior 'accel_offset'"),
     '{"gyro_offset": ["0", 1]}': (1, "config key 'gyro_offset'"),
 }
 
@@ -798,6 +799,19 @@ def test_countermeasure_refuses_non_finite_settings(workdir, tmp_path, capsys, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scheme", ["obfuscate", "quantize"])
+def test_countermeasure_refuses_a_range_wider_than_a_double(workdir, tmp_path, capsys, scheme):
+    # through --config: argparse reads -1e308 on the command line as a flag.
+    # Refused for either scheme, since both schemes' settings are built
+    cfg, out, imp = tmp_path / "cfg.json", tmp_path / "cm.jsonl", tmp_path / "imp.json"
+    cfg.write_text('{"offset_range": [-1e308, 1e308]}')
+    assert main(["--config", str(cfg), "countermeasure", "--in", str(workdir / "data.jsonl"),
+                 "--scheme", scheme, "--impact-out", str(imp), "--out", str(out)]) == 3
+    assert "error: obfuscation 'offset_range': (-1e+308, 1e+308) is not a finite range" \
+        in capsys.readouterr().err
+    assert not out.exists() and not imp.exists()
+
+
 def test_config_file_fills_defaults_but_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"devices": 3, "samples": 2, "seed": 9}))
@@ -1255,6 +1269,7 @@ def test_cli_defaults_are_the_library_defaults():
     for dest in fields(DevicePrior):  # unset unless given: DevicePrior holds the defaults
         assert synth[dest] is None, dest
     cm = flags("countermeasure")
-    for dest, default in {**fields(ObfuscationConfig), **fields(QuantizationConfig)}.items():
-        value = cm[dest]
-        assert (tuple(value) if isinstance(value, list) else value) == default, dest
+    settings = {**fields(ObfuscationConfig), **fields(QuantizationConfig)}
+    assert cm["seed"] == settings.pop("seed")  # the protocol's --seed also seeds the obfuscation
+    for dest in settings:  # unset unless given: the configs hold the defaults
+        assert cm[dest] is None, dest

@@ -51,6 +51,9 @@ def test_config_validation():
             QuantizationConfig(angle_bin=bad)
         with pytest.raises(ValueError, match="finite"):
             QuantizationConfig(magnitude_bin=bad)
+    # finite ends whose width is past the largest double: rng.uniform would overflow
+    with pytest.raises(ValueError, match="^obfuscation 'offset_range': .* finite"):
+        ObfuscationConfig(offset_range=(-1e308, 1e308))
     ObfuscationConfig(offset_range=(0.0, 0.0), gain_range=(1.0, 1.0))  # ok: non-empty
 
 

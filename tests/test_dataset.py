@@ -285,6 +285,13 @@ _DEFECTS = {
     "reversed timestamps": (dict(timestamps=_t[::-1]), "non-monotone timestamps"),
     "repeated timestamp": (dict(timestamps=_with(_t, 10, _t[9])), "non-monotone timestamps"),
     "NaN reading": (dict(gyro=_with(_g, (7, 1), np.nan)), "non-finite readings"),
+    # numpy's own refusals, named
+    "string timestamps": (dict(timestamps=["a", "b"]),
+                          "timestamps: could not convert string to float: 'a'"),
+    "ragged accel": (dict(accel=[[0.0, 0.0, 9.81]] * 500 + [[0.0, 0.0]]),
+                     "accel: .*inhomogeneous shape.*"),
+    # a cast to float would keep the real part and warn
+    "complex reading": (dict(gyro=_with(_g.astype(complex), (7, 1), 1j)), "gyro: complex values are not readings"),
 }
 
 
