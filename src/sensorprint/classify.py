@@ -12,7 +12,6 @@ import logging
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .features import FeatureTable, featurize_dataset
 from .metric import cross_distances, standardizer, train_ldml, transform
@@ -458,6 +457,7 @@ def _confidence_interval(values) -> tuple[float, float]:
     m = float(np.mean(v))
     if len(v) < 2:
         return (m, m)
+    from scipy.special import stdtrit  # on use: a one-split run needs no scipy
     half = float(stdtrit(len(v) - 1, 0.975) * v.std(ddof=1) / np.sqrt(len(v)))
     return (m - half, m + half)
 

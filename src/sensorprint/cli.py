@@ -12,11 +12,12 @@ the environment before the numeric libraries initialize their thread pools.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 log = logging.getLogger(__name__)
 
@@ -53,11 +54,19 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _settings(cls, args):
-    """A ``cls`` record built from the flags named after its fields that are
-    set; the record holds the defaults and refuses what it does not accept."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
-                  if getattr(args, f.name) is not None})
+def _write_report(args, result, path, **ran) -> None:
+    """The command, its flag echo with the ``ran`` settings over it, and ``result``."""
+    _write_json({"command": args.command, "config": {**_config_echo(args), **ran},
+                 "result": result}, path)
+
+
+def _settings(target, args) -> dict:
+    """The flags that are set and named after a defaulted parameter of
+    ``target``, a function or a settings record, to pass by name: the library
+    holds the defaults and refuses what it does not accept."""
+    params = inspect.signature(target).parameters.values()  # follows __wrapped__
+    given = {p.name: getattr(args, p.name, None) for p in params if p.default is not p.empty}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +76,7 @@ def _settings(cls, args):
 def cmd_synth(args) -> int:
     from .dataset import DevicePrior, generate_synthetic, write_dataset
 
-    prior = _settings(DevicePrior, args)
+    prior = DevicePrior(**_settings(DevicePrior, args))
     ds = generate_synthetic(args.devices, args.samples, device_prior=prior, seed=args.seed)
     write_dataset(ds, args.out)
     log.info("synth: %d device(s), %d sample(s) -> %s", args.devices, len(ds.samples), args.out)
@@ -88,7 +97,7 @@ def cmd_featurize(args) -> int:
     from .dataset import load_dataset
     from .features import featurize_dataset, write_features_csv
 
-    table = featurize_dataset(load_dataset(args.input), args.fs_target)
+    table = featurize_dataset(load_dataset(args.input), **_settings(featurize_dataset, args))
     write_features_csv(table, args.out)
     log.info("featurize: %d vector(s) at %.1f Hz -> %s", len(table.X), args.fs_target, args.out)
     return 0
@@ -99,55 +108,39 @@ def cmd_train_metric(args) -> int:
     from .metric import save_metric_model, train_ldml
 
     table = load_features_csv(args.features)
-    model, history = train_ldml(
-        table.X, table.device_ids, d_prime=args.d_prime, iterations=args.iterations,
-        step=args.step, seed=args.seed, return_history=True,
-    )
+    model, history = train_ldml(table.X, table.device_ids, return_history=True,
+                                **_settings(train_ldml, args))
     save_metric_model(model, args.out)
     log.info("train-metric: %d vector(s), %d accepted step(s) -> %s",
              len(table.X), len(history) - 1, args.out)
     return 0
 
 
-def _protocol_kwargs(args) -> dict:
-    """The run_protocol settings among the flags the subcommand defines."""
-    return {k: getattr(args, k) for k in _SPLIT_SETTINGS + _LDML_SETTINGS if hasattr(args, k)}
-
-
-def _protocol(args, repeats: int):
+def _protocol(args, **fixed):
     from .classify import run_protocol
     from .features import load_features_csv
 
-    return run_protocol(load_features_csv(args.features), repeats=repeats,
-                        **_protocol_kwargs(args))
+    return run_protocol(load_features_csv(args.features), **fixed, **_settings(run_protocol, args))
 
 
 def cmd_classify(args) -> int:
     res = _protocol(args, repeats=1)
     rep = res.reports[0]
-    _write_json({
-        "command": "classify",
-        "config": _config_echo(args),
-        "result": {**rep.to_dict(), "n_devices": res.n_devices},
-    }, args.out)
+    _write_report(args, {**rep.to_dict(), "n_devices": res.n_devices}, args.out)
     log.info("classify: accuracy %.4f, AvgF %.4f -> %s", rep.accuracy, rep.avg_f, args.out)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    res = _protocol(args, repeats=args.repeats)
-    _write_json({
-        "command": "evaluate",
-        "config": _config_echo(args),
-        "result": {
-            "n_devices": res.n_devices,
-            "avg_f_mean": res.avg_f_mean,
-            "avg_f_ci": list(res.avg_f_ci),
-            "accuracy_mean": res.accuracy_mean,
-            "per_repeat": [
-                {"avg_f": r.avg_f, "accuracy": r.accuracy} for r in res.reports
-            ],
-        },
+    res = _protocol(args)
+    _write_report(args, {
+        "n_devices": res.n_devices,
+        "avg_f_mean": res.avg_f_mean,
+        "avg_f_ci": list(res.avg_f_ci),
+        "accuracy_mean": res.accuracy_mean,
+        "per_repeat": [
+            {"avg_f": r.avg_f, "accuracy": r.accuracy} for r in res.reports
+        ],
     }, args.out)
     log.info("evaluate: %d repeat(s), AvgF %.4f -> %s", args.repeats, res.avg_f_mean, args.out)
     return 0
@@ -201,25 +194,24 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_countermeasure(args) -> int:
+    from .classify import run_protocol
     from .countermeasures import (
         ObfuscationConfig, QuantizationConfig, _impact, apply_countermeasure,
     )
     from .dataset import load_dataset, write_dataset
 
     # both, whichever scheme runs: a bad setting for the other one is refused too
-    obf, quant = _settings(ObfuscationConfig, args), _settings(QuantizationConfig, args)
+    obf, quant = (cls(**_settings(cls, args)) for cls in (ObfuscationConfig, QuantizationConfig))
     ds = load_dataset(args.input)
     out_ds = apply_countermeasure(ds, args.scheme, obfuscation=obf, quantization=quant)
     rep = None
     if args.impact_out:  # before any write: settings it refuses must leave no file behind
-        rep = _impact(ds, out_ds, args.scheme, repeats=args.repeats, **_protocol_kwargs(args))
+        rep = _impact(ds, out_ds, args.scheme, **_settings(run_protocol, args))
     write_dataset(out_ds, args.out)
     log.info("countermeasure: %s on %d sample(s) -> %s", args.scheme, len(ds.samples), args.out)
     if rep is not None:
         # the settings that ran, defaults included, in place of the unset flags' None
-        config = {**_config_echo(args), **asdict(obf), **asdict(quant)}
-        _write_json({"command": "countermeasure", "config": config,
-                     "result": rep.to_dict()}, args.impact_out)
+        _write_report(args, rep.to_dict(), args.impact_out, **asdict(obf), **asdict(quant))
         log.info("privacy impact: AvgF %.4f -> %.4f (drop %.1f%%) -> %s",
                  rep.baseline_avg_f, rep.protected_avg_f,
                  100 * rep.relative_drop, args.impact_out)
@@ -233,8 +225,6 @@ def cmd_countermeasure(args) -> int:
 # the flags that name files; an output may be neither an input nor another output
 _INPUTS = ("config", "input", "features", "metric_model", "intra", "inter")
 _OUTPUTS = ("out", "intra_out", "inter_out", "impact_out")
-_SPLIT_SETTINGS = ("classifier", "train_per_device", "k", "n_trees", "seed")
-_LDML_SETTINGS = ("use_ldml", "ldml_iterations", "ldml_step", "d_prime")
 
 
 def _add_split_flags(p, classifier: str = "knn") -> None:
@@ -381,8 +371,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-class _ConfigUsageError(Exception):
-    """A config value its flag would refuse on the command line (exit 1)."""
+class _UsageError(Exception):
+    """A usage error found after parsing, such as a refused config value (exit 1)."""
 
 
 def _actions(parser, command) -> dict[str, argparse.Action]:
@@ -407,7 +397,7 @@ def _config_value(key: str, action: argparse.Action, value):
     flag = action.option_strings[-1]
 
     def refuse(expected):
-        return _ConfigUsageError(
+        return _UsageError(
             f"config key {key!r}: {flag} must be {expected}, got {json.dumps(value)}")
 
     if value is None and action.default is None:
@@ -467,8 +457,7 @@ def main(argv=None) -> int:
         _apply_config(args, argv, actions)  # first: a config may set threads and verbose
         if args.threads is not None:
             if args.threads < 1:
-                print("error: --threads must be an integer >= 1", file=sys.stderr)
-                return 1
+                raise _UsageError("--threads must be an integer >= 1")
             for var in _THREAD_VARS:  # must precede the first numpy import
                 os.environ[var] = str(args.threads)
         logging.basicConfig(
@@ -490,15 +479,9 @@ def main(argv=None) -> int:
             named.setdefault(path, flag)
         log.info("command %s, config: %s", args.command, json.dumps(_config_echo(args), sort_keys=True))
         return args.func(args)
-    except _ConfigUsageError as e:
+    except (_UsageError, OSError, ValueError, RuntimeError) as e:  # RuntimeError: train_ldml diverged
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:  # includes FileNotFoundError
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as e:  # RuntimeError: train_ldml diverged
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(e, _UsageError) else 2 if isinstance(e, OSError) else 3
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, RawSample, checked_range
+from .dataset import Dataset, RawSample, checked_number, checked_range
+from .preprocess import magnitude
 
 OBFUSCATE = "obfuscate"
 QUANTIZE = "quantize"
@@ -27,7 +28,7 @@ class ObfuscationConfig:
 
     Offsets are in m/s^2 for the accelerometer and rad/s for the gyroscope;
     gains are unitless. Each range must pass ``checked_range``, as a
-    ``DevicePrior``'s do, and a gain's lo must be > 0.
+    ``DevicePrior``'s do, and a gain's lo must be > 0; the seed is an integer.
     """
 
     offset_range: tuple[float, float] = (-1.5, 1.5)
@@ -37,6 +38,8 @@ class ObfuscationConfig:
     def __post_init__(self):
         self.offset_range = checked_range("obfuscation 'offset_range'", self.offset_range)
         self.gain_range = checked_range("obfuscation 'gain_range'", self.gain_range, positive=True)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"obfuscation 'seed': {self.seed!r} is not an integer")
 
 
 @dataclass
@@ -45,8 +48,8 @@ class QuantizationConfig:
     magnitude_bin: float = 1.0  # m/s^2
 
     def __post_init__(self):
-        if not (0 < self.angle_bin < np.inf and 0 < self.magnitude_bin < np.inf):
-            raise ValueError("bin sizes must be finite and > 0")
+        for key in ("angle_bin", "magnitude_bin"):
+            setattr(self, key, checked_number(f"quantization {key!r}", getattr(self, key), True))
 
 
 def _session_rng(seed: int, device_id: str, sample_id: str) -> np.random.Generator:
@@ -87,7 +90,7 @@ def to_polar(accel):
     """
     a = np.asarray(accel, dtype=float)
     ax, ay, az = np.atleast_2d(a).T
-    r = np.sqrt(ax * ax + ay * ay + az * az)
+    r = magnitude(np.atleast_2d(a))  # (n,) even for one reading
     with np.errstate(invalid="ignore", divide="ignore"):  # r == 0 is replaced below
         theta = np.arccos(np.clip(az / r, -1.0, 1.0))
     psi = np.arctan2(ay, ax)
@@ -117,8 +120,7 @@ def quantize_value(val: float, bin_size: float) -> float:
     in bin -1 with remainder 2.9 and stays at -6. A quotient by the bin that
     is not finite (a subnormal bin overflows it) is a ValueError.
     """
-    if bin_size <= 0:
-        raise ValueError("bin_size must be > 0")
+    bin_size = checked_number("bin_size", bin_size, positive=True)
     with np.errstate(over="ignore"):
         b = np.floor(np.asarray(val, dtype=float) / bin_size)
     if not np.all(np.isfinite(b)):
@@ -157,12 +159,10 @@ def apply_countermeasure(
     if scheme not in SCHEMES:
         raise ValueError(f"unknown countermeasure {scheme!r}; choose from {SCHEMES}")
     if scheme == OBFUSCATE:
-        cfg = obfuscation if obfuscation is not None else ObfuscationConfig()
-        transform = lambda s: obfuscate(s, cfg)
+        transform, cfg = obfuscate, obfuscation or ObfuscationConfig()
     else:
-        qcfg = quantization if quantization is not None else QuantizationConfig()
-        transform = lambda s: quantize_sample(s, qcfg)
-    return Dataset([transform(s) for s in dataset.samples])
+        transform, cfg = quantize_sample, quantization or QuantizationConfig()
+    return Dataset([transform(s, cfg) for s in dataset.samples])
 
 
 @dataclass

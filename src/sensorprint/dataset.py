@@ -184,11 +184,30 @@ class DeviceModel:
             raise ValueError("noise sigmas must be >= 0")
 
 
+def as_float(what: str, value) -> float:
+    """``float(value)``; what that refuses or overflows on is a ValueError naming ``what``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"{what}: {e}") from None
+
+
+def checked_number(what: str, value, positive: bool = False) -> float:
+    """``as_float`` of ``value`` if it is finite and >= 0 (> 0 when ``positive``)."""
+    x = as_float(what, value)
+    if not (x < np.inf and (x > 0 if positive else x >= 0)):  # NaN fails it too
+        raise ValueError(f"{what}: {x!r} is not a finite number {'>' if positive else '>='} 0")
+    return x
+
+
 def checked_range(what: str, pair, positive: bool = False) -> tuple[float, float]:
-    """``pair`` as a (lo, hi) tuple of floats to draw uniformly from: both
-    ends finite, lo <= hi, a width hi - lo that is a finite double and, when
-    ``positive``, lo > 0. Anything else is a ValueError naming ``what``."""
-    lo, hi = pair = tuple(map(float, pair))
+    """``pair`` as a (lo, hi) tuple of floats to draw uniformly from: two
+    ends by ``as_float``, both finite, lo <= hi, a width hi - lo that is a
+    finite double and, when ``positive``, lo > 0. Anything else is a
+    ValueError naming ``what``."""
+    if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2):
+        raise ValueError(f"{what}: {pair!r} is not a (lo, hi) pair")
+    lo, hi = pair = (as_float(what, pair[0]), as_float(what, pair[1]))
     # a NaN or infinite end, or a width past the largest double, fails isfinite
     if not (lo <= hi and np.isfinite(hi - lo) and (lo > 0 or not positive)):
         raise ValueError(f"{what}: {pair} is not a finite range with lo <= hi"
@@ -202,7 +221,7 @@ class DevicePrior:
 
     Defaults reflect consumer MEMS calibration-error magnitudes; ``synth``
     sets each field by the flag of its name. A range must pass
-    ``checked_range`` (a gain's lo > 0), a noise sigma be finite and >= 0.
+    ``checked_range`` (a gain's lo > 0), a noise sigma ``checked_number``.
     """
 
     accel_gain: tuple[float, float] = (0.95, 1.05)
@@ -216,9 +235,7 @@ class DevicePrior:
             setattr(self, key, checked_range(f"device prior {key!r}", getattr(self, key),
                                              positive=key == "accel_gain"))
         for key in ("noise_sigma_accel", "noise_sigma_gyro"):
-            if not 0 <= getattr(self, key) < np.inf:  # NaN fails it too
-                raise ValueError(f"device prior {key!r}: {getattr(self, key)!r} "
-                                 "is not a finite number >= 0")
+            setattr(self, key, checked_number(f"device prior {key!r}", getattr(self, key)))
 
     def draw(self, rng: np.random.Generator) -> DeviceModel:
         accel_gain = rng.uniform(*self.accel_gain, size=3)

@@ -17,7 +17,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import _json_number, _json_numbers, _read_json, _write_json_line, rows_by_device
 
@@ -180,6 +179,7 @@ def train_ldml(
     in t and a halving costs O(pairs); no product runs over the pairs. Every
     product is the fixed-order ``_mm``.
     """
+    from scipy.special import expit  # on use: scipy.special adds about 0.3 s to an import
     if iterations < 0 or not 0 < step < np.inf:
         raise ValueError("need iterations >= 0 and a finite step > 0")
     X, y = _as_matrix(features, labels)

@@ -1229,47 +1229,43 @@ def test_config_verbose_sets_debug_level(tmp_path, monkeypatch):
 
 
 def test_cli_defaults_are_the_library_defaults():
-    # the CLI imports no numeric module before --threads is applied, so it
-    # writes each library default out a second time; this keeps the copies equal
+    # the CLI imports no numeric module before --threads is applied, so a flag
+    # that _settings passes on writes its parameter's default a second time, or
+    # leaves it unset (None) for the library to fill in; this keeps the copies
+    # equal, pairing flags and parameters by name as _settings does
     import dataclasses
     import inspect
 
     from sensorprint.classify import run_protocol
-    from sensorprint.cli import _LDML_SETTINGS, _SPLIT_SETTINGS, _actions, _build_parser
-    from sensorprint.countermeasures import (
-        ObfuscationConfig, QuantizationConfig, privacy_impact,
-    )
+    from sensorprint.cli import _actions, _build_parser, _settings
+    from sensorprint.countermeasures import ObfuscationConfig, QuantizationConfig, privacy_impact
+    from sensorprint.features import featurize_dataset
     from sensorprint.metric import train_ldml
-    from sensorprint.preprocess import DEFAULT_FS
 
+    records = (DevicePrior, ObfuscationConfig, QuantizationConfig)
+    calls = {  # what each handler passes its settings to through _settings
+        "synth": [DevicePrior],
+        "featurize": [featurize_dataset],
+        "train-metric": [train_ldml],
+        "classify": [run_protocol],
+        "evaluate": [run_protocol],
+        "countermeasure": [run_protocol, ObfuscationConfig, QuantizationConfig],
+    }
     parser = _build_parser()
-
-    def flags(command):
-        return {dest: a.default for dest, a in _actions(parser, command).items()}
-
-    def signature(fn):
-        return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
-
-    def fields(cls):
-        return {f.name: f.default for f in dataclasses.fields(cls)}
-
-    assert flags("featurize")["fs_target"] == DEFAULT_FS
-    protocol = signature(run_protocol)
-    for command in ("classify", "evaluate", "countermeasure"):
-        cli = flags(command)
-        expected = {**protocol, "classifier": signature(privacy_impact)["classifier"]} \
-            if command == "countermeasure" else protocol
-        for dest in (*_SPLIT_SETTINGS, *_LDML_SETTINGS, "repeats"):
-            if dest in cli:
-                assert cli[dest] == expected[dest], (command, dest)
-    train = flags("train-metric")
-    for dest in ("iterations", "step", "d_prime", "seed"):
-        assert train[dest] == signature(train_ldml)[dest], dest
-    synth = flags("synth")
-    for dest in fields(DevicePrior):  # unset unless given: DevicePrior holds the defaults
-        assert synth[dest] is None, dest
-    cm = flags("countermeasure")
-    settings = {**fields(ObfuscationConfig), **fields(QuantizationConfig)}
-    assert cm["seed"] == settings.pop("seed")  # the protocol's --seed also seeds the obfuscation
-    for dest in settings:  # unset unless given: the configs hold the defaults
-        assert cm[dest] is None, dest
+    for command, targets in calls.items():
+        flags = {dest: a.default for dest, a in _actions(parser, command).items()}
+        args = parser.parse_args([command])  # every flag at its default
+        for target in targets:
+            defaults = {name: p.default for name, p in inspect.signature(target).parameters.items()
+                        if p.default is not p.empty}
+            if command == "countermeasure" and target is run_protocol:
+                # the impact report runs privacy_impact's protocol
+                defaults["classifier"] = inspect.signature(privacy_impact).parameters["classifier"].default
+            pairs = {name: flags[name] for name in defaults if name in flags}
+            assert pairs, (command, target)
+            for name, default in pairs.items():
+                assert default is None or default == defaults[name], (command, name)
+            if target in records:  # every field is a flag, and the record holds the defaults
+                assert set(pairs) == {f.name for f in dataclasses.fields(target)}, target
+                assert all(v is None for k, v in pairs.items() if k != "seed"), target
+            assert _settings(target, args) == {k: v for k, v in pairs.items() if v is not None}

@@ -3,6 +3,7 @@ obfuscation draws, and the measured cost to identification accuracy."""
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -55,6 +56,52 @@ def test_config_validation():
     with pytest.raises(ValueError, match="^obfuscation 'offset_range': .* finite"):
         ObfuscationConfig(offset_range=(-1e308, 1e308))
     ObfuscationConfig(offset_range=(0.0, 0.0), gain_range=(1.0, 1.0))  # ok: non-empty
+
+
+_RECORDS = {DevicePrior: "device prior", ObfuscationConfig: "obfuscation",
+            QuantizationConfig: "quantization"}
+_NOT_FLOATS = {"huge": 10**400, "str": "a", "nan": math.nan, "inf": math.inf}
+
+
+def _bad_settings():
+    """(record, field, value) for a value each field of each settings record refuses."""
+    for cls in _RECORDS:
+        for f in fields(cls):
+            if f.name == "seed":  # 10**400 is an integer, so a valid seed
+                bad = {"str": "a", "nan": math.nan, "inf": math.inf, "fraction": 1.5}
+            elif isinstance(f.default, tuple):  # a range: each end as a number, then the pair
+                bad = {**{k: (0.5, v) for k, v in _NOT_FLOATS.items()}, "three": (0.5, 1.0, 2.0)}
+            else:  # a noise sigma may be 0, a bin may not
+                bad = {**_NOT_FLOATS, "negative": -1.0, "zero": 0.0}
+                if f.name.startswith("noise_sigma"):
+                    del bad["zero"]
+            for name, value in bad.items():
+                yield pytest.param(cls, f.name, value, id=f"{cls.__name__}-{f.name}-{name}")
+
+
+@pytest.mark.parametrize("cls, field, value", _bad_settings())
+def test_settings_records_refuse_a_bad_value_naming_the_field(cls, field, value):
+    # the one conversion and the number and range rules: no OverflowError or
+    # TypeError escapes, and the message says which setting it is
+    with pytest.raises(ValueError, match=f"^{_RECORDS[cls]} {field!r}: "):
+        cls(**{field: value})
+
+
+def test_settings_records_store_plain_floats():
+    records = [DevicePrior(accel_gain=(1, 2), accel_offset=[np.float32(-0.5), 0],
+                           gyro_offset=np.array([0, 1]), noise_sigma_accel=1,
+                           noise_sigma_gyro=np.float64(0.5)),
+               ObfuscationConfig(offset_range=[-1, 1], gain_range=(1, np.int64(2)), seed=np.int64(3)),
+               QuantizationConfig(angle_bin=5, magnitude_bin=np.float32(0.5))]
+    for rec in records:
+        for f in fields(rec):
+            value = getattr(rec, f.name)
+            if f.name == "seed":
+                assert value == 3
+            elif isinstance(f.default, tuple):
+                assert type(value) is tuple and [type(v) for v in value] == [float, float], f.name
+            else:
+                assert type(value) is float, f.name
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,11 @@ def test_featurization_leaves_the_interpolators_and_the_optimizer_out():
     assert out.split() == ["False", "False"]
 
 
-@pytest.mark.parametrize("module", ["features", "countermeasures"])
+@pytest.mark.parametrize("module", ["features", "countermeasures", "metric", "classify"])
 def test_featurization_leaves_scipy_out(module):
-    # rows_by_device lives in dataset, so the feature path needs no scipy
+    # rows_by_device lives in dataset, so the feature path needs no scipy;
+    # metric and classify import scipy.special where they use it (training
+    # a metric, a confidence interval over two or more repeats)
     out = _child_stdout(f"import sys, sensorprint.{module}\n"
                         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
     assert out.split() == ["False"]
@@ -81,6 +83,31 @@ def test_entry_modules_leave_orjson_and_linalg_out(module):
     out = _child_stdout(f"import sys, sensorprint.{module}\n"
                         "print('orjson' in sys.modules, 'scipy.linalg' in sys.modules)\n")
     assert out.split() == ["False", "False"]
+
+
+_SUBCOMMANDS = ("synth", "ingest", "featurize", "train-metric", "classify", "evaluate",
+                "distfit", "simulate", "countermeasure")
+
+
+def test_cli_loads_no_numpy_before_threads_lands():
+    # --threads works by setting the thread-pool variables before numpy is
+    # first imported, so neither the import, nor the parser, nor any help
+    # text may import it
+    lines = _child_stdout(
+        "import contextlib, io, sys\n"
+        "import sensorprint.cli as cli\n"
+        "print('import', 0, 'numpy' in sys.modules)\n"
+        "parser = cli._build_parser()\n"
+        "print('parser', 0, 'numpy' in sys.modules)\n"
+        "print(*sorted(next(a for a in parser._actions if a.dest == 'command').choices))\n"
+        f"for cmd in {_SUBCOMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main([cmd, '--help'])\n"
+        "    print(cmd, code, 'numpy' in sys.modules)\n"
+    ).splitlines()
+    assert lines[2].split() == sorted(_SUBCOMMANDS)
+    steps = [line.split() for line in lines[:2] + lines[3:]]
+    assert steps == [[step, "0", "False"] for step in ("import", "parser", *_SUBCOMMANDS)]
 
 
 def _load_tracer(monkeypatch):
